@@ -157,13 +157,13 @@ Result<QueryResult> ExecuteSelect(const SelectStmt* stmt, Catalog* catalog,
   return QueryResult(std::move(result), ctx.stats);
 }
 
-/// Seals a freshly built (exclusively owned) DML result when the policy
-/// says encoding pays off. Partitioned tables always seal — pruning needs
-/// the partition-clustered layout.
-Status MaybeSeal(const EngineOptions& options, Table* table) {
+/// Seals a freshly built (exclusively owned) DML result of at least
+/// kSealMinRows rows. Partitioned tables always seal — pruning needs the
+/// partition-clustered layout.
+Status MaybeSeal(Table* table) {
   if (table->sealed()) return Status::OK();
-  if (table->partition_spec().partitioned()) return table->Seal();
-  if (options.encode_segments && table->num_rows() >= kSealMinRows) {
+  if (table->partition_spec().partitioned() ||
+      table->num_rows() >= kSealMinRows) {
     return table->Seal();
   }
   return Status::OK();
@@ -379,7 +379,7 @@ Result<QueryResult> ExecuteCreate(const CreateTableStmt& stmt,
       table->column(c).AppendSlice(src.column(c), 0, src.num_rows());
     }
     // Seal before logging so the checkpoint/WAL image is the encoded one.
-    SODA_RETURN_NOT_OK(MaybeSeal(options, table.get()));
+    SODA_RETURN_NOT_OK(MaybeSeal(table.get()));
     SODA_RETURN_NOT_OK(CommitDurable(
         dur, [&] { return dur->LogTableImage(*table); },
         [&] { return catalog->RegisterTable(std::move(table)); }));
@@ -436,23 +436,24 @@ Result<std::vector<uint8_t>> EvaluateRowMask(const Table& table,
 /// consistent snapshot). The new image is write-ahead-logged before the
 /// swap, so the statement commits to disk and memory together.
 Result<QueryResult> ExecuteDelete(const DeleteStmt& stmt, Catalog* catalog,
-                                  const EngineOptions& options,
                                   DurabilityManager* dur, QueryGuard* guard) {
   SODA_ASSIGN_OR_RETURN(TablePtr table, catalog->GetTable(stmt.table));
   // Writes must see the whole table (copy-on-write rebuild); quarantined
   // payload would silently turn into all-NULL placeholder rows.
   SODA_RETURN_NOT_OK(table->CheckReadable(0, table->num_rows()));
+  // The rebuild indexes rows directly: read a flat copy of a sealed table.
+  SODA_ASSIGN_OR_RETURN(TablePtr flat, FlatView(table, guard));
   SODA_ASSIGN_OR_RETURN(
       std::vector<uint8_t> doomed,
-      EvaluateRowMask(*table, stmt.where.get(), catalog, guard));
+      EvaluateRowMask(*flat, stmt.where.get(), catalog, guard));
   // Copy-on-write duplicates (up to) the whole table; charge the rebuild
   // before touching it so budget failures leave the old snapshot intact.
-  SODA_RETURN_NOT_OK(GuardReserve(guard, table->MemoryUsage(), "exec.dml"));
+  SODA_RETURN_NOT_OK(GuardReserve(guard, flat->MemoryUsage(), "exec.dml"));
   auto next = std::make_shared<Table>(table->name(), table->schema());
   next->set_partition_spec(table->partition_spec());
-  for (size_t c = 0; c < table->num_columns(); ++c) {
-    for (size_t r = 0; r < table->num_rows(); ++r) {
-      if (!doomed[r]) next->column(c).AppendFrom(table->column(c), r);
+  for (size_t c = 0; c < flat->num_columns(); ++c) {
+    for (size_t r = 0; r < flat->num_rows(); ++r) {
+      if (!doomed[r]) next->column(c).AppendFrom(flat->column(c), r);
     }
   }
   TablePtr publish = next;
@@ -478,7 +479,7 @@ Result<QueryResult> ExecuteDelete(const DeleteStmt& stmt, Catalog* catalog,
     SODA_ASSIGN_OR_RETURN(publish,
                           ResealReusing(*table, *next, touched, new_offsets));
   } else {
-    SODA_RETURN_NOT_OK(MaybeSeal(options, next.get()));
+    SODA_RETURN_NOT_OK(MaybeSeal(next.get()));
   }
   SODA_RETURN_NOT_OK(CommitDurable(
       dur, [&] { return dur->LogTableImage(*publish); },
@@ -491,7 +492,6 @@ Result<QueryResult> ExecuteDelete(const DeleteStmt& stmt, Catalog* catalog,
 /// unselected row never executes), then the new values are scattered into
 /// a fresh table which is swapped in (copy-on-write).
 Result<QueryResult> ExecuteUpdate(const UpdateStmt& stmt, Catalog* catalog,
-                                  const EngineOptions& options,
                                   DurabilityManager* dur, QueryGuard* guard) {
   SODA_ASSIGN_OR_RETURN(TablePtr table, catalog->GetTable(stmt.table));
   // See ExecuteDelete: no copy-on-write over quarantined payload.
@@ -518,11 +518,13 @@ Result<QueryResult> ExecuteUpdate(const UpdateStmt& stmt, Catalog* catalog,
     assignments.emplace_back(col, std::move(expr));
   }
 
+  // Gather and merge index rows directly (see ExecuteDelete).
+  SODA_ASSIGN_OR_RETURN(TablePtr flat, FlatView(table, guard));
   SODA_ASSIGN_OR_RETURN(
       std::vector<uint8_t> selected,
-      EvaluateRowMask(*table, stmt.where.get(), catalog, guard));
+      EvaluateRowMask(*flat, stmt.where.get(), catalog, guard));
 
-  const size_t n = table->num_rows();
+  const size_t n = flat->num_rows();
   std::vector<size_t> sel;
   for (size_t r = 0; r < n; ++r) {
     if (selected[r]) sel.push_back(r);
@@ -540,7 +542,7 @@ Result<QueryResult> ExecuteUpdate(const UpdateStmt& stmt, Catalog* catalog,
     DataChunk chunk;
     for (size_t offset = 0; offset < n; offset += kChunkCapacity) {
       SODA_RETURN_NOT_OK(GuardProbe(guard, "exec.dml"));
-      table->ScanSlice(offset, std::min(kChunkCapacity, n - offset), &chunk);
+      flat->ScanSlice(offset, std::min(kChunkCapacity, n - offset), &chunk);
       for (size_t a = 0; a < assignments.size(); ++a) {
         Column part;
         SODA_RETURN_NOT_OK(
@@ -553,11 +555,11 @@ Result<QueryResult> ExecuteUpdate(const UpdateStmt& stmt, Catalog* catalog,
       SODA_RETURN_NOT_OK(GuardProbe(guard, "exec.dml"));
       const size_t count = std::min(kChunkCapacity, sel.size() - start);
       DataChunk gathered;
-      for (size_t c = 0; c < table->num_columns(); ++c) {
-        Column col(table->column(c).type());
+      for (size_t c = 0; c < flat->num_columns(); ++c) {
+        Column col(flat->column(c).type());
         col.Reserve(count);
         for (size_t i = 0; i < count; ++i) {
-          col.AppendFrom(table->column(c), sel[start + i]);
+          col.AppendFrom(flat->column(c), sel[start + i]);
         }
         gathered.AddColumn(std::move(col));
       }
@@ -571,25 +573,25 @@ Result<QueryResult> ExecuteUpdate(const UpdateStmt& stmt, Catalog* catalog,
   }
 
   // The copy-on-write merge duplicates the table (see ExecuteDelete).
-  SODA_RETURN_NOT_OK(GuardReserve(guard, table->MemoryUsage(), "exec.dml"));
+  SODA_RETURN_NOT_OK(GuardReserve(guard, flat->MemoryUsage(), "exec.dml"));
   auto next = std::make_shared<Table>(table->name(), table->schema());
   next->set_partition_spec(table->partition_spec());
-  for (size_t c = 0; c < table->num_columns(); ++c) {
+  for (size_t c = 0; c < flat->num_columns(); ++c) {
     const Column* updated = nullptr;
     for (size_t a = 0; a < assignments.size(); ++a) {
       if (assignments[a].first == c) updated = &new_values[a];
     }
     Column& dst = next->column(c);
     if (!updated) {
-      dst.AppendSlice(table->column(c), 0, table->num_rows());
+      dst.AppendSlice(flat->column(c), 0, n);
       continue;
     }
     size_t cursor = 0;
-    for (size_t r = 0; r < table->num_rows(); ++r) {
+    for (size_t r = 0; r < n; ++r) {
       if (selected[r]) {
         dst.AppendFrom(*updated, cursor++);
       } else {
-        dst.AppendFrom(table->column(c), r);
+        dst.AppendFrom(flat->column(c), r);
       }
     }
   }
@@ -622,7 +624,7 @@ Result<QueryResult> ExecuteUpdate(const UpdateStmt& stmt, Catalog* catalog,
     SODA_ASSIGN_OR_RETURN(publish,
                           ResealReusing(*table, *next, touched, prev_offsets));
   } else {
-    SODA_RETURN_NOT_OK(MaybeSeal(options, next.get()));
+    SODA_RETURN_NOT_OK(MaybeSeal(next.get()));
   }
   SODA_RETURN_NOT_OK(CommitDurable(
       dur, [&] { return dur->LogTableImage(*publish); },
@@ -747,7 +749,7 @@ Result<QueryResult> ExecuteInsert(const InsertStmt& stmt, Catalog* catalog,
           next->column(c).AppendSlice(table->column(c), 0, table->num_rows());
           next->column(c).AppendSlice(staged.column(c), 0, staged.num_rows());
         }
-        SODA_RETURN_NOT_OK(MaybeSeal(options, next.get()));
+        SODA_RETURN_NOT_OK(MaybeSeal(next.get()));
         return catalog->ReplaceTable(table->name(), std::move(next));
       }));
   return QueryResult();
@@ -992,15 +994,6 @@ Result<QueryResult> ExecuteSet(const SetStmt& stmt, EngineOptions* options,
     options->verify_plans = value == "on";
     return QueryResult();
   }
-  if (stmt.name == "soda.encode_segments") {
-    std::string value = stmt.has_text ? ToLower(stmt.text_value) : "";
-    if (value != "on" && value != "off") {
-      return Status::InvalidArgument(
-          "SET soda.encode_segments: expected on or off");
-    }
-    options->encode_segments = value == "on";
-    return QueryResult();
-  }
   if (stmt.has_text) {
     return Status::InvalidArgument("SET " + stmt.name +
                                    ": expected an integer value");
@@ -1044,9 +1037,9 @@ Result<QueryResult> ExecuteSet(const SetStmt& stmt, EngineOptions* options,
         "unknown setting '" + stmt.name +
         "' (supported: soda.timeout_ms, soda.memory_limit_mb, "
         "soda.max_iterations, soda.wal_fsync, soda.wal_group_bytes, "
-        "soda.verify_plans, soda.encode_segments, "
-        "soda.wal_auto_checkpoint_mb, soda.wal_auto_checkpoint_records, "
-        "soda.scrub_interval_ms, soda.plan_cache, soda.ht_cache_mb)");
+        "soda.verify_plans, soda.wal_auto_checkpoint_mb, "
+        "soda.wal_auto_checkpoint_records, soda.scrub_interval_ms, "
+        "soda.plan_cache, soda.ht_cache_mb)");
   }
   return QueryResult();
 }
@@ -1279,9 +1272,9 @@ Result<QueryResult> ExecuteStatement(Statement& stmt, Catalog* catalog,
     case StatementKind::kDropTable:
       return ExecuteDrop(*stmt.drop_table, catalog, dur);
     case StatementKind::kUpdate:
-      return ExecuteUpdate(*stmt.update, catalog, options, dur, guard);
+      return ExecuteUpdate(*stmt.update, catalog, dur, guard);
     case StatementKind::kDelete:
-      return ExecuteDelete(*stmt.del, catalog, options, dur, guard);
+      return ExecuteDelete(*stmt.del, catalog, dur, guard);
     case StatementKind::kExplain:
       return ExecuteExplain(*stmt.select, stmt.explain_analyze, catalog,
                             options, dur, guard, cc);

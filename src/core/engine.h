@@ -68,11 +68,6 @@ struct EngineOptions {
   /// default; debug builds verify even when this is off.
   /// SQL: `SET soda.verify_plans = on|off`.
   bool verify_plans = true;
-  /// Seal DML results of >= kSealMinRows rows into encoded columnar
-  /// segments (storage/segment.h). Partitioned tables seal regardless —
-  /// partition pruning needs the clustered layout. Off = keep every table
-  /// flat (ablation / debugging). SQL: `SET soda.encode_segments = on|off`.
-  bool encode_segments = true;
   /// Auto-checkpoint when the WAL exceeds this many megabytes (0 = off).
   /// Runs on the background maintenance thread; the checkpoint rotates
   /// the log, so sustained DML keeps the WAL bounded.

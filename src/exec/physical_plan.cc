@@ -28,6 +28,9 @@ uint64_t NowNanos() {
 
 constexpr auto kRelaxed = std::memory_order_relaxed;
 
+/// Charge site of the bulk column-copy projection fast path.
+constexpr char kProjectSite[] = "exec.project";
+
 // --- streaming transforms -------------------------------------------------
 
 /// Streaming WHERE: evaluates the predicate and compacts the chunk.
@@ -402,12 +405,16 @@ class PhysicalPlanBuilder {
     switch (node.kind) {
       case PlanKind::kScan:
       case PlanKind::kBindingRef: {
-        // Base relations are returned by reference, never copied.
+        // Flat base relations are returned by reference, never copied;
+        // a sealed one is decoded into a per-statement flat copy for the
+        // random-access consumer above (join build, analytics input).
         PhysicalPipeline p;
         auto resolve = MakeSourceResolver(node);
         p.op = Op(SourceName(node));
-        p.op_fn = [resolve](PhysicalPlan&, ExecContext& ctx) {
-          return resolve(ctx);
+        p.op_fn = [resolve](PhysicalPlan&,
+                            ExecContext& ctx) -> Result<TablePtr> {
+          SODA_ASSIGN_OR_RETURN(TablePtr t, resolve(ctx));
+          return FlatView(std::move(t), ctx.guard);
         };
         return Push(std::move(p));
       }
@@ -423,7 +430,8 @@ class PhysicalPlanBuilder {
         // Fast path for pure column selections over a base relation (e.g.
         // the `(SELECT x1..xd FROM data)` inputs of analytics operators,
         // which HyPer would fuse into the operator's own materialization):
-        // one bulk column copy instead of chunked pipeline copies.
+        // one bulk column copy instead of chunked pipeline copies. On a
+        // sealed source only the projected columns are decoded.
         const PlanNode& child = *node.children[0];
         bool all_refs = true;
         for (const auto& e : node.exprs) {
@@ -442,18 +450,11 @@ class PhysicalPlanBuilder {
                                      ExecContext& ctx) -> Result<TablePtr> {
             SODA_ASSIGN_OR_RETURN(TablePtr source, resolve(ctx));
             auto out = std::make_shared<Table>("project", node.schema);
-            size_t bytes = 0;
-            for (const auto& e : node.exprs) {
-              bytes += source->column(e->column_index).MemoryUsage();
-            }
+            std::vector<size_t> cols;
+            cols.reserve(node.exprs.size());
+            for (const auto& e : node.exprs) cols.push_back(e->column_index);
             SODA_RETURN_NOT_OK(
-                GuardReserve(ctx.guard, bytes, "exec.project"));
-            for (size_t i = 0; i < node.exprs.size(); ++i) {
-              const Column& src = source->column(node.exprs[i]->column_index);
-              Column col(src.type());
-              col.AppendSlice(src, 0, source->num_rows());
-              SODA_RETURN_NOT_OK(out->SetColumn(i, std::move(col)));
-            }
+                source->DecodeInto(out.get(), ctx.guard, kProjectSite, &cols));
             ctx.stats.cumulative_materialized_tuples += out->num_rows();
             return out;
           };
@@ -493,6 +494,7 @@ class PhysicalPlanBuilder {
             TablePtr t;
             if (src) {
               SODA_ASSIGN_OR_RETURN(t, src(ctx));
+              SODA_ASSIGN_OR_RETURN(t, FlatView(std::move(t), ctx.guard));
             } else {
               t = pp.pipeline(in).result;
               if (!t) return Status::Internal("sort input not materialized");

@@ -18,11 +18,9 @@ namespace soda {
 namespace {
 
 constexpr uint32_t kCheckpointMagic = 0x4B434453;  // "SDCK"
-constexpr uint32_t kCheckpointVersion = 3;  // v3: per-table CRC-framed blocks
-// Read-compat floor: v2 files (previous release; unframed table payloads,
-// single whole-body CRC) still load, and the next checkpoint rewrites
-// them as v3. Writing always uses kCheckpointVersion.
-constexpr uint32_t kCheckpointVersionLegacy = 2;
+// v3: per-table CRC-framed blocks. The only version read or written;
+// older files are rejected by CheckHeader.
+constexpr uint32_t kCheckpointVersion = 3;
 
 Status IoError(const std::string& what, const std::string& path) {
   return Status::ExecutionError("checkpoint: " + what + " failed for " +
@@ -36,6 +34,21 @@ Status SyncDir(const std::string& dir) {
   int rc = ::fsync(fd);
   ::close(fd);
   if (rc != 0) return IoError("fsync(dir)", dir);
+  return Status::OK();
+}
+
+/// Validates the file header; the error names an unsupported version.
+Status CheckHeader(uint32_t magic, uint32_t version,
+                   const std::string& path) {
+  if (magic != kCheckpointMagic) {
+    return Status::ExecutionError("checkpoint: bad magic in " + path);
+  }
+  if (version != kCheckpointVersion) {
+    return Status::ExecutionError("checkpoint: unsupported format version " +
+                            std::to_string(version) + " in " + path +
+                            " (this build reads version " +
+                            std::to_string(kCheckpointVersion) + ")");
+  }
   return Status::OK();
 }
 
@@ -125,35 +138,14 @@ Result<bool> LoadCheckpoint(const std::string& data_dir,
   BinaryReader r(data);
   SODA_ASSIGN_OR_RETURN(uint32_t magic, r.U32());
   SODA_ASSIGN_OR_RETURN(uint32_t version, r.U32());
-  if (magic != kCheckpointMagic ||
-      (version != kCheckpointVersion &&
-       version != kCheckpointVersionLegacy)) {
-    return Status::ExecutionError("checkpoint: bad magic/version in " + path);
-  }
+  SODA_RETURN_NOT_OK(CheckHeader(magic, version, path));
   SODA_ASSIGN_OR_RETURN(uint64_t lsn, r.U64());
   SODA_ASSIGN_OR_RETURN(uint32_t crc, r.U32());
   SODA_ASSIGN_OR_RETURN(uint64_t body_len, r.U64());
   if (body_len != r.remaining()) {
     return Status::ExecutionError("checkpoint: truncated body in " + path);
   }
-  if (version == kCheckpointVersionLegacy) {
-    // v2 has no per-table frames: the single body CRC is all-or-nothing,
-    // so (unlike v3 below) a mismatch is fatal.
-    if (Crc32(data.data() + (data.size() - body_len), body_len) != crc) {
-      return Status::ExecutionError("checkpoint: CRC mismatch in " + path);
-    }
-    SODA_ASSIGN_OR_RETURN(uint32_t num_tables, r.U32());
-    std::vector<TablePtr> loaded;
-    loaded.reserve(num_tables);
-    for (uint32_t i = 0; i < num_tables; ++i) {
-      SODA_ASSIGN_OR_RETURN(TablePtr table, ReadTableLegacyV2(&r));
-      loaded.push_back(std::move(table));
-    }
-    *tables = std::move(loaded);
-    *last_lsn = lsn;
-    return true;
-  }
-  // A body-CRC mismatch alone is NOT fatal in v3: the per-table frames
+  // A body-CRC mismatch alone is NOT fatal: the per-table frames
   // below localize the damage. Structural parse failures past this point
   // still hard-fail — a corrupt block header leaves nothing to recover.
   (void)crc;
@@ -206,11 +198,7 @@ Result<CheckpointScrubInfo> VerifyCheckpoint(const std::string& data_dir) {
   auto structural = [&]() -> Status {
     SODA_ASSIGN_OR_RETURN(uint32_t magic, r.U32());
     SODA_ASSIGN_OR_RETURN(uint32_t version, r.U32());
-    if (magic != kCheckpointMagic ||
-        (version != kCheckpointVersion &&
-         version != kCheckpointVersionLegacy)) {
-      return Status::DataLoss("checkpoint: bad magic/version in " + path);
-    }
+    SODA_RETURN_NOT_OK(CheckHeader(magic, version, path));
     SODA_ASSIGN_OR_RETURN(uint64_t lsn, r.U64());
     (void)lsn;
     SODA_ASSIGN_OR_RETURN(uint32_t body_crc, r.U32());
@@ -222,12 +210,6 @@ Result<CheckpointScrubInfo> VerifyCheckpoint(const std::string& data_dir) {
         Crc32(data.data() + (data.size() - body_len), body_len) == body_crc;
     SODA_ASSIGN_OR_RETURN(uint32_t num_tables, r.U32());
     info.num_tables = num_tables;
-    if (version == kCheckpointVersionLegacy) {
-      // v2 blocks are unframed — the body CRC above is the only at-rest
-      // check (a mismatch triggers the rewrite-from-memory heal, which
-      // also upgrades the file to v3).
-      return Status::OK();
-    }
     for (uint32_t i = 0; i < num_tables; ++i) {
       SODA_ASSIGN_OR_RETURN(std::string name, r.Str());
       SODA_ASSIGN_OR_RETURN(Schema schema, ReadSchema(&r));

@@ -1,5 +1,6 @@
 #include "storage/csv.h"
 
+#include <algorithm>
 #include <cctype>
 #include <cstdlib>
 #include <fstream>
@@ -209,6 +210,8 @@ Result<TablePtr> ImportCsv(Catalog* catalog, const std::string& table_name,
 
 Status ExportCsv(const Table& table, const std::string& path,
                  const CsvOptions& options) {
+  // Quarantined row groups hold placeholders, not rows: refuse to export.
+  SODA_RETURN_NOT_OK(table.CheckReadable(0, table.num_rows()));
   std::ofstream file(path);
   if (!file) {
     return Status::InvalidArgument("cannot open CSV file for writing: " +
@@ -220,16 +223,23 @@ Status ExportCsv(const Table& table, const std::string& path,
     file << QuoteField(schema.field(c).name, options.delimiter);
   }
   file << '\n';
+  // Chunk-wise, so a sealed table is decoded one slice at a time.
+  DataChunk chunk;
+  const size_t n = table.num_rows();
   // analyze:allow(guard-probe: export writes to a file; no query guard in scope)
-  for (size_t r = 0; r < table.num_rows(); ++r) {
-    for (size_t c = 0; c < table.num_columns(); ++c) {
-      if (c) file << options.delimiter;
-      if (!table.column(c).IsNull(r)) {
-        file << QuoteField(table.column(c).GetValue(r).ToString(),
-                           options.delimiter);
+  for (size_t offset = 0; offset < n; offset += kChunkCapacity) {
+    table.ScanSlice(offset, std::min(kChunkCapacity, n - offset), &chunk);
+    // analyze:allow(guard-probe: export writes to a file; no query guard in scope)
+    for (size_t r = 0; r < chunk.num_rows(); ++r) {
+      for (size_t c = 0; c < chunk.num_columns(); ++c) {
+        if (c) file << options.delimiter;
+        if (!chunk.column(c).IsNull(r)) {
+          file << QuoteField(chunk.column(c).GetValue(r).ToString(),
+                             options.delimiter);
+        }
       }
+      file << '\n';
     }
-    file << '\n';
   }
   if (!file.good()) {
     return Status::ExecutionError("I/O error writing CSV: " + path);

@@ -243,30 +243,6 @@ void WriteTable(const Table& table, BinaryWriter* w) {
   }
 }
 
-namespace {
-
-/// Shared tail of ReadTable/ReadTableLegacyV2: an unsealed table is plain
-/// columns in schema order, identical in every format version.
-Status ReadUnsealedColumns(BinaryReader* r, const Schema& schema,
-                           Table* table) {
-  size_t rows = 0;
-  for (size_t c = 0; c < schema.num_fields(); ++c) {
-    SODA_ASSIGN_OR_RETURN(Column column, ReadColumn(r));
-    if (column.type() != schema.field(c).type) {
-      return Status::ExecutionError("serde: column/schema type mismatch");
-    }
-    if (c == 0) {
-      rows = column.size();
-    } else if (column.size() != rows) {
-      return Status::ExecutionError("serde: ragged table payload");
-    }
-    SODA_RETURN_NOT_OK(table->SetColumn(c, std::move(column)));
-  }
-  return Status::OK();
-}
-
-}  // namespace
-
 Result<TablePtr> ReadTable(BinaryReader* r) {
   SODA_ASSIGN_OR_RETURN(std::string name, r->Str());
   SODA_ASSIGN_OR_RETURN(Schema schema, ReadSchema(r));
@@ -347,53 +323,20 @@ Result<TablePtr> ReadTable(BinaryReader* r) {
     }
     return table;
   }
-  SODA_RETURN_NOT_OK(ReadUnsealedColumns(r, schema, table.get()));
-  return table;
-}
-
-Result<TablePtr> ReadTableLegacyV2(BinaryReader* r) {
-  SODA_ASSIGN_OR_RETURN(std::string name, r->Str());
-  SODA_ASSIGN_OR_RETURN(Schema schema, ReadSchema(r));
-  auto table = std::make_shared<Table>(name, schema);
-  SODA_ASSIGN_OR_RETURN(uint8_t flags, r->U8());
-  if (flags & kTableFlagPartitioned) {
-    SODA_ASSIGN_OR_RETURN(PartitionSpec spec, ReadPartitionSpec(r));
-    table->set_partition_spec(std::move(spec));
+  // Unsealed: plain columns in schema order.
+  size_t rows = 0;
+  for (size_t c = 0; c < schema.num_fields(); ++c) {
+    SODA_ASSIGN_OR_RETURN(Column column, ReadColumn(r));
+    if (column.type() != schema.field(c).type) {
+      return Status::ExecutionError("serde: column/schema type mismatch");
+    }
+    if (c == 0) {
+      rows = column.size();
+    } else if (column.size() != rows) {
+      return Status::ExecutionError("serde: ragged table payload");
+    }
+    SODA_RETURN_NOT_OK(table->SetColumn(c, std::move(column)));
   }
-  if (flags & kTableFlagSealed) {
-    // v2 sealed layout: group count, partition offsets, then raw segments
-    // back to back. The enclosing v2 checkpoint's body CRC is the only
-    // integrity check, so any parse failure here is fatal to the load.
-    SODA_ASSIGN_OR_RETURN(uint32_t num_groups, r->U32());
-    SODA_ASSIGN_OR_RETURN(uint32_t num_offsets, r->U32());
-    if (num_offsets > r->remaining() / sizeof(uint64_t)) {
-      return Status::ExecutionError("serde: truncated partition offsets");
-    }
-    std::vector<size_t> offsets;
-    offsets.reserve(num_offsets);
-    for (uint32_t i = 0; i < num_offsets; ++i) {
-      SODA_ASSIGN_OR_RETURN(uint64_t o, r->U64());
-      offsets.push_back(o);
-    }
-    std::vector<std::vector<SegmentPtr>> groups;
-    groups.reserve(num_groups);
-    for (uint32_t g = 0; g < num_groups; ++g) {
-      std::vector<SegmentPtr> group;
-      group.reserve(schema.num_fields());
-      for (size_t c = 0; c < schema.num_fields(); ++c) {
-        SODA_ASSIGN_OR_RETURN(SegmentPtr seg, ReadSegment(r));
-        // v2 files predate frame CRCs; stamp the recomputed checksum so
-        // the scrub pass covers these segments from now on.
-        const_cast<Segment*>(seg.get())->crc = ComputeSegmentCrc(*seg);
-        group.push_back(std::move(seg));
-      }
-      groups.push_back(std::move(group));
-    }
-    SODA_RETURN_NOT_OK(
-        table->AdoptSealed(std::move(groups), std::move(offsets)));
-    return table;
-  }
-  SODA_RETURN_NOT_OK(ReadUnsealedColumns(r, schema, table.get()));
   return table;
 }
 

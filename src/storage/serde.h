@@ -85,12 +85,6 @@ Result<PartitionSpec> ReadPartitionSpec(BinaryReader* r);
 void WriteTable(const Table& table, BinaryWriter* w);
 Result<TablePtr> ReadTable(BinaryReader* r);
 
-/// Reads a table serialized in the pre-v3 sealed layout (unframed
-/// segments, no group offsets, no quarantine bitmap). Upgrade path only:
-/// LoadCheckpoint uses it to open format-v2 data directories written by
-/// the previous release; the next checkpoint rewrites them as v3.
-Result<TablePtr> ReadTableLegacyV2(BinaryReader* r);
-
 }  // namespace soda
 
 #endif  // SODA_STORAGE_SERDE_H_

@@ -14,8 +14,8 @@ namespace {
 /// current query's memory budget under this name.
 constexpr char kAppendSite[] = "storage.append";
 
-/// Probe site for lazy segment decode (flat-cache materialization and
-/// EnsureFlat; the streaming scan path probes it per morsel in exec).
+/// Probe site for whole-table segment decode (DecodeInto and EnsureFlat;
+/// the streaming scan path probes it per morsel in exec).
 constexpr char kDecodeSite[] = "storage.segment_decode";
 
 size_t ValueBytes(const Value& v) {
@@ -34,6 +34,20 @@ size_t SliceBytes(const Column& col, size_t offset, size_t count) {
     bytes += strings[i].size();
   }
   return bytes;
+}
+
+/// Flat bytes decoding `seg` produces, costed like SliceBytes; a
+/// dictionary segment's strings are estimated at the dictionary's mean
+/// entry length.
+size_t DecodedBytes(const Segment& seg) {
+  const size_t rows = seg.row_count();
+  if (seg.type != DataType::kVarchar) return rows * sizeof(int64_t);
+  size_t chars = 0;
+  for (const auto& s : seg.strs) chars += s.size();
+  if (seg.encoding == SegmentEncoding::kDict && !seg.strs.empty()) {
+    chars = chars * rows / seg.strs.size();
+  }
+  return rows * sizeof(std::string) + chars;
 }
 
 /// Charges the appended bytes to the calling thread's query guard, if one
@@ -149,10 +163,10 @@ void Table::ScanSlice(size_t offset, size_t count, DataChunk* out,
   const size_t out_cols = cols ? cols->size() : num_columns();
   if (offset >= num_rows()) return;  // empty slice
   count = std::min(count, num_rows() - offset);
-  if (sealed_ && !flat_ready_.load(std::memory_order_acquire)) {
-    // Decode the overlapping row groups straight into the chunk; the flat
-    // cache is never built on the streaming path. Only the projected
-    // columns are decoded — a fused projection skips whole segments.
+  if (sealed_) {
+    // Decode the overlapping row groups straight into the chunk. Only the
+    // projected columns are decoded — a fused projection skips whole
+    // segments.
     size_t g = std::upper_bound(group_offsets_.begin(), group_offsets_.end(),
                                 offset) -
                group_offsets_.begin() - 1;
@@ -241,6 +255,39 @@ bool Table::ScanSliceFiltered(size_t offset, size_t count,
   return true;
 }
 
+Status Table::DecodeInto(Table* out, QueryGuard* guard, const char* site,
+                         const std::vector<size_t>* cols) const {
+  SODA_RETURN_NOT_OK(CheckReadable(0, num_rows()));
+  const size_t n = num_rows();
+  const size_t out_cols = cols ? cols->size() : num_columns();
+  std::vector<Column> decoded;
+  size_t bytes = 0;
+  for (size_t c = 0; c < out_cols; ++c) {
+    const size_t phys = cols ? (*cols)[c] : c;
+    if (sealed_) {
+      for (const auto& group : groups_) bytes += DecodedBytes(*group[phys]);
+    } else {
+      bytes += SliceBytes(columns_[phys], 0, n);
+    }
+    decoded.emplace_back(schema_.field(phys).type);
+  }
+  SODA_RETURN_NOT_OK(GuardReserve(guard, bytes, site));
+  for (auto& col : decoded) col.Reserve(n);
+  DataChunk chunk(std::move(decoded));
+  ScanSlice(0, n, &chunk, cols);
+  for (size_t c = 0; c < out_cols; ++c) {
+    SODA_RETURN_NOT_OK(out->SetColumn(c, std::move(chunk.column(c))));
+  }
+  return Status::OK();
+}
+
+Result<TablePtr> FlatView(TablePtr table, QueryGuard* guard) {
+  if (!table->sealed()) return table;
+  auto flat = std::make_shared<Table>(table->name(), table->schema());
+  SODA_RETURN_NOT_OK(table->DecodeInto(flat.get(), guard, kDecodeSite));
+  return flat;
+}
+
 Status Table::SetColumn(size_t i, Column column) {
   if (sealed_) return Status::ExecutionError("SetColumn on sealed table");
   if (i >= columns_.size()) return Status::OutOfRange("column index");
@@ -259,16 +306,12 @@ void Table::Truncate() {
   group_quarantined_.clear();
   table_quarantined_ = false;
   sealed_ = false;
-  flat_ready_.store(false, std::memory_order_release);
 }
 
 std::vector<Value> Table::GetRow(size_t row) const {
-  std::vector<Value> out;
-  out.reserve(num_columns());
-  for (size_t c = 0; c < num_columns(); ++c) {
-    out.push_back(column(c).GetValue(row));
-  }
-  return out;
+  DataChunk chunk;
+  ScanSlice(row, 1, &chunk);
+  return chunk.GetRow(0);
 }
 
 size_t Table::MemoryUsage() const {
@@ -277,7 +320,6 @@ size_t Table::MemoryUsage() const {
     for (const auto& group : groups_) {
       for (const auto& seg : group) bytes += seg->MemoryUsage();
     }
-    if (!flat_ready_.load(std::memory_order_acquire)) return bytes;
   }
   for (const auto& c : columns_) bytes += c.MemoryUsage();
   return bytes;
@@ -289,10 +331,12 @@ std::string Table::ToString(size_t max_rows) const {
   for (const auto& f : schema_.fields()) header.push_back(f.name);
   cells.push_back(header);
   size_t n = std::min(max_rows, num_rows());
+  DataChunk preview;
+  ScanSlice(0, n, &preview);
   for (size_t r = 0; r < n; ++r) {
     std::vector<std::string> row;
     for (size_t c = 0; c < num_columns(); ++c) {
-      row.push_back(column(c).GetValue(r).ToString());
+      row.push_back(preview.column(c).GetValue(r).ToString());
     }
     cells.push_back(std::move(row));
   }
@@ -402,7 +446,6 @@ Status Table::Seal() {
     columns_[c] = Column(schema_.field(c).type);
   }
   sealed_ = true;
-  flat_ready_.store(false, std::memory_order_release);
   return Status::OK();
 }
 
@@ -416,12 +459,19 @@ Status Table::EnsureFlat() {
   SODA_RETURN_NOT_OK(RetryTransient(DefaultIoRetryPolicy(), [] {
     return GuardProbe(QueryGuard::Current(), kDecodeSite);
   }));
-  MaterializeFlat();
+  const size_t n = num_rows();
+  for (size_t c = 0; c < columns_.size(); ++c) {
+    Column col(schema_.field(c).type);
+    col.Reserve(n);
+    for (const auto& group : groups_) {
+      DecodeSegment(*group[c], 0, group[c]->row_count(), &col);
+    }
+    columns_[c] = std::move(col);
+  }
   groups_.clear();
   group_offsets_.clear();
   partition_offsets_.clear();
   sealed_ = false;
-  flat_ready_.store(false, std::memory_order_release);
   return Status::OK();
 }
 
@@ -469,7 +519,6 @@ Status Table::AdoptSealed(std::vector<std::vector<SegmentPtr>> groups,
     columns_[c] = Column(schema_.field(c).type);
   }
   sealed_ = true;
-  flat_ready_.store(false, std::memory_order_release);
   return Status::OK();
 }
 
@@ -520,22 +569,6 @@ Status Table::CheckReadable(size_t offset, size_t count) const {
     }
   }
   return Status::OK();
-}
-
-void Table::MaterializeFlat() const {
-  if (!sealed_ || flat_ready_.load(std::memory_order_acquire)) return;
-  MutexLock lock(&seal_mu_);
-  if (flat_ready_.load(std::memory_order_relaxed)) return;
-  const size_t n = num_rows();
-  for (size_t c = 0; c < columns_.size(); ++c) {
-    Column col(schema_.field(c).type);
-    col.Reserve(n);
-    for (const auto& group : groups_) {
-      DecodeSegment(*group[c], 0, group[c]->row_count(), &col);
-    }
-    columns_[c] = std::move(col);
-  }
-  flat_ready_.store(true, std::memory_order_release);
 }
 
 }  // namespace soda

@@ -10,18 +10,19 @@
 /// Tables have two physical states (DESIGN.md §9):
 ///  - **flat**: one decoded `Column` per field — the mutable build format
 ///    every DML staging path and intermediate relation uses.
-///  - **sealed**: rows live in immutable encoded row groups (one `Segment`
-///    per column per group, storage/segment.h), optionally clustered into
-///    partitions (storage/partition.h). Sealed tables decode lazily: scans
-///    stream segments straight into DataChunks, and random access
-///    materializes a flat cache on first touch (segments are kept — the
-///    table stays sealed). Sealing is invisible to SQL semantics; it only
-///    changes footprint and scan mechanics.
+///  - **sealed**: rows live only in immutable encoded row groups (one
+///    `Segment` per column per group, storage/segment.h), optionally
+///    clustered into partitions (storage/partition.h). Scans stream
+///    segments straight into DataChunks; a consumer that needs random
+///    access decodes the columns it touches into its own flat copy
+///    (`FlatView` / `DecodeInto`), charged to its statement's QueryGuard.
+///    A sealed table never holds decoded columns itself. Sealing is
+///    invisible to SQL semantics; it only changes footprint and scan
+///    mechanics.
 
 #ifndef SODA_STORAGE_TABLE_H_
 #define SODA_STORAGE_TABLE_H_
 
-#include <atomic>
 #include <memory>
 #include <string>
 #include <vector>
@@ -31,10 +32,12 @@
 #include "storage/segment.h"
 #include "types/schema.h"
 #include "types/value.h"
-#include "util/mutex.h"
+#include "util/logging.h"
 #include "util/status.h"
 
 namespace soda {
+
+class QueryGuard;
 
 /// DML results below this row count stay flat — encoding tiny tables
 /// costs more than it saves. Partitioned tables always seal regardless
@@ -48,27 +51,10 @@ class Table {
   Table() = default;
   Table(std::string name, Schema schema);
 
-  // Movable (operators hand whole result tables around); the seal mutex
-  // and flat-cache flag are per-object, so moves only transfer payload.
-  // Moving is only legal on exclusively-owned tables — registered catalog
-  // tables are shared and immutable.
-  Table(Table&& other) noexcept { *this = std::move(other); }
-  Table& operator=(Table&& other) noexcept {
-    name_ = std::move(other.name_);
-    schema_ = std::move(other.schema_);
-    spec_ = std::move(other.spec_);
-    columns_ = std::move(other.columns_);
-    sealed_ = other.sealed_;
-    groups_ = std::move(other.groups_);
-    group_offsets_ = std::move(other.group_offsets_);
-    partition_offsets_ = std::move(other.partition_offsets_);
-    group_quarantined_ = std::move(other.group_quarantined_);
-    table_quarantined_ = other.table_quarantined_;
-    version_ = other.version_;
-    flat_ready_.store(other.flat_ready_.load(std::memory_order_relaxed),
-                      std::memory_order_relaxed);
-    return *this;
-  }
+  // Move-only: operators hand whole result tables around, and a copy would
+  // silently duplicate the payload.
+  Table(Table&&) = default;
+  Table& operator=(Table&&) = default;
 
   const std::string& name() const { return name_; }
   const Schema& schema() const { return schema_; }
@@ -78,15 +64,14 @@ class Table {
   }
   size_t num_columns() const { return columns_.size(); }
 
-  /// Column access. On a sealed table this materializes the flat decode
-  /// cache on first touch (thread-safe; segments are kept). Mutating
-  /// through the non-const overload is only legal on flat tables.
+  /// Column access; flat tables only. Readers of a possibly-sealed table
+  /// go through ScanSlice or a FlatView copy.
   Column& column(size_t i) {
-    MaterializeFlat();
+    SODA_DCHECK(!sealed_);
     return columns_[i];
   }
   const Column& column(size_t i) const {
-    MaterializeFlat();
+    SODA_DCHECK(!sealed_);
     return columns_[i];
   }
 
@@ -108,7 +93,7 @@ class Table {
 
   /// Copies rows [offset, offset+count) into `out` (columns created to
   /// match the schema if `out` is empty). On a sealed table this decodes
-  /// straight from the segments without materializing the flat cache.
+  /// straight from the segments.
   /// With `cols` set, only those physical columns are materialized, in the
   /// given order (`out` gets one column per entry) — on sealed tables the
   /// dropped columns are never decoded at all.
@@ -128,6 +113,14 @@ class Table {
                          const std::vector<ScanPredicate>& preds,
                          DataChunk* out,
                          const std::vector<size_t>* cols = nullptr) const;
+
+  /// Decodes columns `cols` (every column when null, in that order) of the
+  /// whole table into `out`, a fresh flat table with one column of the
+  /// matching type per entry, with one ScanSlice. Fails with kDataLoss on
+  /// quarantined data, and charges the decoded size to `guard` under the
+  /// probe site `site` before decoding anything.
+  Status DecodeInto(Table* out, QueryGuard* guard, const char* site,
+                    const std::vector<size_t>* cols = nullptr) const;
 
   /// Replaces the payload of column `i` wholesale (bulk loading; flat
   /// tables only).
@@ -159,10 +152,10 @@ class Table {
   /// "storage.segment_encode".
   Status Seal();
 
-  /// Materializes the flat columns and drops the sealed representation —
-  /// the table becomes flat and appendable again. Only legal on exclusively
-  /// owned tables (WAL replay, recovery); shared snapshot readers use the
-  /// keep-the-segments column() cache instead.
+  /// Decodes the flat columns in place and drops the sealed representation
+  /// — the table becomes flat and appendable again. Only legal on
+  /// exclusively owned tables (WAL replay, recovery); shared snapshot
+  /// readers take a FlatView copy instead.
   Status EnsureFlat();
 
   /// Row ranges: partition p spans [partition_offsets()[p],
@@ -247,17 +240,12 @@ class Table {
   void set_version(uint64_t v) { version_ = v; }
 
  private:
-  /// Decodes all columns into the flat cache (keeps the segments). Safe
-  /// to race from many readers; first one in does the work.
-  void MaterializeFlat() const;
-
   std::string name_;
   Schema schema_;
   PartitionSpec spec_;
 
-  /// Flat payload; on a sealed table this is the lazily-built decode
-  /// cache (empty until flat_ready_).
-  mutable std::vector<Column> columns_;
+  /// Flat payload; on a sealed table every column is empty.
+  std::vector<Column> columns_;
 
   bool sealed_ = false;
   std::vector<std::vector<SegmentPtr>> groups_;  // [group][column]
@@ -270,12 +258,15 @@ class Table {
   bool table_quarantined_ = false;
 
   uint64_t version_ = 0;  ///< catalog publication version (see version())
-
-  mutable Mutex seal_mu_;
-  mutable std::atomic<bool> flat_ready_{false};
 };
 
 using TablePtr = std::shared_ptr<Table>;
+
+/// `table` itself when it is flat; otherwise a per-statement flat copy of
+/// all its columns (Table::DecodeInto, charged to `guard`). Consumers that
+/// index rows directly — hash-join builds, sorts, analytics inputs, DML
+/// rebuilds — read a possibly-sealed table through this.
+Result<TablePtr> FlatView(TablePtr table, QueryGuard* guard);
 
 }  // namespace soda
 

@@ -22,6 +22,10 @@ struct ContenderCase {
   std::unique_ptr<Contender> (*factory)();
 };
 
+// gtest would otherwise print the raw bytes, pointers included, into the
+// listed test names, which then change on every run.
+void PrintTo(const ContenderCase& c, std::ostream* os) { *os << c.label; }
+
 class ContenderSuite : public ::testing::TestWithParam<ContenderCase> {};
 
 TablePtr RandomPoints(size_t n, size_t d, uint64_t seed) {

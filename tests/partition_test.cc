@@ -3,12 +3,14 @@
 /// validation, planner pruning vs. an unpartitioned twin, EXPLAIN's
 /// `partitions: K/N scanned` surface, DML that touches only affected
 /// partitions (including the repartitioning UPDATE fallback), multi-group
-/// partitions, and a kill-and-recover round trip proving the encoded
+/// partitions, random-access readers that must leave the sealed catalog
+/// table encoded, and a kill-and-recover round trip proving the encoded
 /// checkpoint image replays bit-identically.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -16,6 +18,7 @@
 #include <vector>
 
 #include "storage/checkpoint.h"
+#include "storage/csv.h"
 #include "tests/test_util.h"
 #include "util/query_guard.h"
 
@@ -55,14 +58,19 @@ class PartitionTest : public ::testing::Test {
     }
   }
 
-  /// Runs `sql` with $T substituted for the table name on both twins and
-  /// expects identical ordered results.
+  /// Runs `sql` with every $T substituted for the table name on both twins
+  /// and expects identical ordered results.
   void ExpectTwinsAgree(const std::string& templ) {
-    std::string pt_sql = templ, ft_sql = templ;
-    pt_sql.replace(pt_sql.find("$T"), 2, "pt");
-    ft_sql.replace(ft_sql.find("$T"), 2, "ft");
-    auto a = RunQuery(engine_, pt_sql);
-    auto b = RunQuery(engine_, ft_sql);
+    auto substitute = [&](const std::string& name) {
+      std::string sql = templ;
+      for (size_t at = sql.find("$T"); at != std::string::npos;
+           at = sql.find("$T", at + name.size())) {
+        sql.replace(at, 2, name);
+      }
+      return sql;
+    };
+    auto a = RunQuery(engine_, substitute("pt"));
+    auto b = RunQuery(engine_, substitute("ft"));
     ASSERT_EQ(a.num_rows(), b.num_rows()) << templ;
     ASSERT_EQ(a.num_columns(), b.num_columns()) << templ;
     for (size_t r = 0; r < a.num_rows(); ++r) {
@@ -225,6 +233,85 @@ TEST_F(PartitionTest, MultiGroupPartitionsViaInsertSelect) {
   EXPECT_EQ(r.GetInt(0, 1),
             7 * RunQuery(engine_, "SELECT sum(v) FROM ft WHERE k >= 350")
                     .GetInt(0, 0));
+}
+
+// --- random access over sealed tables --------------------------------------
+
+TablePtr CatalogTable(Engine& engine, const std::string& name) {
+  auto t = engine.catalog().GetTable(name);
+  EXPECT_TRUE(t.ok()) << t.status().ToString();
+  return t.ok() ? *t : nullptr;
+}
+
+TEST_F(PartitionTest, RandomAccessReadersLeaveSealedTableEncoded) {
+  // Analytics inputs, join builds, sorts and DML index rows directly. On
+  // the sealed twin they must read a per-statement decoded copy: the
+  // catalog table keeps only its encoded row groups.
+  const TablePtr pt = CatalogTable(engine_, "pt");
+  ASSERT_TRUE(pt->sealed());
+  const size_t encoded_bytes = pt->MemoryUsage();
+  ExpectTwinsAgree(
+      "SELECT * FROM KMEANS((SELECT k, v FROM $T), "
+      "(SELECT k, v FROM $T WHERE k < 3), 5) ORDER BY cluster");
+  ExpectTwinsAgree(
+      "SELECT * FROM PAGERANK((SELECT k, v FROM $T), 0.85, 0.0, 10) "
+      "ORDER BY vertex");
+  ExpectTwinsAgree(
+      "SELECT * FROM CONNECTED_COMPONENTS((SELECT k, v FROM $T)) "
+      "ORDER BY vertex");
+  // Both join inputs are bare scans, so the build side is one too.
+  ExpectTwinsAgree(
+      "SELECT a.k, b.k, b.s FROM $T a JOIN $T b ON a.k = b.v "
+      "ORDER BY a.k, b.k");
+  ExpectTwinsAgree("SELECT * FROM $T ORDER BY v, k");
+  // Readers outside SQL decode slices of the sealed table.
+  const TablePtr ft = CatalogTable(engine_, "ft");
+  EXPECT_EQ(pt->ToString(500), ft->ToString(500));
+  EXPECT_EQ(pt->GetRow(321), ft->GetRow(321));
+  const std::string pt_csv = ::testing::TempDir() + "soda_sealed_pt.csv";
+  const std::string ft_csv = ::testing::TempDir() + "soda_sealed_ft.csv";
+  ASSERT_OK(ExportCsv(*pt, pt_csv));
+  ASSERT_OK(ExportCsv(*ft, ft_csv));
+  auto slurp = [](const std::string& path) {
+    std::ifstream in(path);
+    return std::string(std::istreambuf_iterator<char>(in),
+                       std::istreambuf_iterator<char>());
+  };
+  EXPECT_EQ(slurp(pt_csv), slurp(ft_csv));
+  std::remove(pt_csv.c_str());
+  std::remove(ft_csv.c_str());
+  EXPECT_EQ(pt->MemoryUsage(), encoded_bytes);
+
+  for (const char* t : {"pt", "ft"}) {
+    RunQuery(engine_, std::string("DELETE FROM ") + t + " WHERE v = 5");
+  }
+  const TablePtr after_delete = CatalogTable(engine_, "pt");
+  const size_t after_delete_bytes = after_delete->MemoryUsage();
+  for (const char* t : {"pt", "ft"}) {
+    RunQuery(engine_, std::string("UPDATE ") + t +
+                          " SET s = 'upd' WHERE k >= 150 AND k < 160");
+  }
+  ExpectTwinsAgree("SELECT k, v, s FROM $T ORDER BY k");
+  // The versions the DML statements read and replaced stayed encoded.
+  EXPECT_EQ(pt->MemoryUsage(), encoded_bytes);
+  EXPECT_EQ(after_delete->MemoryUsage(), after_delete_bytes);
+}
+
+TEST_F(PartitionTest, DecodeOverMemoryBudgetFailsBeforeDecoding) {
+  // 160k rows: the two touched BIGINT columns decode to ~2.5 MB, over a
+  // 1 MB statement budget.
+  RunQuery(engine_,
+           "CREATE TABLE wide AS SELECT a.k AS k, b.v AS v FROM ft a, ft b");
+  const TablePtr wide = CatalogTable(engine_, "wide");
+  ASSERT_TRUE(wide->sealed());
+  const size_t encoded_bytes = wide->MemoryUsage();
+  RunQuery(engine_, "SET soda.memory_limit_mb = 1");
+  ExpectError(engine_,
+              "SELECT * FROM KMEANS((SELECT k, v FROM wide), "
+              "(SELECT k, v FROM wide LIMIT 2), 3)",
+              StatusCode::kResourceExhausted);
+  RunQuery(engine_, "SET soda.memory_limit_mb = 0");
+  EXPECT_EQ(wide->MemoryUsage(), encoded_bytes);
 }
 
 // --- durability: encoded checkpoints ---------------------------------------

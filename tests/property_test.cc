@@ -103,6 +103,12 @@ struct GraphCase {
   uint64_t seed;
 };
 
+// Keeps pointer bytes out of the listed test names (see contenders_test.cc).
+void PrintTo(const GraphCase& gc, std::ostream* os) {
+  *os << gc.name << " (" << gc.vertices << ", " << gc.degree << ", "
+      << gc.seed << ")";
+}
+
 class PageRankPropertyTest : public ::testing::TestWithParam<GraphCase> {};
 
 TEST_P(PageRankPropertyTest, ProbabilityDistributionInvariants) {

@@ -27,8 +27,7 @@ if [[ "${sanitizers}" == "thread" ]]; then
   # commit all actually interleave (SODA_THREADS would otherwise follow
   # nproc, which is 1 on small CI boxes — zero interleaving, zero signal).
   export TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1}"
-  # Segment/Partition ride along: sealed scans decode concurrently and
-  # share the lazy flat-cache CAS in Table::MaterializeFlat.
+  # Segment/Partition ride along: sealed scans decode concurrently.
   SODA_THREADS=4 ctest --test-dir "${build_dir}" \
     -R 'ParallelExec|Robustness|PhysicalPlan|Durability|Server|Segment|Partition|Cache|Prepared' \
     -j "$(nproc)" --output-on-failure

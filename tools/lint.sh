@@ -99,11 +99,8 @@ fi
 
 # --- Rule 6: no raw column-buffer access outside src/storage/. ----------
 # Column::I64Data()/F64Data()/Strings() (and the Mutable* forms) hand out
-# the flat payload pointer, which silently bypasses the encoded-segment
-# representation: on a sealed table they force the full decode cache into
-# memory (storage/table.h), defeating the compressed format this layout
-# exists for. Readers go through ScanSlice/DataChunk; only the files
-# below may touch raw buffers:
+# the flat payload pointer. Readers go through ScanSlice/DataChunk; only
+# the files below may touch raw buffers:
 #   - src/exec/hash_kernels.cc, src/exec/operators.cc: the vectorized
 #     kernels — columnar hashing, gather, bulk append — are the bulk
 #     loops the raw accessors exist for; they only ever see DataChunk
