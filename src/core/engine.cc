@@ -1189,7 +1189,8 @@ Result<std::vector<Value>> EvaluateExecuteArgs(const ExecuteStmt& stmt,
 }
 
 /// EXECUTE name [(args)]: SELECT bodies clone the prepared plan and
-/// substitute literals — skipping lex/parse/bind/optimize; when a
+/// substitute literals — skipping lex/parse/bind and all of optimize but
+/// the scan pushdown the literals enable; when a
 /// dependency went stale (DML/DDL republished a table) the body is
 /// transparently re-bound first. INSERT bodies clone the VALUES parse
 /// rows with parameters substituted and run the normal INSERT path.
@@ -1219,6 +1220,10 @@ Result<QueryResult> ExecuteExecute(const ExecuteStmt& stmt, Catalog* catalog,
     }
     PlanPtr instance = prep->plan->Clone();
     SODA_RETURN_NOT_OK(SubstituteParams(instance.get(), args));
+    // The arguments are constants now: harvest the scan predicates and
+    // partition pruning `col = $1` could not give at PREPARE. Only on
+    // this private clone; the registry plan is shared across EXECUTEs.
+    if (options.optimize) PushScanPredicates(instance.get(), catalog);
     ExecContext ctx;
     InitExecContext(&ctx, catalog, options, dur, guard, cc);
     SODA_ASSIGN_OR_RETURN(TablePtr result, ExecutePlan(*instance, ctx));

@@ -112,8 +112,19 @@ std::shared_ptr<TableSink> MakeAggregateSink(const PlanNode& plan);
 
 /// ORDER BY sink for a kSort node (operators.cc): materializes its input
 /// and key columns per worker, then stable-sorts with a typed (unboxed)
-/// comparator at Finalize.
+/// comparator at Finalize. Key ties keep source order (chunk sequence),
+/// so the result does not depend on the worker count.
 std::shared_ptr<TableSink> MakeSortSink(const PlanNode& plan);
+
+/// Top-N sink for `Limit(Sort(x))` with limit >= 0 (operators.cc): fed
+/// with x's rows, keeps the best offset+limit candidates per worker plus
+/// a bounded buffer and emits rows [offset, offset+limit) of the stable
+/// sort by `sort.sort_keys`. `columns` picks and orders the x columns it
+/// outputs (a pure column-ref Project between Limit and Sort folds into
+/// it); the result has `limit.schema`.
+std::shared_ptr<TableSink> MakeTopNSink(const PlanNode& limit,
+                                        const PlanNode& sort,
+                                        std::vector<size_t> columns);
 
 /// LIMIT/OFFSET sink for a kLimit node (operators.cc): buffers
 /// sequence-tagged chunks and trips `done()` once offset+limit rows are

@@ -1,8 +1,11 @@
 /// \file operators.cc
-/// Pipeline-breaking relational operators: ORDER BY and LIMIT sinks.
+/// Pipeline-breaking relational operators: ORDER BY, ORDER BY ... LIMIT
+/// (Top-N) and LIMIT sinks.
 ///
 /// Sort keys are decoded into typed vectors and compared through raw
-/// payload arrays (no per-element Value boxing); LIMIT collects
+/// payload arrays (no per-element Value boxing). Key ties break on the
+/// rows' position in the input stream (source chunk sequence, then row),
+/// so parallel results equal the serial stable sort. LIMIT collects
 /// sequence-tagged chunks and trips its done() flag once offset+limit rows
 /// exist, so the pipeline stops scanning.
 
@@ -21,6 +24,9 @@ namespace {
 
 constexpr auto kRelaxed = std::memory_order_relaxed;
 constexpr size_t kUnlimited = std::numeric_limits<size_t>::max();
+
+/// Probe/charge site of the ORDER BY operators.
+constexpr char kSortSite[] = "exec.sort";
 
 // --- typed sort core ------------------------------------------------------
 
@@ -47,54 +53,70 @@ TypedKeyView MakeKeyView(const Column& col, bool descending) {
   return v;
 }
 
-/// Three-way compare with the same ordering as Value::operator< (NULLs
-/// sort before values, varchar by string compare) — except BIGINT keys
-/// compare exactly instead of through the boxed double conversion the old
+using KeyViews = std::vector<TypedKeyView>;
+
+KeyViews MakeKeyViews(const std::vector<Column>& keys,
+                      const std::vector<SortKey>& specs) {
+  KeyViews views;
+  views.reserve(keys.size());
+  for (size_t k = 0; k < keys.size(); ++k) {
+    views.push_back(MakeKeyView(keys[k], specs[k].descending));
+  }
+  return views;
+}
+
+/// Three-way compare of row `a` of `x` against row `b` of `y` (two views
+/// of one key) with the same ordering as Value::operator< (NULLs sort
+/// before values, varchar by string compare) — except BIGINT keys compare
+/// exactly instead of through the boxed double conversion the old
 /// comparator paid per element.
-int CompareKey(const TypedKeyView& k, uint32_t a, uint32_t b) {
-  const bool na = k.validity && k.validity[a] == 0;
-  const bool nb = k.validity && k.validity[b] == 0;
+int CompareKey(const TypedKeyView& x, size_t a, const TypedKeyView& y,
+               size_t b) {
+  const bool na = x.validity && x.validity[a] == 0;
+  const bool nb = y.validity && y.validity[b] == 0;
   if (na || nb) {
     if (na && nb) return 0;
     return na ? -1 : 1;
   }
-  if (k.str) {
-    const std::string& x = (*k.str)[a];
-    const std::string& y = (*k.str)[b];
-    if (x < y) return -1;
-    if (y < x) return 1;
+  if (x.str) {
+    const std::string& l = (*x.str)[a];
+    const std::string& r = (*y.str)[b];
+    if (l < r) return -1;
+    if (r < l) return 1;
     return 0;
   }
-  if (k.f64) {
-    const double x = k.f64[a];
-    const double y = k.f64[b];
-    if (x < y) return -1;
-    if (x > y) return 1;
+  if (x.f64) {
+    const double l = x.f64[a];
+    const double r = y.f64[b];
+    if (l < r) return -1;
+    if (l > r) return 1;
     return 0;
   }
-  const int64_t x = k.i64[a];
-  const int64_t y = k.i64[b];
-  if (x < y) return -1;
-  if (x > y) return 1;
+  const int64_t l = x.i64[a];
+  const int64_t r = y.i64[b];
+  if (l < r) return -1;
+  if (l > r) return 1;
+  return 0;
+}
+
+/// Sort-order compare of row `a` of `x` against row `b` of `y` over all
+/// keys (DESC keys inverted): negative when `a` sorts first.
+int CompareRows(const KeyViews& x, size_t a, const KeyViews& y, size_t b) {
+  for (size_t k = 0; k < x.size(); ++k) {
+    const int c = CompareKey(x[k], a, y[k], b);
+    if (c != 0) return x[k].descending ? -c : c;
+  }
   return 0;
 }
 
 /// Stable sort permutation of `[0, n)` by the evaluated key columns.
 std::vector<uint32_t> SortOrder(const std::vector<Column>& keys,
                                 const std::vector<SortKey>& specs, size_t n) {
-  std::vector<TypedKeyView> views;
-  views.reserve(keys.size());
-  for (size_t k = 0; k < keys.size(); ++k) {
-    views.push_back(MakeKeyView(keys[k], specs[k].descending));
-  }
+  const KeyViews views = MakeKeyViews(keys, specs);
   std::vector<uint32_t> order(n);
   std::iota(order.begin(), order.end(), 0);
   std::stable_sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
-    for (const auto& v : views) {
-      const int c = CompareKey(v, a, b);
-      if (c != 0) return v.descending ? c > 0 : c < 0;
-    }
-    return false;
+    return CompareRows(views, a, views, b) < 0;
   });
   return order;
 }
@@ -105,7 +127,7 @@ std::vector<uint32_t> SortOrder(const std::vector<Column>& keys,
 Result<TablePtr> RebuildSorted(const Table& input,
                                const std::vector<uint32_t>& order,
                                const Schema& schema, QueryGuard* guard) {
-  SODA_RETURN_NOT_OK(GuardReserve(guard, input.MemoryUsage(), "exec.sort"));
+  SODA_RETURN_NOT_OK(GuardReserve(guard, input.MemoryUsage(), kSortSite));
   auto out = std::make_shared<Table>("sorted", schema);
   out->Reserve(order.size());
   for (uint32_t r : order) {
@@ -114,6 +136,23 @@ Result<TablePtr> RebuildSorted(const Table& input,
     }
   }
   return out;
+}
+
+std::vector<Column> EmptyColumns(const std::vector<SortKey>& keys) {
+  std::vector<Column> cols;
+  cols.reserve(keys.size());
+  for (const auto& k : keys) cols.emplace_back(k.expr->type);
+  return cols;
+}
+
+/// Evaluates every sort key over `chunk`.
+Status EvaluateKeys(const std::vector<SortKey>& keys, DataChunk& chunk,
+                    std::vector<Column>* out) {
+  out->resize(keys.size());
+  for (size_t k = 0; k < keys.size(); ++k) {
+    SODA_RETURN_NOT_OK(EvaluateExpression(*keys[k].expr, chunk, &(*out)[k]));
+  }
+  return Status::OK();
 }
 
 std::string SortName(const PlanNode& plan) {
@@ -128,8 +167,10 @@ std::string SortName(const PlanNode& plan) {
 
 // --- ORDER BY sink --------------------------------------------------------
 
-/// Materializes input rows and their evaluated key columns per worker,
-/// merges in worker order, and sorts once at Finalize.
+/// Materializes input rows and their evaluated key columns per worker.
+/// Finalize concatenates the per-chunk runs of all workers in sequence
+/// order before the stable sort, so key ties keep source order and the
+/// result is the same at every thread count.
 class SortSink : public TableSink {
  public:
   explicit SortSink(const PlanNode& plan) : plan_(plan) {
@@ -141,50 +182,52 @@ class SortSink : public TableSink {
     if (!local) {
       local = std::make_unique<Local>();
       local->data = std::make_unique<Table>("sort.partial", plan_.schema);
-      local->keys.reserve(plan_.sort_keys.size());
-      for (const auto& k : plan_.sort_keys) {
-        local->keys.emplace_back(k.expr->type);
-      }
+      local->keys = EmptyColumns(plan_.sort_keys);
     }
-    for (size_t k = 0; k < plan_.sort_keys.size(); ++k) {
-      Column part;
-      SODA_RETURN_NOT_OK(
-          EvaluateExpression(*plan_.sort_keys[k].expr, chunk, &part));
-      local->keys[k].AppendSlice(part, 0, part.size());
+    std::vector<Column> parts;
+    SODA_RETURN_NOT_OK(EvaluateKeys(plan_.sort_keys, chunk, &parts));
+    for (size_t k = 0; k < parts.size(); ++k) {
+      local->keys[k].AppendSlice(parts[k], 0, parts[k].size());
     }
+    local->runs.push_back(
+        {sctx.sequence, local->data->num_rows(), chunk.num_rows(), nullptr});
     return local->data->AppendChunk(chunk);
   }
 
   Status Finalize() override {
+    std::vector<Run> runs;
     Local* only = nullptr;
     size_t populated = 0;
     for (auto& l : locals_) {
       if (!l) continue;
       ++populated;
       only = l.get();
+      for (Run r : l->runs) {
+        r.local = l.get();
+        runs.push_back(r);
+      }
     }
+    auto by_seq = [](const Run& a, const Run& b) { return a.seq < b.seq; };
     Table merged_data("sort.merged", plan_.schema);
     std::vector<Column> merged_keys;
     const Table* data;
     const std::vector<Column>* keys;
-    if (populated == 1) {
+    if (populated == 1 && std::is_sorted(runs.begin(), runs.end(), by_seq)) {
       data = only->data.get();
       keys = &only->keys;
     } else {
-      for (const auto& k : plan_.sort_keys) {
-        merged_keys.emplace_back(k.expr->type);
-      }
-      for (auto& l : locals_) {
-        if (!l) continue;
+      std::stable_sort(runs.begin(), runs.end(), by_seq);
+      merged_keys = EmptyColumns(plan_.sort_keys);
+      for (const Run& r : runs) {
         for (size_t c = 0; c < merged_data.num_columns(); ++c) {
-          merged_data.column(c).AppendSlice(l->data->column(c), 0,
-                                            l->data->num_rows());
+          merged_data.column(c).AppendSlice(r.local->data->column(c), r.begin,
+                                            r.rows);
         }
         for (size_t k = 0; k < merged_keys.size(); ++k) {
-          merged_keys[k].AppendSlice(l->keys[k], 0, l->keys[k].size());
+          merged_keys[k].AppendSlice(r.local->keys[k], r.begin, r.rows);
         }
-        l.reset();
       }
+      locals_.clear();  // free the partials before the sorted copy exists
       data = &merged_data;
       keys = &merged_keys;
     }
@@ -201,12 +244,249 @@ class SortSink : public TableSink {
   TablePtr result() const override { return result_; }
 
  private:
+  struct Local;
+  /// The rows one source chunk contributed to a worker's partial.
+  struct Run {
+    uint64_t seq;
+    size_t begin;
+    size_t rows;
+    const Local* local;  ///< set while merging
+  };
   struct Local {
     std::unique_ptr<Table> data;
     std::vector<Column> keys;  ///< evaluated sort keys, row-aligned to data
+    std::vector<Run> runs;     ///< in arrival order
   };
   const PlanNode& plan_;
   std::vector<std::unique_ptr<Local>> locals_;
+  TablePtr result_;
+};
+
+// --- ORDER BY ... LIMIT sink ----------------------------------------------
+
+/// A row's position in the pipeline input: its source chunk's sequence,
+/// then its index among the rows that chunk produced. Top-N breaks key
+/// ties on it, which is the order the stable full sort keeps.
+struct StreamPos {
+  uint64_t seq = 0;
+  uint64_t row = 0;
+  bool operator<(const StreamPos& o) const {
+    return seq != o.seq ? seq < o.seq : row < o.row;
+  }
+};
+
+/// Approximate bytes of rows `sel` of `col`: the unit Top-N candidates
+/// are charged in.
+size_t GatherBytes(const Column& col, const std::vector<uint32_t>& sel) {
+  if (col.type() != DataType::kVarchar) return sel.size() * sizeof(int64_t);
+  size_t bytes = sel.size() * sizeof(std::string);
+  for (uint32_t r : sel) bytes += col.GetString(r).size();
+  return bytes;
+}
+
+/// Sorts `[first, last)` just far enough that `[first, mid)` holds the
+/// smallest elements in order: a heap-based partial sort for small
+/// windows, a full introsort once the window covers most of the range.
+template <typename It, typename Less>
+void SortPrefix(It first, It mid, It last, Less less) {
+  if (2 * (mid - first) < last - first) {
+    std::partial_sort(first, mid, last, less);
+  } else {
+    std::sort(first, last, less);
+  }
+}
+
+/// ORDER BY ... LIMIT k OFFSET o as one sink. Each worker keeps its best
+/// o+k candidate rows sorted, plus a buffer of newcomers that is compacted
+/// back to o+k once it grows past max(o+k, kMinSlack) rows. A row whose
+/// keys lose to the worker's (o+k)-th candidate is dropped before it is
+/// copied. Finalize merges the worker candidates and emits rows [o, o+k):
+/// the stable full sort, sliced, at every thread count.
+class TopNSink : public TableSink {
+ public:
+  TopNSink(const PlanNode& limit, const PlanNode& sort,
+           std::vector<size_t> columns)
+      : limit_(limit),
+        sort_(sort),
+        columns_(std::move(columns)),
+        offset_(limit.offset > 0 ? static_cast<size_t>(limit.offset) : 0),
+        target_(offset_ + static_cast<size_t>(limit.limit)),
+        compact_at_(target_ <= kUnlimited - std::max(target_, kMinSlack)
+                        ? target_ + std::max(target_, kMinSlack)
+                        : kUnlimited) {
+    locals_.resize(NumWorkers());
+  }
+
+  Status Consume(DataChunk& chunk, const SinkContext& sctx) override {
+    if (target_ == 0) return Status::OK();
+    std::vector<Column> keys;
+    SODA_RETURN_NOT_OK(EvaluateKeys(sort_.sort_keys, chunk, &keys));
+    auto& slot = locals_[sctx.worker_id];
+    if (!slot) {
+      slot = std::make_unique<Candidates>();
+      for (size_t c : columns_) slot->cols.emplace_back(chunk.column(c).type());
+      for (const Column& k : keys) slot->keys.emplace_back(k.type());
+    }
+    Candidates& cand = *slot;
+    if (sctx.sequence != cand.last_seq) {
+      cand.last_seq = sctx.sequence;
+      cand.next_row = 0;
+    }
+    const uint64_t base = cand.next_row;
+    const size_t n = chunk.num_rows();
+    cand.next_row += n;
+
+    // Rows losing to the cutoff (the worker's target-th best so far) can
+    // never make the result: select survivors before copying anything.
+    std::vector<uint32_t> sel;
+    if (cand.sorted) {
+      const KeyViews mine = MakeKeyViews(keys, sort_.sort_keys);
+      const KeyViews kept = MakeKeyViews(cand.keys, sort_.sort_keys);
+      const size_t cut = target_ - 1;
+      for (uint32_t r = 0; r < n; ++r) {
+        const int c = CompareRows(mine, r, kept, cut);
+        if (c < 0 || (c == 0 && StreamPos{sctx.sequence, base + r} <
+                                    cand.pos[cut])) {
+          sel.push_back(r);
+        }
+      }
+    } else {
+      sel.resize(n);
+      std::iota(sel.begin(), sel.end(), 0);
+    }
+    std::vector<const Column*> src;
+    src.reserve(columns_.size());
+    for (size_t c : columns_) src.push_back(&chunk.column(c));
+    cand.Append(src, keys, sel);
+    for (uint32_t r : sel) cand.pos.push_back({sctx.sequence, base + r});
+    // Charge the high-water mark: compaction frees rows, but reservations
+    // never shrink, so only growth past the previous peak is new memory.
+    if (cand.bytes > cand.charged) {
+      SODA_RETURN_NOT_OK(GuardReserve(QueryGuard::Current(),
+                                      cand.bytes - cand.charged, kSortSite));
+      cand.charged = cand.bytes;
+    }
+    if (cand.pos.size() >= compact_at_) Compact(&cand);
+    return Status::OK();
+  }
+
+  bool done() const override { return target_ == 0; }
+
+  Status Finalize() override {
+    std::vector<KeyViews> views(locals_.size());
+    std::vector<Ref> refs;
+    for (uint32_t w = 0; w < locals_.size(); ++w) {
+      if (!locals_[w]) continue;
+      views[w] = MakeKeyViews(locals_[w]->keys, sort_.sort_keys);
+      for (uint32_t r = 0; r < locals_[w]->pos.size(); ++r) {
+        refs.push_back({w, r});
+      }
+    }
+    const size_t end = std::min(target_, refs.size());
+    SortPrefix(refs.begin(), refs.begin() + end, refs.end(),
+               [&](const Ref& a, const Ref& b) {
+                 const int c = CompareRows(views[a.worker], a.row,
+                                           views[b.worker], b.row);
+                 if (c != 0) return c < 0;
+                 return locals_[a.worker]->pos[a.row] <
+                        locals_[b.worker]->pos[b.row];
+               });
+    result_ = std::make_shared<Table>("topn", limit_.schema);
+    if (offset_ < end) result_->Reserve(end - offset_);
+    for (size_t i = offset_; i < end; ++i) {
+      const Candidates& cand = *locals_[refs[i].worker];
+      for (size_t c = 0; c < cand.cols.size(); ++c) {
+        result_->column(c).AppendFrom(cand.cols[c], refs[i].row);
+      }
+    }
+    SODA_RETURN_NOT_OK(GuardReserve(QueryGuard::Current(),
+                                    result_->MemoryUsage(), kSortSite));
+    locals_.clear();
+    return Status::OK();
+  }
+
+  std::string name() const override {
+    std::string s = SortName(sort_) + " top " + std::to_string(limit_.limit);
+    if (offset_ > 0) s += " offset " + std::to_string(offset_);
+    return s;
+  }
+
+  TablePtr result() const override { return result_; }
+
+ private:
+  /// Smallest newcomer buffer between compactions: keeps tiny LIMITs from
+  /// re-sorting their candidates on every chunk.
+  static constexpr size_t kMinSlack = 256;
+
+  /// One worker's candidate rows: output columns, evaluated keys and
+  /// stream positions, row-aligned.
+  struct Candidates {
+    std::vector<Column> cols;
+    std::vector<Column> keys;
+    std::vector<StreamPos> pos;
+    /// Rows [0, target) are the best so far, sorted; row target-1 is the
+    /// cutoff newcomers must beat. False until the first compaction.
+    bool sorted = false;
+    size_t bytes = 0;    ///< approximate footprint of the rows held
+    size_t charged = 0;  ///< high-water mark charged to the guard
+    uint64_t last_seq = kUnlimited;  ///< sequence of the previous chunk
+    uint64_t next_row = 0;           ///< rows that sequence produced so far
+
+    /// Appends rows `sel` of `src_cols` and `src_keys`; the caller
+    /// appends their positions.
+    void Append(const std::vector<const Column*>& src_cols,
+                const std::vector<Column>& src_keys,
+                const std::vector<uint32_t>& sel) {
+      for (size_t c = 0; c < cols.size(); ++c) {
+        cols[c].AppendGather(*src_cols[c], sel.data(), sel.size());
+        bytes += GatherBytes(*src_cols[c], sel);
+      }
+      for (size_t k = 0; k < keys.size(); ++k) {
+        keys[k].AppendGather(src_keys[k], sel.data(), sel.size());
+        bytes += GatherBytes(src_keys[k], sel);
+      }
+      bytes += sel.size() * sizeof(StreamPos);
+    }
+  };
+
+  struct Ref {
+    uint32_t worker;
+    uint32_t row;
+  };
+
+  /// Shrinks `cand` to its best target_ rows, sorted.
+  void Compact(Candidates* cand) const {
+    const KeyViews views = MakeKeyViews(cand->keys, sort_.sort_keys);
+    std::vector<uint32_t> order(cand->pos.size());
+    std::iota(order.begin(), order.end(), 0);
+    SortPrefix(order.begin(), order.begin() + target_, order.end(),
+               [&](uint32_t a, uint32_t b) {
+                 const int c = CompareRows(views, a, views, b);
+                 if (c != 0) return c < 0;
+                 return cand->pos[a] < cand->pos[b];
+               });
+    order.resize(target_);
+    Candidates kept;
+    for (const Column& c : cand->cols) kept.cols.emplace_back(c.type());
+    for (const Column& k : cand->keys) kept.keys.emplace_back(k.type());
+    std::vector<const Column*> src;
+    for (const Column& c : cand->cols) src.push_back(&c);
+    kept.Append(src, cand->keys, order);
+    for (uint32_t r : order) kept.pos.push_back(cand->pos[r]);
+    kept.sorted = true;
+    kept.charged = cand->charged;
+    kept.last_seq = cand->last_seq;
+    kept.next_row = cand->next_row;
+    *cand = std::move(kept);
+  }
+
+  const PlanNode& limit_;
+  const PlanNode& sort_;
+  const std::vector<size_t> columns_;  ///< sort-input columns to output
+  const size_t offset_;
+  const size_t target_;      ///< offset + limit
+  const size_t compact_at_;  ///< candidate count that triggers Compact
+  std::vector<std::unique_ptr<Candidates>> locals_;
   TablePtr result_;
 };
 
@@ -318,20 +598,15 @@ Result<TablePtr> SortTable(const Table& input, const PlanNode& plan,
   const size_t n = input.num_rows();
 
   // Evaluate the sort keys over the full input (chunk-wise).
-  std::vector<Column> keys;
-  keys.reserve(plan.sort_keys.size());
-  for (const auto& k : plan.sort_keys) {
-    keys.emplace_back(k.expr->type);
-  }
+  std::vector<Column> keys = EmptyColumns(plan.sort_keys);
   DataChunk chunk;
+  std::vector<Column> parts;
   for (size_t offset = 0; offset < n; offset += kChunkCapacity) {
-    SODA_RETURN_NOT_OK(ctx.Probe("exec.sort"));
+    SODA_RETURN_NOT_OK(ctx.Probe(kSortSite));
     input.ScanSlice(offset, std::min(kChunkCapacity, n - offset), &chunk);
-    for (size_t k = 0; k < plan.sort_keys.size(); ++k) {
-      Column part;
-      SODA_RETURN_NOT_OK(
-          EvaluateExpression(*plan.sort_keys[k].expr, chunk, &part));
-      keys[k].AppendSlice(part, 0, part.size());
+    SODA_RETURN_NOT_OK(EvaluateKeys(plan.sort_keys, chunk, &parts));
+    for (size_t k = 0; k < parts.size(); ++k) {
+      keys[k].AppendSlice(parts[k], 0, parts[k].size());
     }
   }
 
@@ -341,6 +616,12 @@ Result<TablePtr> SortTable(const Table& input, const PlanNode& plan,
 
 std::shared_ptr<TableSink> MakeSortSink(const PlanNode& plan) {
   return std::make_shared<SortSink>(plan);
+}
+
+std::shared_ptr<TableSink> MakeTopNSink(const PlanNode& limit,
+                                        const PlanNode& sort,
+                                        std::vector<size_t> columns) {
+  return std::make_shared<TopNSink>(limit, sort, std::move(columns));
 }
 
 std::shared_ptr<TableSink> MakeLimitSink(const PlanNode& plan) {

@@ -7,6 +7,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <numeric>
 
 #include "exec/hash_join.h"
 #include "exec/ht_recycler.h"
@@ -99,6 +100,13 @@ class ProjectTransform : public Transform {
 
 PhysOpPtr Op(std::string name) {
   return std::make_shared<PhysicalOperator>(std::move(name));
+}
+
+bool AllColumnRefs(const std::vector<ExprPtr>& exprs) {
+  for (const auto& e : exprs) {
+    if (e->kind != ExprKind::kColumnRef) return false;
+  }
+  return true;
 }
 
 Result<TablePtr> ExecuteValues(const PlanNode& plan) {
@@ -268,19 +276,9 @@ class PhysicalPlanBuilder {
         // so sealed tables never decode dropped segments (the common
         // aggregate-input shape `Project [args] over Scan`).
         const PlanNode& child = *node.children[0];
-        bool all_refs =
-            (child.kind == PlanKind::kScan ||
+        if ((child.kind == PlanKind::kScan ||
              child.kind == PlanKind::kBindingRef) &&
-            p.transforms.empty();
-        if (all_refs) {
-          for (const auto& e : node.exprs) {
-            if (e->kind != ExprKind::kColumnRef) {
-              all_refs = false;
-              break;
-            }
-          }
-        }
-        if (all_refs) {
+            p.transforms.empty() && AllColumnRefs(node.exprs)) {
           p.scan_columns.clear();
           p.scan_columns.reserve(node.exprs.size());
           for (const auto& e : node.exprs) {
@@ -431,30 +429,41 @@ class PhysicalPlanBuilder {
         // the `(SELECT x1..xd FROM data)` inputs of analytics operators,
         // which HyPer would fuse into the operator's own materialization):
         // one bulk column copy instead of chunked pipeline copies. On a
-        // sealed source only the projected columns are decoded.
+        // sealed source only the projected columns are decoded. Over a
+        // sorted result (the binder drops hidden sort columns this way)
+        // the copy also keeps the row order, which re-streaming through
+        // per-worker partials would lose.
         const PlanNode& child = *node.children[0];
-        bool all_refs = true;
-        for (const auto& e : node.exprs) {
-          if (e->kind != ExprKind::kColumnRef) {
-            all_refs = false;
-            break;
-          }
-        }
-        if (all_refs && (child.kind == PlanKind::kScan ||
-                         child.kind == PlanKind::kBindingRef)) {
+        if (AllColumnRefs(node.exprs) && (child.kind == PlanKind::kScan ||
+                                          child.kind == PlanKind::kBindingRef ||
+                                          child.kind == PlanKind::kSort)) {
           PhysicalPipeline p;
-          auto resolve = MakeSourceResolver(child);
+          std::function<Result<TablePtr>(PhysicalPlan&, ExecContext&)> source;
+          if (child.kind == PlanKind::kSort) {
+            SODA_ASSIGN_OR_RETURN(size_t idx, Complete(child));
+            p.inputs.push_back(idx);
+            source = [idx](PhysicalPlan& pp, ExecContext&) -> Result<TablePtr> {
+              TablePtr t = pp.pipeline(idx).result;
+              if (!t) return Status::Internal("project input not materialized");
+              return t;
+            };
+          } else {
+            auto resolve = MakeSourceResolver(child);
+            source = [resolve](PhysicalPlan&, ExecContext& ctx) {
+              return resolve(ctx);
+            };
+          }
           p.op = Op("Project " + ExprListString(node.exprs) +
                     " (column copy)");
-          p.op_fn = [&node, resolve](PhysicalPlan&,
-                                     ExecContext& ctx) -> Result<TablePtr> {
-            SODA_ASSIGN_OR_RETURN(TablePtr source, resolve(ctx));
+          p.op_fn = [&node, source](PhysicalPlan& pp,
+                                    ExecContext& ctx) -> Result<TablePtr> {
+            SODA_ASSIGN_OR_RETURN(TablePtr in, source(pp, ctx));
             auto out = std::make_shared<Table>("project", node.schema);
             std::vector<size_t> cols;
             cols.reserve(node.exprs.size());
             for (const auto& e : node.exprs) cols.push_back(e->column_index);
             SODA_RETURN_NOT_OK(
-                source->DecodeInto(out.get(), ctx.guard, kProjectSite, &cols));
+                in->DecodeInto(out.get(), ctx.guard, kProjectSite, &cols));
             ctx.stats.cumulative_materialized_tuples += out->num_rows();
             return out;
           };
@@ -508,6 +517,33 @@ class PhysicalPlanBuilder {
         return Push(std::move(p));
       }
       case PlanKind::kLimit: {
+        // ORDER BY ... LIMIT: one Top-N sink over the sort's input replaces
+        // the Sort and Limit pipelines. A pure column-ref Project between
+        // them (the binder's hidden sort columns) becomes the sink's
+        // output column list.
+        const PlanNode* sort = node.children[0].get();
+        const PlanNode* project = nullptr;
+        if (sort->kind == PlanKind::kProject && AllColumnRefs(sort->exprs) &&
+            sort->children[0]->kind == PlanKind::kSort) {
+          project = sort;
+          sort = sort->children[0].get();
+        }
+        if (node.limit >= 0 && sort->kind == PlanKind::kSort) {
+          SODA_ASSIGN_OR_RETURN(PhysicalPipeline p,
+                                Stream(*sort->children[0]));
+          std::vector<size_t> columns;
+          if (project) {
+            for (const auto& e : project->exprs) {
+              columns.push_back(e->column_index);
+            }
+          } else {
+            columns.resize(sort->schema.num_fields());
+            std::iota(columns.begin(), columns.end(), 0);
+          }
+          p.sink = MakeTopNSink(node, *sort, std::move(columns));
+          p.sink_op = Op(p.sink->name());
+          return Push(std::move(p));
+        }
         SODA_ASSIGN_OR_RETURN(PhysicalPipeline p, Stream(*node.children[0]));
         // When every transform preserves cardinality, offset+limit output
         // rows need exactly offset+limit source rows: bound the scan

@@ -428,12 +428,8 @@ PlanPtr OptimizeNode(PlanPtr plan, Catalog* catalog) {
         return RewriteJoin(std::move(plan->children[0]), std::move(conjuncts),
                            catalog);
       }
-      // Push `col <op> literal` conjuncts below a base-table scan and
-      // prune partitions with them. The Filter stays (pushed predicates
-      // are exact but the full predicate may have more conjuncts).
       if (plan->children[0]->kind == PlanKind::kScan) {
-        ExtractScanPredicates(*plan->predicate, plan->children[0].get());
-        AnnotateScan(plan->children[0].get(), catalog);
+        PushScanPredicates(plan.get(), catalog);
       }
       return plan;
     }
@@ -495,6 +491,18 @@ double EstimateRows(const PlanNode& plan, Catalog* catalog) {
       return 1024.0;
   }
   return 1e4;
+}
+
+void PushScanPredicates(PlanNode* plan, Catalog* catalog) {
+  // The Filter stays: pushed predicates are exact, but the full predicate
+  // may have more conjuncts.
+  if (plan->kind == PlanKind::kFilter &&
+      plan->children[0]->kind == PlanKind::kScan) {
+    ExtractScanPredicates(*plan->predicate, plan->children[0].get());
+    AnnotateScan(plan->children[0].get(), catalog);
+    return;
+  }
+  for (auto& child : plan->children) PushScanPredicates(child.get(), catalog);
 }
 
 PlanPtr OptimizePlan(PlanPtr plan, Catalog* catalog) {

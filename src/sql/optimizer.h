@@ -20,6 +20,13 @@ namespace soda {
 /// Rewrites the plan in place (returns the possibly-new root).
 PlanPtr OptimizePlan(PlanPtr plan, Catalog* catalog);
 
+/// Scan pushdown: harvests the `col <op> constant` conjuncts of every
+/// Filter sitting directly on a base-table scan (at or below `plan`) into
+/// that scan's pushed predicates and re-prunes its partitions. Part of
+/// OptimizePlan; EXECUTE also runs it on its private plan instance after
+/// substituting parameters, since `col = $1` is no constant at PREPARE.
+void PushScanPredicates(PlanNode* plan, Catalog* catalog);
+
 /// Rough output-cardinality estimate used for join build-side selection.
 double EstimateRows(const PlanNode& plan, Catalog* catalog);
 

@@ -48,6 +48,9 @@ Result<std::string> BinaryReader::Str() {
 
 Status BinaryReader::Bytes(void* out, size_t n) {
   if (remaining() < n) return Truncated("bytes");
+  // An empty vector's data() may be null, and memcpy requires valid
+  // pointers even for zero bytes.
+  if (n == 0) return Status::OK();
   std::memcpy(out, data_.data() + pos_, n);
   pos_ += n;
   return Status::OK();

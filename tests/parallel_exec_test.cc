@@ -1,14 +1,18 @@
 /// Parallel pipeline breakers: results must be bit-identical across
-/// worker counts (serial vs. the forced 4-worker pool), the new governor
+/// worker counts (serial vs. the forced 4-worker pool) — ORDER BY key
+/// ties included, and ORDER BY ... LIMIT (Top-N) must equal the full sort
+/// sliced — the new governor
 /// sites must make joins/aggregates cancellable mid-build, and the
 /// mix-after-combine key hasher must not admit the old linear combiner's
 /// constructible collisions.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdlib>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "exec/hash_join.h"
@@ -332,6 +336,242 @@ TEST_F(ParallelExecTest, BigIntMinMaxExactThroughParallelMerge) {
   auto r = RunQuery(engine_, "SELECT min(v), max(v) FROM ends");
   EXPECT_EQ(r.GetInt(0, 0), lo);
   EXPECT_EQ(r.GetInt(0, 1), hi);
+}
+
+// ---------------------------------------------------------------------------
+// ORDER BY tie order and the Top-N sink (ORDER BY ... LIMIT)
+
+/// Compares rows [a0, a0+n) of `a` with rows [b0, b0+n) of `b`, cell by
+/// cell, and names the first difference.
+::testing::AssertionResult SameRows(const QueryResult& a, size_t a0,
+                                    const QueryResult& b, size_t b0,
+                                    size_t n) {
+  if (a.num_columns() != b.num_columns()) {
+    return ::testing::AssertionFailure() << "column counts differ";
+  }
+  for (size_t c = 0; c < a.num_columns(); ++c) {
+    const DataType type = a.schema().field(c).type;
+    for (size_t i = 0; i < n; ++i) {
+      const size_t ra = a0 + i;
+      const size_t rb = b0 + i;
+      bool same = a.IsNull(ra, c) == b.IsNull(rb, c);
+      if (same && !a.IsNull(ra, c)) {
+        if (type == DataType::kVarchar) {
+          same = a.GetString(ra, c) == b.GetString(rb, c);
+        } else if (type == DataType::kDouble) {
+          same = a.GetDouble(ra, c) == b.GetDouble(rb, c);
+        } else {
+          same = a.GetInt(ra, c) == b.GetInt(rb, c);
+        }
+      }
+      if (!same) {
+        return ::testing::AssertionFailure()
+               << "row " << i << " column " << c << ": "
+               << a.GetValue(ra, c).ToString() << " vs "
+               << b.GetValue(rb, c).ToString();
+      }
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+std::string Explain(Engine& engine, const std::string& sql) {
+  QueryResult r = RunQuery(engine, "EXPLAIN " + sql);
+  std::string text;
+  for (size_t i = 0; i < r.num_rows(); ++i) text += r.GetString(i, 0) + "\n";
+  return text;
+}
+
+/// `tf` is flat, `ts` holds the same rows sealed and hash-partitioned
+/// (sealing clusters rows by partition, so its source order differs).
+/// g has three values plus NULLs (heavy ties), d and s repeat often and
+/// carry NULLs too.
+class ParallelExecOrderTest : public ParallelExecTest {
+ protected:
+  static constexpr int64_t kRows = 70'000;
+
+  void SetUp() override {
+    ParallelExecTest::SetUp();
+    Column id(DataType::kBigInt), g(DataType::kBigInt);
+    Column d(DataType::kDouble), s(DataType::kVarchar);
+    for (int64_t i = 0; i < kRows; ++i) {
+      id.AppendBigInt(i);
+      if (i % 97 == 0) {
+        g.AppendNull();
+      } else {
+        g.AppendBigInt(i % 3);
+      }
+      if (i % 89 == 0) {
+        d.AppendNull();
+      } else {
+        d.AppendDouble(static_cast<double>((i * 7919) % 1000) / 8.0);
+      }
+      if (i % 101 == 0) {
+        s.AppendNull();
+      } else {
+        s.AppendString("s" + std::to_string((i * 31) % 500));
+      }
+    }
+    ASSERT_OK(engine_
+                  .Execute("CREATE TABLE tf (id BIGINT, g BIGINT, d DOUBLE, "
+                           "s VARCHAR)")
+                  .status());
+    ASSERT_OK(engine_
+                  .Execute("CREATE TABLE ts (id BIGINT, g BIGINT, d DOUBLE, "
+                           "s VARCHAR) PARTITION BY HASH(id) PARTITIONS 4")
+                  .status());
+    for (const char* name : {"tf", "ts"}) {
+      auto like = engine_.catalog().GetTable(name);
+      ASSERT_OK(like.status());
+      auto t = std::make_shared<Table>(name, (*like)->schema());
+      t->set_partition_spec((*like)->partition_spec());
+      ASSERT_OK(t->SetColumn(0, id));
+      ASSERT_OK(t->SetColumn(1, g));
+      ASSERT_OK(t->SetColumn(2, d));
+      ASSERT_OK(t->SetColumn(3, s));
+      if (std::string(name) == "ts") ASSERT_OK(t->Seal());
+      ASSERT_OK(engine_.catalog().ReplaceTable(name, t));
+    }
+  }
+
+  /// Runs `sql` on one worker and on four; asserts identical rows.
+  QueryResult SameOnOneAndFourWorkers(const std::string& sql) {
+    QueryResult serial;
+    {
+      ScopedSerialExecution one_worker;
+      serial = RunQuery(engine_, sql);
+    }
+    QueryResult parallel = RunQuery(engine_, sql);
+    EXPECT_EQ(serial.num_rows(), parallel.num_rows()) << sql;
+    EXPECT_TRUE(SameRows(serial, 0, parallel, 0,
+                         std::min(serial.num_rows(), parallel.num_rows())))
+        << sql;
+    return parallel;
+  }
+
+  /// For every (limit, offset) window: `base ORDER BY order LIMIT l
+  /// OFFSET o` lowers to the Top-N sink and returns rows [o, o+l) of the
+  /// full `base ORDER BY order`, identically on one worker and on four.
+  void ExpectTopNIsSlicedSort(
+      const std::string& base, const std::string& order,
+      const std::vector<std::pair<int64_t, int64_t>>& windows) {
+    const std::string full_sql = base + " ORDER BY " + order;
+    const QueryResult full = SameOnOneAndFourWorkers(full_sql);
+    for (const auto& [limit, offset] : windows) {
+      const std::string sql = full_sql + " LIMIT " + std::to_string(limit) +
+                              " OFFSET " + std::to_string(offset);
+      const std::string text = Explain(engine_, sql);
+      const std::string pipelines = text.substr(text.find("=== Pipelines"));
+      EXPECT_NE(pipelines.find("top " + std::to_string(limit)),
+                std::string::npos)
+          << text;
+      EXPECT_EQ(pipelines.find("Limit"), std::string::npos) << text;
+      const size_t n = full.num_rows();
+      const size_t lo = std::min(static_cast<size_t>(offset), n);
+      const size_t hi = std::min(static_cast<size_t>(offset + limit), n);
+      const QueryResult top = SameOnOneAndFourWorkers(sql);
+      ASSERT_EQ(top.num_rows(), hi - lo) << sql;
+      EXPECT_TRUE(SameRows(full, lo, top, 0, hi - lo)) << sql;
+    }
+  }
+};
+
+TEST_F(ParallelExecOrderTest, OrderByTiesKeepSourceOrderAcrossWorkerCounts) {
+  // Three distinct keys over 400k rows: before ties broke on the chunk
+  // sequence, the 4-worker merge returned a different order per run.
+  const size_t n = 400'000;
+  std::vector<int64_t> k(n), g(n);
+  for (size_t i = 0; i < n; ++i) {
+    k[i] = static_cast<int64_t>(i);
+    g[i] = static_cast<int64_t>(i % 3);
+  }
+  RegisterBigIntTable(engine_, "t", {"k", "g"},
+                      {Column::FromBigInts(std::move(k)),
+                       Column::FromBigInts(std::move(g))});
+  const std::string sql = "SELECT k, g FROM t WHERE k >= 0 ORDER BY g";
+  const QueryResult r = SameOnOneAndFourWorkers(sql);
+  ASSERT_EQ(r.num_rows(), n);
+  for (int run = 0; run < 3; ++run) {
+    EXPECT_TRUE(SameRows(r, 0, RunQuery(engine_, sql), 0, n))
+        << "run " << run;
+  }
+  // Ties keep source order: within one g, k ascends.
+  for (size_t i = 1; i < n; ++i) {
+    if (r.GetInt(i, 1) != r.GetInt(i - 1, 1)) continue;
+    ASSERT_LT(r.GetInt(i - 1, 0), r.GetInt(i, 0)) << "row " << i;
+  }
+  // Same on a sealed, partitioned scan.
+  SameOnOneAndFourWorkers("SELECT id, g FROM ts WHERE id >= 0 ORDER BY g");
+}
+
+TEST_F(ParallelExecOrderTest, TopNEqualsSlicedSortAcrossKeyTypes) {
+  const std::vector<std::pair<int64_t, int64_t>> windows = {
+      {10, 0}, {7, 5}, {0, 0}, {3000, 1000}};
+  // LIMIT past the row count, OFFSET at or past it, and a window ending
+  // at the last row: every row stays a candidate.
+  const std::vector<std::pair<int64_t, int64_t>> edges = {
+      {10, 0}, {kRows * 2, 0}, {5, kRows}, {5, kRows + 9}, {25, kRows - 10}};
+  for (const char* table : {"tf", "ts"}) {
+    const std::string base =
+        std::string("SELECT id, g, d, s FROM ") + table;
+    for (const char* order :
+         {"g", "d DESC, s", "s DESC", "g, s DESC, d"}) {
+      SCOPED_TRACE(std::string(table) + " ORDER BY " + order);
+      ExpectTopNIsSlicedSort(base, order, windows);
+    }
+    for (const char* order : {"g DESC, d", "s, id DESC"}) {
+      SCOPED_TRACE(std::string(table) + " ORDER BY " + order);
+      ExpectTopNIsSlicedSort(base, order, edges);
+    }
+  }
+}
+
+TEST_F(ParallelExecOrderTest, TopNThroughFilterHiddenSortColumnsAndUnion) {
+  const std::vector<std::pair<int64_t, int64_t>> windows = {
+      {10, 0}, {40, 17}, {0, 3}, {kRows, 0}};
+  for (const char* table : {"tf", "ts"}) {
+    SCOPED_TRACE(table);
+    // Filter below the sink; keys the select list does not return (the
+    // Limit(Project(Sort)) shape); an expression key.
+    ExpectTopNIsSlicedSort(
+        std::string("SELECT id, s FROM ") + table + " WHERE id % 5 <> 1",
+        "g DESC, d", windows);
+    ExpectTopNIsSlicedSort(std::string("SELECT s FROM ") + table,
+                           "g + 1, id DESC", windows);
+  }
+  ExpectTopNIsSlicedSort("SELECT id, g FROM tf UNION ALL SELECT id, g FROM ts",
+                         "g DESC", windows);
+}
+
+TEST_F(ParallelExecOrderTest, TopNInsideSubqueryAndIterateStep) {
+  const QueryResult full =
+      SameOnOneAndFourWorkers("SELECT id FROM tf ORDER BY g, d");
+  // Derived table: rows [10, 110) of the full sort.
+  int64_t want_sum = 0;
+  for (size_t i = 10; i < 110; ++i) want_sum += full.GetInt(i, 0);
+  const std::string sub_sql =
+      "SELECT count(*), sum(id) FROM (SELECT id FROM tf ORDER BY g, d "
+      "LIMIT 100 OFFSET 10) x";
+  SameOnOneAndFourWorkers(sub_sql);
+  QueryResult sub = RunQuery(engine_, sub_sql);
+  ASSERT_EQ(sub.num_rows(), 1u);
+  EXPECT_EQ(sub.GetInt(0, 0), 100);
+  EXPECT_DOUBLE_EQ(sub.GetDouble(0, 1), static_cast<double>(want_sum));
+
+  // ITERATE: the init and every step end in ORDER BY ... LIMIT. The init
+  // keeps the first 40 ids of the sort; each step keeps the 30 smallest.
+  const QueryResult it = SameOnOneAndFourWorkers(
+      "SELECT * FROM ITERATE((SELECT id, 0 i FROM tf ORDER BY g, d LIMIT 40), "
+      "(SELECT id, i + 1 i FROM iterate ORDER BY id LIMIT 30), "
+      "(SELECT 1 FROM iterate WHERE i >= 3)) ORDER BY id");
+  std::vector<int64_t> init;
+  for (size_t i = 0; i < 40; ++i) init.push_back(full.GetInt(i, 0));
+  std::sort(init.begin(), init.end());
+  ASSERT_EQ(it.num_rows(), 30u);
+  for (size_t i = 0; i < 30; ++i) {
+    EXPECT_EQ(it.GetInt(i, 0), init[i]) << "row " << i;
+    EXPECT_EQ(it.GetInt(i, 1), 3) << "row " << i;
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 /// \file physical_plan_test.cc
 /// Pipeline-scheduler behavior that only shows up at scale: LIMIT early
-/// exit over a million-row scan, the typed sort comparator, streaming
+/// exit over a million-row scan, the typed sort comparator, the Top-N
+/// sink's one-pipeline shape and memory bound, streaming
 /// UNION ALL accounting, and mid-pipeline fault teardown.
 
 #include <gtest/gtest.h>
@@ -198,6 +199,26 @@ TEST_F(PhysicalPlanTest, StreamingSortAgreesWithFastPathSort) {
   }
   EXPECT_EQ(streaming.GetInt(0, 0), 15);
   EXPECT_EQ(streaming.GetInt(streaming.num_rows() - 1, 0), 14);
+}
+
+TEST_F(PhysicalPlanTest, TopNIsOnePipelineWithBoundedMemory) {
+  // ORDER BY ... LIMIT lowers to one Top-N sink: a single pipeline whose
+  // sink line reads "Sort [...] top 10", holding a few thousand candidate
+  // rows instead of a sorted copy of all 1M.
+  const std::string sql = "SELECT a, b FROM big ORDER BY b DESC, a LIMIT 10";
+  const std::string text = AnalyzeText(*engine_, sql);
+  EXPECT_EQ(text.find("\nP1"), std::string::npos) << text;
+  EXPECT_NE(text.find("\n  Sort [b#1 DESC, a#0] top 10"), std::string::npos)
+      << text;
+  EXPECT_EQ(Metric(text, "top 10", "rows_in"), kBigRows) << text;
+  EXPECT_EQ(Metric(text, "top 10", "rows_out"), 10) << text;
+  EXPECT_LT(TotalBytesReserved(text), 1 << 20) << text;
+  QueryResult r = RunQuery(*engine_, sql);
+  ASSERT_EQ(r.num_rows(), 10u);
+  for (size_t i = 0; i < r.num_rows(); ++i) {
+    EXPECT_EQ(r.GetInt(i, 0), 0);
+    EXPECT_EQ(r.GetInt(i, 1), 100);
+  }
 }
 
 // --- UNION ALL streaming ----------------------------------------------------

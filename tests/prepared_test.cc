@@ -1,13 +1,15 @@
 /// PREPARE / EXECUTE / DEALLOCATE (DESIGN.md §11): parameter typing at
 /// prepare time, literal substitution into a pre-optimized plan at
-/// execute time, transparent re-preparation on staleness, and strict
-/// per-session isolation of statement names.
+/// execute time (plus scan pushdown and partition pruning of the
+/// substituted arguments), transparent re-preparation on staleness, and
+/// strict per-session isolation of statement names.
 
 #include <gtest/gtest.h>
 
 #include <string>
 #include <vector>
 
+#include "storage/segment.h"
 #include "tests/test_util.h"
 
 namespace soda {
@@ -186,6 +188,109 @@ TEST_F(PreparedTest, ExecuteRecyclesJoinBuilds) {
   ASSERT_EQ(r2.num_rows(), 3u);
   EXPECT_EQ(r2.GetInt(0, 0), 21);
   EXPECT_GE(engine_.ht_recycler().stats().hits, hits + 1);
+}
+
+// --- scan pushdown of substituted arguments ---------------------------------
+
+/// hp: 16 rows (cust = 0..15, v = 10 * cust), hash-partitioned on cust,
+/// sealed by the INSERT (partitioned tables seal eagerly).
+void CreatePartitionedTable(Engine& engine) {
+  ASSERT_OK(engine
+                .Execute("CREATE TABLE hp (cust BIGINT, v BIGINT) "
+                         "PARTITION BY HASH(cust) PARTITIONS 4")
+                .status());
+  std::string insert = "INSERT INTO hp VALUES ";
+  for (int c = 0; c < 16; ++c) {
+    if (c) insert += ", ";
+    insert += "(" + std::to_string(c) + ", " + std::to_string(10 * c) + ")";
+  }
+  ASSERT_OK(engine.Execute(insert).status());
+  auto table = engine.catalog().GetTable("hp");
+  ASSERT_OK(table.status());
+  ASSERT_TRUE((*table)->sealed());
+  ASSERT_GE((*table)->num_row_groups(), 2u);
+}
+
+TEST_F(PreparedTest, ExecutePrunesPartitionsLikeLiteralText) {
+  CreatePartitionedTable(engine_);
+  // Rot row group 0's key segment and scrub: its partition is
+  // quarantined, the others stay readable — but only to a scan that
+  // prunes down to them.
+  {
+    auto table = engine_.catalog().GetTable("hp");
+    ASSERT_OK(table.status());
+    auto* seg = const_cast<Segment*>((*table)->group_segment(0, 0).get());
+    ASSERT_NE(seg, nullptr);
+    seg->stats.min_i64 ^= 0x7f;
+  }
+  ASSERT_OK(engine_.Execute("SCRUB").status());
+  ASSERT_OK(
+      engine_.Execute("PREPARE q AS SELECT v FROM hp WHERE cust = $1")
+          .status());
+  int healthy = 0;
+  int lost = 0;
+  for (int c = 0; c < 16; ++c) {
+    const std::string arg = std::to_string(c);
+    auto literal = engine_.Execute("SELECT v FROM hp WHERE cust = " + arg);
+    auto prepared = engine_.Execute("EXECUTE q (" + arg + ")");
+    ASSERT_EQ(literal.ok(), prepared.ok())
+        << "cust " << c << ": literal " << literal.status().ToString()
+        << ", prepared " << prepared.status().ToString();
+    if (!prepared.ok()) {
+      EXPECT_EQ(prepared.status().code(), StatusCode::kDataLoss);
+      ++lost;
+      continue;
+    }
+    ++healthy;
+    ASSERT_EQ(prepared->num_rows(), 1u) << "cust " << c;
+    EXPECT_EQ(prepared->GetInt(0, 0), 10 * c);
+  }
+  EXPECT_GT(healthy, 0);
+  EXPECT_GT(lost, 0);
+}
+
+TEST_F(PreparedTest, PushdownLeavesTheSharedPlanUntouched) {
+  // Each EXECUTE pushes its own argument into a private plan copy; a
+  // pushdown into the shared plan would prune the next EXECUTE down to
+  // the previous argument's partition.
+  CreatePartitionedTable(engine_);
+  ASSERT_OK(
+      engine_.Execute("PREPARE q AS SELECT v FROM hp WHERE cust = $1")
+          .status());
+  for (int c : {3, 6, 3, 0, 15, 7}) {
+    QueryResult r = RunQuery(engine_, "EXECUTE q (" + std::to_string(c) + ")");
+    ASSERT_EQ(r.num_rows(), 1u) << "cust " << c;
+    EXPECT_EQ(r.GetInt(0, 0), 10 * c);
+  }
+}
+
+TEST_F(PreparedTest, UnpushableArgumentsStayCorrect) {
+  CreatePartitionedTable(engine_);
+  // NULL never matches and never becomes a pushed predicate.
+  ASSERT_OK(
+      engine_.Execute("PREPARE qn AS SELECT v FROM hp WHERE cust = $1")
+          .status());
+  EXPECT_EQ(RunQuery(engine_, "EXECUTE qn (NULL)").num_rows(), 0u);
+  EXPECT_EQ(RunQuery(engine_, "EXECUTE qn (5)").GetInt(0, 0), 50);
+  // A non-integral DOUBLE cannot be pushed against a BIGINT column; an
+  // integral one can. Both answer like the unpushed filter.
+  ASSERT_OK(engine_
+                .Execute("PREPARE qd (DOUBLE) AS "
+                         "SELECT v FROM hp WHERE cust = $1")
+                .status());
+  EXPECT_EQ(RunQuery(engine_, "EXECUTE qd (2.5)").num_rows(), 0u);
+  QueryResult two = RunQuery(engine_, "EXECUTE qd (2.0)");
+  ASSERT_EQ(two.num_rows(), 1u);
+  EXPECT_EQ(two.GetInt(0, 0), 20);
+  QueryResult le = RunQuery(
+      engine_, "SELECT count(*) FROM hp WHERE cust <= 2.5");
+  ASSERT_OK(engine_
+                .Execute("PREPARE qr (DOUBLE) AS "
+                         "SELECT count(*) FROM hp WHERE cust <= $1")
+                .status());
+  EXPECT_EQ(RunQuery(engine_, "EXECUTE qr (2.5)").GetInt(0, 0),
+            le.GetInt(0, 0));
+  EXPECT_EQ(le.GetInt(0, 0), 3);
 }
 
 }  // namespace
