@@ -53,44 +53,47 @@ CacheCtx InnerCacheCtx(const CacheCtx& cc) {
 /// Health counters for soda_status(): durability-layer numbers straight
 /// from the manager's atomics, quarantine extent from a walk over the
 /// catalog (the caller's snapshot for SELECTs, so the numbers are
-/// consistent with what the statement can see).
-EngineStatusSnapshot CollectEngineStatus(const Catalog* catalog,
-                                         DurabilityManager* dur,
-                                         const CacheCtx& cc) {
-  EngineStatusSnapshot s;
-  if (cc.plan_cache != nullptr) {
-    const PlanCache::Stats ps = cc.plan_cache->stats();
-    s.plan_cache_hits = ps.hits;
-    s.plan_cache_misses = ps.misses;
-    s.plan_cache_entries = ps.entries;
-  }
-  if (cc.ht_recycler != nullptr) {
-    const HtRecycler::Stats hs = cc.ht_recycler->stats();
-    s.ht_cache_hits = hs.hits;
-    s.ht_cache_misses = hs.misses;
-    s.ht_cache_evictions = hs.evictions;
-    s.ht_cache_bytes = hs.bytes;
-  }
-  if (dur != nullptr) {
-    s.durable = true;
-    s.wal_bytes = static_cast<int64_t>(dur->wal()->size_bytes());
-    s.wal_records = static_cast<int64_t>(dur->wal()->record_count());
-    s.last_checkpoint_lsn = static_cast<int64_t>(dur->last_checkpoint_lsn());
-    s.checkpoint_count = static_cast<int64_t>(dur->checkpoint_count());
-    s.auto_checkpoint_count =
-        static_cast<int64_t>(dur->auto_checkpoint_count());
-    s.scrub_pass_count = static_cast<int64_t>(dur->scrub_pass_count());
-  }
+/// consistent with what the statement can see). A volatile engine
+/// reports durable = 0 with the WAL/checkpoint counters zero.
+StatusRows CollectEngineStatus(const Catalog* catalog, DurabilityManager* dur,
+                               const CacheCtx& cc) {
+  int64_t quarantined_row_groups = 0;
+  int64_t quarantined_tables = 0;
   for (const std::string& name : catalog->TableNames()) {
     Result<TablePtr> t = catalog->GetTable(name);
     if (!t.ok()) continue;
     const TablePtr& table = t.ValueOrDie();
-    if (table->table_level_quarantined()) ++s.quarantined_tables;
+    if (table->table_level_quarantined()) ++quarantined_tables;
     for (size_t g = 0; g < table->num_row_groups(); ++g) {
-      if (table->group_quarantined(g)) ++s.quarantined_row_groups;
+      if (table->group_quarantined(g)) ++quarantined_row_groups;
     }
   }
-  return s;
+  const PlanCache::Stats ps =
+      cc.plan_cache != nullptr ? cc.plan_cache->stats() : PlanCache::Stats{};
+  const HtRecycler::Stats hs = cc.ht_recycler != nullptr
+                                   ? cc.ht_recycler->stats()
+                                   : HtRecycler::Stats{};
+  const bool durable = dur != nullptr;
+  auto n = [](auto v) { return static_cast<int64_t>(v); };
+  return {
+      {"durable", durable ? 1 : 0},
+      {"wal_bytes", durable ? n(dur->wal()->size_bytes()) : 0},
+      {"wal_records", durable ? n(dur->wal()->record_count()) : 0},
+      {"last_checkpoint_lsn", durable ? n(dur->last_checkpoint_lsn()) : 0},
+      {"checkpoint_count", durable ? n(dur->checkpoint_count()) : 0},
+      {"auto_checkpoint_count",
+       durable ? n(dur->auto_checkpoint_count()) : 0},
+      {"scrub_pass_count", durable ? n(dur->scrub_pass_count()) : 0},
+      {"quarantined_row_groups", quarantined_row_groups},
+      {"quarantined_tables", quarantined_tables},
+      {"plan_cache_hits", ps.hits},
+      {"plan_cache_misses", ps.misses},
+      {"plan_cache_entries", ps.entries},
+      {"ht_cache_hits", hs.hits},
+      {"ht_cache_misses", hs.misses},
+      {"ht_cache_evictions", hs.evictions},
+      {"ht_cache_bytes", hs.bytes},
+  };
 }
 
 /// Fills the per-statement ExecContext fields shared by SELECT, EXPLAIN
@@ -108,52 +111,70 @@ void InitExecContext(ExecContext* ctx, Catalog* catalog,
   };
 }
 
-/// `stmt` may be null when the engine's pre-parse fast path fired (a
-/// Peek on the plan cache proved this text keyed a SELECT): the hit path
-/// then runs with no AST at all, and the miss path (entry went stale or
-/// was evicted in the meantime) re-parses the text lazily.
+/// A SELECT's optimized plan, and whether the plan cache served it.
+struct SelectPlan {
+  /// Always holds `plan`; fresh plans also carry fingerprint, deps and
+  /// the catalog version they were bound at.
+  CachedPlan entry;
+  bool from_cache = false;
+};
+
+/// The SELECT planning step shared by SELECT, EXPLAIN and PREPARE. With
+/// a plan cache and statement text, the entry keyed by `text` (validated
+/// against the pinned snapshot) skips lex/parse/bind/optimize. Otherwise
+/// `stmt` is bound (with PREPARE's `param_types`), optimized and
+/// fingerprinted, and cached under `text`. `stmt` is null when the
+/// engine's Peek fast path fired; a miss then parses `text` lazily.
+Result<SelectPlan> PlanSelect(const SelectStmt* stmt, const std::string* text,
+                              Catalog* catalog, const EngineOptions& options,
+                              QueryGuard* guard, PlanCache* cache,
+                              std::vector<DataType>* param_types = nullptr) {
+  SelectPlan out;
+  const bool cacheable = cache != nullptr && text != nullptr;
+  std::string key;
+  if (cacheable) {
+    key = PlanCacheKey(*text, options.optimize);
+    SODA_ASSIGN_OR_RETURN(out.entry.plan,
+                          cache->Lookup(key, *catalog, guard));
+    out.from_cache = out.entry.plan != nullptr;
+    if (out.from_cache) return out;
+  }
+  Statement reparsed;  // owns the lazily parsed AST when `stmt` was null
+  if (stmt == nullptr) {
+    if (text == nullptr) return Status::Internal("SELECT without a statement");
+    SODA_ASSIGN_OR_RETURN(reparsed, ParseStatement(*text));
+    if (reparsed.kind != StatementKind::kSelect ||
+        reparsed.select == nullptr) {
+      return Status::Internal("plan-cache fast path keyed non-SELECT text: " +
+                              *text);
+    }
+    stmt = reparsed.select.get();
+  }
+  Binder binder(catalog);
+  binder.set_param_types(param_types);
+  SODA_ASSIGN_OR_RETURN(PlanPtr fresh, binder.BindSelectStatement(*stmt));
+  if (options.optimize) {
+    fresh = OptimizePlan(std::move(fresh), catalog);
+  }
+  out.entry.plan = std::shared_ptr<const PlanNode>(std::move(fresh));
+  out.entry.fingerprint =
+      FingerprintPlan(*out.entry.plan, *catalog, &out.entry.deps);
+  out.entry.catalog_version = catalog->catalog_version();
+  if (cacheable) cache->Insert(key, out.entry);
+  return out;
+}
+
 Result<QueryResult> ExecuteSelect(const SelectStmt* stmt, Catalog* catalog,
                                   const EngineOptions& options,
                                   DurabilityManager* dur, QueryGuard* guard,
                                   const CacheCtx& cc) {
-  // Plan-cache consult: keyed by the raw SQL text, validated against the
-  // pinned snapshot's table versions. A hit skips lex/parse/bind/optimize
-  // entirely.
-  std::shared_ptr<const PlanNode> plan;
-  std::string key;
-  const bool cacheable = cc.plan_cache != nullptr && cc.sql != nullptr;
-  if (cacheable) {
-    key = PlanCacheKey(*cc.sql, options.optimize);
-    SODA_ASSIGN_OR_RETURN(plan, cc.plan_cache->Lookup(key, *catalog, guard));
-  }
-  Statement reparsed;  // owns the lazily parsed AST when `stmt` was null
-  if (plan == nullptr) {
-    if (stmt == nullptr) {
-      SODA_ASSIGN_OR_RETURN(reparsed, ParseStatement(*cc.sql));
-      if (reparsed.kind != StatementKind::kSelect ||
-          reparsed.select == nullptr) {
-        return Status::Internal(
-            "plan-cache fast path keyed non-SELECT text: " + *cc.sql);
-      }
-      stmt = reparsed.select.get();
-    }
-    Binder binder(catalog);
-    SODA_ASSIGN_OR_RETURN(PlanPtr fresh, binder.BindSelectStatement(*stmt));
-    if (options.optimize) {
-      fresh = OptimizePlan(std::move(fresh), catalog);
-    }
-    plan = std::shared_ptr<const PlanNode>(std::move(fresh));
-    if (cacheable) {
-      CachedPlan entry;
-      entry.plan = plan;
-      entry.fingerprint = FingerprintPlan(*plan, *catalog, &entry.deps);
-      entry.catalog_version = catalog->catalog_version();
-      cc.plan_cache->Insert(key, std::move(entry));
-    }
-  }
+  SODA_ASSIGN_OR_RETURN(
+      SelectPlan planned,
+      PlanSelect(stmt, cc.sql, catalog, options, guard, cc.plan_cache));
   ExecContext ctx;
   InitExecContext(&ctx, catalog, options, dur, guard, cc);
-  SODA_ASSIGN_OR_RETURN(TablePtr result, ExecutePlan(*plan, ctx));
+  SODA_ASSIGN_OR_RETURN(TablePtr result,
+                        ExecutePlan(*planned.entry.plan, ctx));
   return QueryResult(std::move(result), ctx.stats);
 }
 
@@ -895,30 +916,13 @@ Result<QueryResult> ExecuteExplain(const SelectStmt& stmt, bool analyze,
                                    const CacheCtx& cc) {
   // EXPLAIN consults (and fills) the same plan-cache slot the bare SELECT
   // uses, so `EXPLAIN ANALYZE <q>` after `<q>` reports "plan: cached".
-  std::shared_ptr<const PlanNode> plan;
-  std::string key;
-  bool from_cache = false;
-  const bool cacheable = cc.plan_cache != nullptr && cc.sql != nullptr;
-  if (cacheable) {
-    key = PlanCacheKey(StripExplainPrefix(*cc.sql), options.optimize);
-    SODA_ASSIGN_OR_RETURN(plan, cc.plan_cache->Lookup(key, *catalog, guard));
-    from_cache = plan != nullptr;
-  }
-  if (plan == nullptr) {
-    Binder binder(catalog);
-    SODA_ASSIGN_OR_RETURN(PlanPtr fresh, binder.BindSelectStatement(stmt));
-    if (options.optimize) {
-      fresh = OptimizePlan(std::move(fresh), catalog);
-    }
-    plan = std::shared_ptr<const PlanNode>(std::move(fresh));
-    if (cacheable) {
-      CachedPlan entry;
-      entry.plan = plan;
-      entry.fingerprint = FingerprintPlan(*plan, *catalog, &entry.deps);
-      entry.catalog_version = catalog->catalog_version();
-      cc.plan_cache->Insert(key, std::move(entry));
-    }
-  }
+  const std::string select_text =
+      cc.sql != nullptr ? StripExplainPrefix(*cc.sql) : std::string();
+  SODA_ASSIGN_OR_RETURN(
+      SelectPlan planned,
+      PlanSelect(&stmt, cc.sql != nullptr ? &select_text : nullptr, catalog,
+                 options, guard, cc.plan_cache));
+  const PlanNode* plan = planned.entry.plan.get();
   SODA_ASSIGN_OR_RETURN(PhysicalPlan physical, LowerPlan(*plan));
   // EXPLAIN always reports the verifier verdict, even when the session
   // knob is off — it is the cheapest way to audit a suspect plan.
@@ -940,7 +944,8 @@ Result<QueryResult> ExecuteExplain(const SelectStmt& stmt, bool analyze,
   if (!text.empty() && text.back() != '\n') text += "\n";
   text += "=== Pipelines ===\n" + physical.ToString(analyze);
   if (!text.empty() && text.back() != '\n') text += "\n";
-  text += std::string("plan: ") + (from_cache ? "cached" : "fresh") + "\n";
+  text += std::string("plan: ") + (planned.from_cache ? "cached" : "fresh") +
+          "\n";
   if (analyze) {
     text += std::string("join build: ") +
             (stats.recycled_joins > 0 ? "recycled" : "built") + "\n";
@@ -1093,17 +1098,13 @@ Result<ParseExprPtr> CloneParseSubst(const ParseExpr& e,
 /// PREPARE and again whenever EXECUTE finds the dependencies stale.
 Status BindPreparedSelect(PreparedStatement* entry, Catalog* catalog,
                           const EngineOptions& options) {
-  Binder binder(catalog);
-  binder.set_param_types(&entry->param_types);
-  SODA_ASSIGN_OR_RETURN(PlanPtr plan,
-                        binder.BindSelectStatement(*entry->body->select));
-  if (options.optimize) {
-    plan = OptimizePlan(std::move(plan), catalog);
-  }
-  entry->plan = std::shared_ptr<const PlanNode>(std::move(plan));
-  entry->deps.clear();
-  FingerprintPlan(*entry->plan, *catalog, &entry->deps);
-  entry->catalog_version = catalog->catalog_version();
+  SODA_ASSIGN_OR_RETURN(
+      SelectPlan planned,
+      PlanSelect(entry->body->select.get(), nullptr, catalog, options,
+                 nullptr, nullptr, &entry->param_types));
+  entry->plan = std::move(planned.entry.plan);
+  entry->deps = std::move(planned.entry.deps);
+  entry->catalog_version = planned.entry.catalog_version;
   return Status::OK();
 }
 
@@ -1498,18 +1499,12 @@ Result<std::string> Engine::Explain(const std::string& sql) {
   if (stmt.kind != StatementKind::kSelect) {
     return Status::InvalidArgument("EXPLAIN supports SELECT statements only");
   }
-  Binder binder(&catalog_);
-  SODA_ASSIGN_OR_RETURN(PlanPtr plan, binder.BindSelectStatement(*stmt.select));
-  if (options_.optimize) {
-    plan = OptimizePlan(std::move(plan), &catalog_);
+  // The SQL EXPLAIN path: same snapshot, guard and plan-cache slot.
+  SODA_ASSIGN_OR_RETURN(QueryResult result, Execute("EXPLAIN " + sql));
+  std::string text;
+  for (size_t i = 0; i < result.num_rows(); ++i) {
+    text += result.GetString(i, 0) + "\n";
   }
-  SODA_ASSIGN_OR_RETURN(PhysicalPlan physical, LowerPlan(*plan));
-  std::string text = plan->ToString();
-  if (!text.empty() && text.back() != '\n') text += "\n";
-  text += "=== Pipelines ===\n" + physical.ToString();
-  Status verdict = VerifyPlan(*plan, physical);
-  text += verdict.ok() ? "Verifier: OK\n"
-                       : "Verifier: FAILED — " + verdict.ToString() + "\n";
   return text;
 }
 

@@ -163,7 +163,8 @@ class Engine {
   /// the remainder of the script (and the engine's lifetime).
   Result<QueryResult> ExecuteScript(const std::string& sql);
 
-  /// Returns the optimized plan tree for a SELECT (EXPLAIN).
+  /// The text of `EXPLAIN <sql>` for a SELECT, one line per plan row;
+  /// InvalidArgument for any other statement.
   Result<std::string> Explain(const std::string& sql);
 
   /// Direct catalog access for bulk loading (see bench_support/workloads).

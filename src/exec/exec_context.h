@@ -10,6 +10,8 @@
 #include <functional>
 #include <map>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "storage/catalog.h"
 #include "storage/table.h"
@@ -38,28 +40,9 @@ struct ExecStats {
 };
 
 /// Engine health counters served by the soda_status() table function
-/// (operations / self-healing storage, DESIGN.md §10). Filled by the
-/// engine's status provider; a volatile engine reports durable = false
-/// with the WAL/checkpoint fields zero.
-struct EngineStatusSnapshot {
-  bool durable = false;
-  int64_t wal_bytes = 0;
-  int64_t wal_records = 0;
-  int64_t last_checkpoint_lsn = 0;
-  int64_t checkpoint_count = 0;
-  int64_t auto_checkpoint_count = 0;
-  int64_t scrub_pass_count = 0;
-  int64_t quarantined_row_groups = 0;
-  int64_t quarantined_tables = 0;
-  // Repeated-traffic caches (DESIGN.md §11).
-  int64_t plan_cache_hits = 0;
-  int64_t plan_cache_misses = 0;
-  int64_t plan_cache_entries = 0;
-  int64_t ht_cache_hits = 0;
-  int64_t ht_cache_misses = 0;
-  int64_t ht_cache_evictions = 0;
-  int64_t ht_cache_bytes = 0;
-};
+/// (operations / self-healing storage, DESIGN.md §10): one metric/value
+/// row each, in display order.
+using StatusRows = std::vector<std::pair<const char*, int64_t>>;
 
 /// Mutable state threaded through plan execution. Not thread-safe for
 /// concurrent binding mutation; pipelines only read bindings.
@@ -93,7 +76,7 @@ struct ExecContext {
   /// Supplies soda_status() rows; installed by the engine's SELECT path.
   /// Null when executing outside an engine — the table function then
   /// fails cleanly instead of reporting fabricated health.
-  std::function<EngineStatusSnapshot()> status_provider;
+  std::function<StatusRows()> status_provider;
 
   /// Cooperative governance probe for executor loops.
   Status Probe(const char* site) { return GuardProbe(guard, site); }

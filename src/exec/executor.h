@@ -142,12 +142,6 @@ Result<TablePtr> SortTable(const Table& input, const PlanNode& plan,
 Result<TablePtr> ExecuteRecursiveCte(const PlanNode& plan, ExecContext& ctx);
 Result<TablePtr> ExecuteIterate(const PlanNode& plan, ExecContext& ctx);
 
-/// Runs the analytics operator of a kTableFunction node over its already
-/// materialized relation inputs (table_function.cc).
-Result<TablePtr> ExecuteTableFunctionWithInputs(const PlanNode& plan,
-                                                std::vector<TablePtr> inputs,
-                                                ExecContext& ctx);
-
 }  // namespace soda
 
 #endif  // SODA_EXEC_EXECUTOR_H_

@@ -12,6 +12,7 @@
 #include "exec/hash_join.h"
 #include "exec/ht_recycler.h"
 #include "exec/plan_fingerprint.h"
+#include "exec/table_function.h"
 #include "expr/evaluator.h"
 #include "util/first_error.h"
 #include "util/parallel.h"
@@ -676,8 +677,7 @@ class PhysicalPlanBuilder {
             }
             inputs.push_back(pp.pipeline(i).result);
           }
-          return ExecuteTableFunctionWithInputs(node, std::move(inputs),
-                                                ctx);
+          return ExecuteTableFunctionWithInputs(node, inputs, ctx);
         };
         return Push(std::move(p));
       }

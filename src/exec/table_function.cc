@@ -5,54 +5,12 @@
 #include "analytics/naive_bayes.h"
 #include "analytics/pagerank.h"
 #include "analytics/stats.h"
-#include "exec/executor.h"
+#include "exec/exec_context.h"
 #include "expr/lambda_kernel.h"
+#include "sql/logical_plan.h"
 #include "util/fault_sites.h"
 
 namespace soda {
-
-bool IsTableFunction(const std::string& lower_name) {
-  return lower_name == "kmeans" || lower_name == "pagerank" ||
-         lower_name == "naive_bayes_train" ||
-         lower_name == "naive_bayes_predict" || lower_name == "summarize" ||
-         lower_name == "connected_components" ||
-         lower_name == "soda_fault_sites" || lower_name == "soda_status";
-}
-
-Result<TableFunctionSignature> GetTableFunctionSignature(
-    const std::string& name) {
-  if (name == "kmeans") {
-    // Distance lambda is binary over (data, centers); scalars are
-    // max_iterations and the optional min-change-fraction stop criterion
-    // (§6.1's softened convergence).
-    return TableFunctionSignature{2, 0, 2, 1, {{0, 1}}};
-  }
-  if (name == "pagerank") {
-    // Edge-weight lambda is unary over (edges).
-    return TableFunctionSignature{1, 0, 3, 1, {{0}}};
-  }
-  if (name == "naive_bayes_train") {
-    return TableFunctionSignature{1, 0, 0, 0, {}};
-  }
-  if (name == "naive_bayes_predict") {
-    return TableFunctionSignature{2, 0, 0, 0, {}};
-  }
-  if (name == "summarize") {
-    return TableFunctionSignature{1, 0, 0, 0, {}};
-  }
-  if (name == "connected_components") {
-    return TableFunctionSignature{1, 0, 0, 0, {}};
-  }
-  if (name == "soda_fault_sites") {
-    // Introspection: zero arguments, emits the fault-site registry.
-    return TableFunctionSignature{0, 0, 0, 0, {}};
-  }
-  if (name == "soda_status") {
-    // Operations introspection: zero arguments, one row per health metric.
-    return TableFunctionSignature{0, 0, 0, 0, {}};
-  }
-  return Status::KeyError("unknown table function: " + name);
-}
 
 namespace {
 
@@ -66,107 +24,232 @@ Status RequireAllNumeric(const Schema& schema, const std::string& what) {
   return Status::OK();
 }
 
-}  // namespace
-
-Result<Schema> InferTableFunctionSchema(
-    const std::string& name, const std::vector<Schema>& relation_schemas,
-    const std::vector<Value>& scalar_args) {
-  SODA_ASSIGN_OR_RETURN(TableFunctionSignature sig,
-                        GetTableFunctionSignature(name));
-  if (relation_schemas.size() != sig.num_relations) {
-    return Status::BindError(name + " expects " +
-                             std::to_string(sig.num_relations) +
-                             " relation argument(s), got " +
-                             std::to_string(relation_schemas.size()));
+/// Graph operators take an edge relation starting with (src, dst).
+Status RequireEdges(const Schema& edges, const std::string& name) {
+  if (edges.num_fields() < 2 || edges.field(0).type != DataType::kBigInt ||
+      edges.field(1).type != DataType::kBigInt) {
+    return Status::BindError(
+        name + ": edge input must start with BIGINT (src, dst) columns");
   }
-  if (scalar_args.size() < sig.min_scalars ||
-      scalar_args.size() > sig.max_scalars) {
-    return Status::BindError(name + ": wrong number of scalar arguments");
-  }
-
-  if (name == "kmeans") {
-    const Schema& data = relation_schemas[0];
-    const Schema& centers = relation_schemas[1];
-    SODA_RETURN_NOT_OK(RequireAllNumeric(data, "kmeans"));
-    SODA_RETURN_NOT_OK(RequireAllNumeric(centers, "kmeans"));
-    if (data.num_fields() != centers.num_fields()) {
-      return Status::BindError(
-          "kmeans: data and centers must have matching column counts");
-    }
-    Schema out;
-    out.AddField(Field("cluster", DataType::kBigInt));
-    for (const auto& f : centers.fields()) {
-      out.AddField(Field(f.name, DataType::kDouble));
-    }
-    return out;
-  }
-  if (name == "pagerank" || name == "connected_components") {
-    const Schema& edges = relation_schemas[0];
-    if (edges.num_fields() < 2 ||
-        edges.field(0).type != DataType::kBigInt ||
-        edges.field(1).type != DataType::kBigInt) {
-      return Status::BindError(
-          name + ": edge input must start with BIGINT (src, dst) columns");
-    }
-    if (name == "connected_components") {
-      return Schema({Field("vertex", DataType::kBigInt),
-                     Field("component", DataType::kBigInt)});
-    }
-    return Schema({Field("vertex", DataType::kBigInt),
-                   Field("rank", DataType::kDouble)});
-  }
-  if (name == "naive_bayes_train" || name == "summarize") {
-    const Schema& labeled = relation_schemas[0];
-    if (labeled.num_fields() < 2 ||
-        labeled.field(0).type != DataType::kBigInt) {
-      return Status::BindError(
-          name + ": input must be (label BIGINT, attributes NUMERIC...)");
-    }
-    for (size_t i = 1; i < labeled.num_fields(); ++i) {
-      if (!IsNumeric(labeled.field(i).type)) {
-        return Status::BindError(name + ": attribute columns must be numeric");
-      }
-    }
-    if (name == "summarize") {
-      return Schema({Field("class", DataType::kBigInt),
-                     Field("attr", DataType::kBigInt),
-                     Field("cnt", DataType::kBigInt),
-                     Field("sum", DataType::kDouble),
-                     Field("sumsq", DataType::kDouble),
-                     Field("mean", DataType::kDouble),
-                     Field("stddev", DataType::kDouble)});
-    }
-    return NaiveBayesModelSchema();
-  }
-  if (name == "soda_fault_sites") {
-    return Schema({Field("site", DataType::kVarchar),
-                   Field("description", DataType::kVarchar)});
-  }
-  if (name == "soda_status") {
-    return Schema({Field("metric", DataType::kVarchar),
-                   Field("value", DataType::kBigInt)});
-  }
-  if (name == "naive_bayes_predict") {
-    if (!relation_schemas[0].TypesEqual(NaiveBayesModelSchema())) {
-      return Status::BindError(
-          "naive_bayes_predict: first input must be a model relation " +
-          NaiveBayesModelSchema().ToString());
-    }
-    const Schema& data = relation_schemas[1];
-    SODA_RETURN_NOT_OK(RequireAllNumeric(data, "naive_bayes_predict"));
-    Schema out = data;
-    out.AddField(Field("predicted", DataType::kBigInt));
-    return out;
-  }
-  return Status::KeyError("unknown table function: " + name);
+  return Status::OK();
 }
 
-Result<TablePtr> ExecuteTableFunctionWithInputs(const PlanNode& plan,
-                                                std::vector<TablePtr> inputs,
-                                                ExecContext& ctx) {
+/// Naive Bayes training and its statistics building block take a labeled
+/// relation: a BIGINT class label followed by numeric attributes.
+Status RequireLabeled(const Schema& labeled, const std::string& name) {
+  if (labeled.num_fields() < 2 ||
+      labeled.field(0).type != DataType::kBigInt) {
+    return Status::BindError(
+        name + ": input must be (label BIGINT, attributes NUMERIC...)");
+  }
+  for (size_t i = 1; i < labeled.num_fields(); ++i) {
+    if (!IsNumeric(labeled.field(i).type)) {
+      return Status::BindError(name + ": attribute columns must be numeric");
+    }
+  }
+  return Status::OK();
+}
+
+Schema FaultSitesSchema() {
+  return Schema({Field("site", DataType::kVarchar),
+                 Field("description", DataType::kVarchar)});
+}
+
+Schema StatusSchema() {
+  return Schema({Field("metric", DataType::kVarchar),
+                 Field("value", DataType::kBigInt)});
+}
+
+const std::vector<TableFunction>& Registry() {
+  static const std::vector<TableFunction> registry = {
+      // KMEANS((data), (initial_centers) [, λ(a, b) distance]
+      //        [, max_iterations [, min_change_fraction]])
+      // The distance lambda is binary over (data, centers);
+      // min_change_fraction is §6.1's softened convergence criterion.
+      {"kmeans",
+       {2, {{0, 1}}, 0, {DataType::kBigInt, DataType::kDouble}},
+       [](const std::vector<Schema>& in) -> Result<Schema> {
+         SODA_RETURN_NOT_OK(RequireAllNumeric(in[0], "kmeans"));
+         SODA_RETURN_NOT_OK(RequireAllNumeric(in[1], "kmeans"));
+         if (in[0].num_fields() != in[1].num_fields()) {
+           return Status::BindError(
+               "kmeans: data and centers must have matching column counts");
+         }
+         Schema out;
+         out.AddField(Field("cluster", DataType::kBigInt));
+         for (const auto& f : in[1].fields()) {
+           out.AddField(Field(f.name, DataType::kDouble));
+         }
+         return out;
+       },
+       [](const TableFunctionCall& c) -> Result<TablePtr> {
+         KMeansOptions options;
+         if (!c.scalars.empty()) {
+           options.max_iterations = c.scalars[0].AsBigInt();
+         }
+         if (c.scalars.size() > 1) {
+           options.min_change_fraction = c.scalars[1].AsDouble();
+         }
+         if (!c.lambdas.empty()) options.distance = &c.lambdas[0];
+         options.guard = c.ctx.guard;
+         SODA_ASSIGN_OR_RETURN(KMeansResult result,
+                               RunKMeans(*c.inputs[0], *c.inputs[1], options));
+         c.ctx.stats.iterations_run +=
+             static_cast<size_t>(result.iterations_run);
+         return result.centers;
+       }},
+      // PAGERANK((edges) [, damping [, epsilon [, max_iterations]]]
+      //          [, λ(e) weight])
+      // The edge-weight lambda is unary over (edges).
+      {"pagerank",
+       {1,
+        {{0}},
+        0,
+        {DataType::kDouble, DataType::kDouble, DataType::kBigInt}},
+       [](const std::vector<Schema>& in) -> Result<Schema> {
+         SODA_RETURN_NOT_OK(RequireEdges(in[0], "pagerank"));
+         return Schema({Field("vertex", DataType::kBigInt),
+                        Field("rank", DataType::kDouble)});
+       },
+       [](const TableFunctionCall& c) -> Result<TablePtr> {
+         PageRankOptions options;
+         if (!c.scalars.empty()) options.damping = c.scalars[0].AsDouble();
+         if (c.scalars.size() > 1) options.epsilon = c.scalars[1].AsDouble();
+         if (c.scalars.size() > 2) {
+           options.max_iterations = c.scalars[2].AsBigInt();
+         }
+         if (!c.lambdas.empty()) options.edge_weight = &c.lambdas[0];
+         options.guard = c.ctx.guard;
+         PageRankStats stats;
+         SODA_ASSIGN_OR_RETURN(TablePtr result,
+                               RunPageRank(*c.inputs[0], options, &stats));
+         c.ctx.stats.iterations_run +=
+             static_cast<size_t>(stats.iterations_run);
+         return result;
+       }},
+      // NAIVE_BAYES_TRAIN((labeled))  -- first column = class label
+      {"naive_bayes_train",
+       {1, {}, 0, {}},
+       [](const std::vector<Schema>& in) -> Result<Schema> {
+         SODA_RETURN_NOT_OK(RequireLabeled(in[0], "naive_bayes_train"));
+         return NaiveBayesModelSchema();
+       },
+       [](const TableFunctionCall& c) -> Result<TablePtr> {
+         return TrainNaiveBayes(*c.inputs[0], c.ctx.guard);
+       }},
+      // NAIVE_BAYES_PREDICT((model), (data))
+      {"naive_bayes_predict",
+       {2, {}, 0, {}},
+       [](const std::vector<Schema>& in) -> Result<Schema> {
+         if (!in[0].TypesEqual(NaiveBayesModelSchema())) {
+           return Status::BindError(
+               "naive_bayes_predict: first input must be a model relation " +
+               NaiveBayesModelSchema().ToString());
+         }
+         SODA_RETURN_NOT_OK(RequireAllNumeric(in[1], "naive_bayes_predict"));
+         Schema out = in[1];
+         out.AddField(Field("predicted", DataType::kBigInt));
+         return out;
+       },
+       [](const TableFunctionCall& c) -> Result<TablePtr> {
+         return PredictNaiveBayes(*c.inputs[0], *c.inputs[1], c.ctx.guard);
+       }},
+      // SUMMARIZE((labeled))  -- per-class moments, the statistics
+      //                          building block (§6.2)
+      {"summarize",
+       {1, {}, 0, {}},
+       [](const std::vector<Schema>& in) -> Result<Schema> {
+         SODA_RETURN_NOT_OK(RequireLabeled(in[0], "summarize"));
+         return Schema({Field("class", DataType::kBigInt),
+                        Field("attr", DataType::kBigInt),
+                        Field("cnt", DataType::kBigInt),
+                        Field("sum", DataType::kDouble),
+                        Field("sumsq", DataType::kDouble),
+                        Field("mean", DataType::kDouble),
+                        Field("stddev", DataType::kDouble)});
+       },
+       [](const TableFunctionCall& c) -> Result<TablePtr> {
+         return SummarizeByClass(*c.inputs[0], c.ctx.guard);
+       }},
+      // CONNECTED_COMPONENTS((edges))  -- min-label propagation on the
+      //                                  PageRank CSR building block
+      {"connected_components",
+       {1, {}, 0, {}},
+       [](const std::vector<Schema>& in) -> Result<Schema> {
+         SODA_RETURN_NOT_OK(RequireEdges(in[0], "connected_components"));
+         return Schema({Field("vertex", DataType::kBigInt),
+                        Field("component", DataType::kBigInt)});
+       },
+       [](const TableFunctionCall& c) -> Result<TablePtr> {
+         ConnectedComponentsStats stats;
+         SODA_ASSIGN_OR_RETURN(
+             TablePtr result,
+             RunConnectedComponents(*c.inputs[0], &stats, c.ctx.guard));
+         c.ctx.stats.iterations_run +=
+             static_cast<size_t>(stats.iterations_run);
+         return result;
+       }},
+      // SODA_FAULT_SITES()  -- one row per registered fault-injection
+      // site, straight from the compile-time registry
+      // (util/fault_sites.h). Keeps SQL-level introspection and the
+      // robustness-matrix coverage test honest.
+      {"soda_fault_sites",
+       {},
+       [](const std::vector<Schema>&) -> Result<Schema> {
+         return FaultSitesSchema();
+       },
+       [](const TableFunctionCall&) -> Result<TablePtr> {
+         auto table =
+             std::make_shared<Table>("soda_fault_sites", FaultSitesSchema());
+         for (const FaultSiteInfo& info : kFaultSites) {
+           SODA_RETURN_NOT_OK(table->AppendRow(
+               {Value::Varchar(info.site), Value::Varchar(info.description)}));
+         }
+         return table;
+       }},
+      // SODA_STATUS()  -- engine health counters (WAL size,
+      // checkpoint/scrub progress, quarantine extent, cache counters) as
+      // metric/value rows, supplied by the engine's status provider.
+      {"soda_status",
+       {},
+       [](const std::vector<Schema>&) -> Result<Schema> {
+         return StatusSchema();
+       },
+       [](const TableFunctionCall& c) -> Result<TablePtr> {
+         if (!c.ctx.status_provider) {
+           return Status::InvalidArgument(
+               "soda_status() requires an engine execution context");
+         }
+         auto table = std::make_shared<Table>("soda_status", StatusSchema());
+         for (const auto& [metric, value] : c.ctx.status_provider()) {
+           SODA_RETURN_NOT_OK(table->AppendRow(
+               {Value::Varchar(metric), Value::BigInt(value)}));
+         }
+         return table;
+       }},
+  };
+  return registry;
+}
+
+}  // namespace
+
+const TableFunction* FindTableFunction(std::string_view lower_name) {
+  for (const TableFunction& fn : Registry()) {
+    if (lower_name == fn.name) return &fn;
+  }
+  return nullptr;
+}
+
+Result<TablePtr> ExecuteTableFunctionWithInputs(
+    const PlanNode& plan, const std::vector<TablePtr>& inputs,
+    ExecContext& ctx) {
   // Relation inputs arrive pre-materialized by the physical plan's input
   // pipelines (paper Fig. 2a: arbitrarily pre-processed input).
-
+  const TableFunction* fn = FindTableFunction(plan.function_name);
+  if (fn == nullptr) {
+    return Status::Internal("unknown table function at execution: " +
+                            plan.function_name);
+  }
   // Compile lambdas into kernels (plan-time bound bodies -> flat numeric
   // programs; see expr/lambda_kernel.h).
   std::vector<LambdaKernel> kernels;
@@ -176,108 +259,7 @@ Result<TablePtr> ExecuteTableFunctionWithInputs(const PlanNode& plan,
                           LambdaKernel::Compile(*l.body, l.a_width));
     kernels.push_back(std::move(k));
   }
-
-  const std::string& name = plan.function_name;
-  if (name == "kmeans") {
-    KMeansOptions options;
-    if (!plan.scalar_args.empty()) {
-      options.max_iterations = plan.scalar_args[0].AsBigInt();
-    }
-    if (plan.scalar_args.size() > 1) {
-      options.min_change_fraction = plan.scalar_args[1].AsDouble();
-    }
-    if (!kernels.empty()) options.distance = &kernels[0];
-    options.guard = ctx.guard;
-    SODA_ASSIGN_OR_RETURN(KMeansResult result,
-                          RunKMeans(*inputs[0], *inputs[1], options));
-    ctx.stats.iterations_run += static_cast<size_t>(result.iterations_run);
-    return result.centers;
-  }
-  if (name == "pagerank") {
-    PageRankOptions options;
-    if (plan.scalar_args.size() > 0) {
-      options.damping = plan.scalar_args[0].AsDouble();
-    }
-    if (plan.scalar_args.size() > 1) {
-      options.epsilon = plan.scalar_args[1].AsDouble();
-    }
-    if (plan.scalar_args.size() > 2) {
-      options.max_iterations = plan.scalar_args[2].AsBigInt();
-    }
-    if (!kernels.empty()) options.edge_weight = &kernels[0];
-    options.guard = ctx.guard;
-    PageRankStats stats;
-    SODA_ASSIGN_OR_RETURN(TablePtr result,
-                          RunPageRank(*inputs[0], options, &stats));
-    ctx.stats.iterations_run += static_cast<size_t>(stats.iterations_run);
-    return result;
-  }
-  if (name == "naive_bayes_train") {
-    return TrainNaiveBayes(*inputs[0], ctx.guard);
-  }
-  if (name == "naive_bayes_predict") {
-    return PredictNaiveBayes(*inputs[0], *inputs[1], ctx.guard);
-  }
-  if (name == "summarize") {
-    return SummarizeByClass(*inputs[0], ctx.guard);
-  }
-  if (name == "connected_components") {
-    ConnectedComponentsStats stats;
-    SODA_ASSIGN_OR_RETURN(
-        TablePtr result,
-        RunConnectedComponents(*inputs[0], &stats, ctx.guard));
-    ctx.stats.iterations_run += static_cast<size_t>(stats.iterations_run);
-    return result;
-  }
-  if (name == "soda_fault_sites") {
-    // SELECT * FROM SODA_FAULT_SITES(): one row per registered fault
-    // site, straight from the compile-time registry. Keeps SQL-level
-    // introspection and the robustness-matrix coverage test honest.
-    auto table = std::make_shared<Table>(
-        "soda_fault_sites", Schema({Field("site", DataType::kVarchar),
-                                    Field("description", DataType::kVarchar)}));
-    for (const FaultSiteInfo& info : kFaultSites) {
-      SODA_RETURN_NOT_OK(table->AppendRow(
-          {Value::Varchar(info.site), Value::Varchar(info.description)}));
-    }
-    return table;
-  }
-  if (name == "soda_status") {
-    // SELECT * FROM SODA_STATUS(): engine health counters (WAL size,
-    // checkpoint/scrub progress, quarantine extent) as metric/value rows.
-    if (!ctx.status_provider) {
-      return Status::InvalidArgument(
-          "soda_status() requires an engine execution context");
-    }
-    const EngineStatusSnapshot s = ctx.status_provider();
-    auto table = std::make_shared<Table>(
-        "soda_status", Schema({Field("metric", DataType::kVarchar),
-                               Field("value", DataType::kBigInt)}));
-    const std::pair<const char*, int64_t> metrics[] = {
-        {"durable", s.durable ? 1 : 0},
-        {"wal_bytes", s.wal_bytes},
-        {"wal_records", s.wal_records},
-        {"last_checkpoint_lsn", s.last_checkpoint_lsn},
-        {"checkpoint_count", s.checkpoint_count},
-        {"auto_checkpoint_count", s.auto_checkpoint_count},
-        {"scrub_pass_count", s.scrub_pass_count},
-        {"quarantined_row_groups", s.quarantined_row_groups},
-        {"quarantined_tables", s.quarantined_tables},
-        {"plan_cache_hits", s.plan_cache_hits},
-        {"plan_cache_misses", s.plan_cache_misses},
-        {"plan_cache_entries", s.plan_cache_entries},
-        {"ht_cache_hits", s.ht_cache_hits},
-        {"ht_cache_misses", s.ht_cache_misses},
-        {"ht_cache_evictions", s.ht_cache_evictions},
-        {"ht_cache_bytes", s.ht_cache_bytes},
-    };
-    for (const auto& [metric, value] : metrics) {
-      SODA_RETURN_NOT_OK(table->AppendRow(
-          {Value::Varchar(metric), Value::BigInt(value)}));
-    }
-    return table;
-  }
-  return Status::Internal("unknown table function at execution: " + name);
+  return fn->run(TableFunctionCall{inputs, plan.scalar_args, kernels, ctx});
 }
 
 }  // namespace soda

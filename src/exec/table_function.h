@@ -1,58 +1,69 @@
 /// \file table_function.h
-/// Registry of analytics table functions — the SQL surface of the paper's
-/// physical operators (§6, Listing 2/3).
+/// The table-function registry: the SQL surface of the paper's physical
+/// operators (§6, Listing 2/3) and the system tables.
 ///
 /// Calling convention (positional, mixed): relation arguments are
 /// parenthesized subqueries, lambda arguments are λ-expressions, scalar
 /// arguments are constant expressions. The binder groups them by kind in
-/// order of appearance.
+/// order of appearance, checks them against the entry's signature and
+/// casts each scalar to its declared type.
 ///
-/// Functions:
-///   KMEANS((data), (initial_centers) [, λ(a,b) dist] [, max_iter])
-///   PAGERANK((edges) [, damping [, epsilon [, max_iter]]] [, λ(e) weight])
-///   NAIVE_BAYES_TRAIN((labeled))           -- first column = class label
-///   NAIVE_BAYES_PREDICT((model), (data))
-///   SUMMARIZE((labeled))                    -- stats building block (§6.2)
-///   SODA_FAULT_SITES()                      -- introspection: the fault
-///                                              injection registry
-///                                              (util/fault_sites.h)
+/// Each function is one entry (name, signature, bind, run) of the static
+/// table in table_function.cc, next to its usage line; adding a function
+/// is adding an entry there.
 
 #ifndef SODA_EXEC_TABLE_FUNCTION_H_
 #define SODA_EXEC_TABLE_FUNCTION_H_
 
-#include <string>
+#include <string_view>
 #include <vector>
 
+#include "storage/table.h"
 #include "types/schema.h"
 #include "types/value.h"
 #include "util/status.h"
 
 namespace soda {
 
-/// True if `lower_name` names a registered analytics table function.
-bool IsTableFunction(const std::string& lower_name);
+class LambdaKernel;
+struct ExecContext;
+struct PlanNode;
 
-/// Static shape of one table function, consulted by the binder.
+/// Static shape of one table function's argument list.
 struct TableFunctionSignature {
-  size_t num_relations;   ///< required relation arguments
-  size_t min_scalars;
-  size_t max_scalars;
-  size_t max_lambdas;
-  /// For each possible lambda: which relation args form its tuple
-  /// parameters (indices into the relation list). One entry = unary
-  /// lambda, two = binary.
+  size_t num_relations = 0;  ///< required relation arguments
+  /// Per accepted lambda: the relation args (indices) forming its tuple
+  /// parameters; one = unary lambda, two = binary.
   std::vector<std::vector<size_t>> lambda_param_relations;
+  size_t min_scalars = 0;
+  std::vector<DataType> scalar_types;  ///< one per accepted scalar
 };
 
-/// Signature lookup; KeyError for unknown names.
-Result<TableFunctionSignature> GetTableFunctionSignature(
-    const std::string& lower_name);
+/// What `run` receives; scalars are already cast to the signature's types.
+struct TableFunctionCall {
+  const std::vector<TablePtr>& inputs;
+  const std::vector<Value>& scalars;
+  const std::vector<LambdaKernel>& lambdas;
+  ExecContext& ctx;
+};
 
-/// Computes the output schema from the bound inputs (the binder's last
-/// step). Validates input schemas (e.g. numeric columns for k-Means).
-Result<Schema> InferTableFunctionSchema(
-    const std::string& lower_name, const std::vector<Schema>& relation_schemas,
-    const std::vector<Value>& scalar_args);
+/// One registry entry.
+struct TableFunction {
+  const char* name;  ///< lower-case SQL name
+  TableFunctionSignature signature;
+  /// Validates the relation input schemas; returns the output schema.
+  Result<Schema> (*bind)(const std::vector<Schema>& inputs);
+  Result<TablePtr> (*run)(const TableFunctionCall& call);
+};
+
+/// The entry named `lower_name`, or null.
+const TableFunction* FindTableFunction(std::string_view lower_name);
+
+/// Runs a kTableFunction node over its already materialized relation
+/// inputs: looks up the entry, compiles the lambdas and calls `run`.
+Result<TablePtr> ExecuteTableFunctionWithInputs(
+    const PlanNode& plan, const std::vector<TablePtr>& inputs,
+    ExecContext& ctx);
 
 }  // namespace soda
 

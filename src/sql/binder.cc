@@ -533,8 +533,9 @@ Result<PlanPtr> Binder::BindIterate(const TableRef& ref) {
 
 Result<PlanPtr> Binder::BindTableFunction(const TableRef& ref) {
   std::string name = ToLower(ref.name);
-  SODA_ASSIGN_OR_RETURN(TableFunctionSignature sig,
-                        GetTableFunctionSignature(name));
+  const TableFunction* fn = FindTableFunction(name);
+  if (fn == nullptr) return Status::KeyError("unknown table function: " + name);
+  const TableFunctionSignature& sig = fn->signature;
 
   // Partition arguments by kind, preserving per-kind order.
   std::vector<PlanPtr> relations;
@@ -555,9 +556,10 @@ Result<PlanPtr> Binder::BindTableFunction(const TableRef& ref) {
     }
   }
 
-  if (lambda_args.size() > sig.max_lambdas) {
+  const size_t lambda_limit = sig.lambda_param_relations.size();
+  if (lambda_args.size() > lambda_limit) {
     return Status::BindError(name + " accepts at most " +
-                             std::to_string(sig.max_lambdas) +
+                             std::to_string(lambda_limit) +
                              " lambda argument(s)");
   }
   if (relations.size() != sig.num_relations) {
@@ -566,6 +568,20 @@ Result<PlanPtr> Binder::BindTableFunction(const TableRef& ref) {
                              " relation argument(s), got " +
                              std::to_string(relations.size()));
   }
+  if (scalar_args.size() < sig.min_scalars ||
+      scalar_args.size() > sig.scalar_types.size()) {
+    return Status::BindError(name + ": wrong number of scalar arguments");
+  }
+  // Each scalar takes its declared type, so operators read it unchecked.
+  for (size_t i = 0; i < scalar_args.size(); ++i) {
+    Value& v = scalar_args[i];
+    if (v.is_null() || !IsNumeric(v.type())) {
+      return Status::TypeError(name + ": scalar argument " +
+                               std::to_string(i + 1) +
+                               " must be numeric, got " + v.ToString());
+    }
+    SODA_ASSIGN_OR_RETURN(v, v.CastTo(sig.scalar_types[i]));
+  }
 
   std::vector<Schema> relation_schemas;
   relation_schemas.reserve(relations.size());
@@ -573,7 +589,7 @@ Result<PlanPtr> Binder::BindTableFunction(const TableRef& ref) {
 
   auto node = std::make_unique<PlanNode>(PlanKind::kTableFunction);
   node->function_name = name;
-  node->scalar_args = scalar_args;
+  node->scalar_args = std::move(scalar_args);
 
   // Bind lambdas: parameters are tuple variables over the relation inputs
   // designated by the signature (paper §7: "the operator expects a lambda
@@ -609,9 +625,7 @@ Result<PlanPtr> Binder::BindTableFunction(const TableRef& ref) {
     node->lambdas.push_back(std::move(bound));
   }
 
-  SODA_ASSIGN_OR_RETURN(
-      Schema out_schema,
-      InferTableFunctionSchema(name, relation_schemas, scalar_args));
+  SODA_ASSIGN_OR_RETURN(Schema out_schema, fn->bind(relation_schemas));
   node->schema =
       out_schema.WithQualifier(ref.alias.empty() ? name : ref.alias);
   for (auto& r : relations) node->children.push_back(std::move(r));

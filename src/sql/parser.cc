@@ -585,7 +585,8 @@ class Parser {
     }
     std::string name = Peek().text;
     // Table function call.
-    if (IsTableFunction(name) && Peek(1).type == TokenType::kLParen) {
+    if (FindTableFunction(name) != nullptr &&
+        Peek(1).type == TokenType::kLParen) {
       Advance();
       Advance();  // (
       auto ref = std::make_unique<TableRef>(TableRefKind::kTableFunction);

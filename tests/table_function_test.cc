@@ -209,6 +209,61 @@ TEST_F(TableFunctionTest, BindingErrors) {
               "SELECT * FROM NAIVE_BAYES_PREDICT((SELECT x FROM data), "
               "(SELECT x FROM data))",
               StatusCode::kBindError);
+  // Arity: too many scalars, a second lambda, a lambda with the wrong
+  // number of tuple parameters, arguments to a zero-argument function.
+  ExpectError(engine_,
+              "SELECT * FROM PAGERANK((SELECT src, dest FROM edges), "
+              "0.85, 0.0, 5, 1)",
+              StatusCode::kBindError);
+  ExpectError(engine_,
+              "SELECT * FROM PAGERANK((SELECT src, dest FROM edges), "
+              "λ(e) 1.0, λ(e) 2.0)",
+              StatusCode::kBindError);
+  ExpectError(engine_,
+              "SELECT * FROM KMEANS((SELECT x, y FROM data), "
+              "(SELECT x, y FROM center), λ(a) a.x)",
+              StatusCode::kBindError);
+  ExpectError(engine_,
+              "SELECT * FROM SODA_STATUS((SELECT x FROM data))",
+              StatusCode::kBindError);
+  ExpectError(engine_, "SELECT * FROM SODA_STATUS(1)",
+              StatusCode::kBindError);
+  // Scalars take their declared type; NULL and text are TypeErrors, not
+  // aborts inside the operator.
+  ExpectError(engine_,
+              "SELECT * FROM PAGERANK((SELECT src, dest FROM edges), NULL)",
+              StatusCode::kTypeError);
+  ExpectError(engine_,
+              "SELECT * FROM PAGERANK((SELECT src, dest FROM edges), 'abc')",
+              StatusCode::kTypeError);
+  ExpectError(engine_,
+              "SELECT * FROM PAGERANK((SELECT src, dest FROM edges), "
+              "0.85, 0.0001, NULL)",
+              StatusCode::kTypeError);
+  ExpectError(engine_,
+              "SELECT * FROM KMEANS((SELECT x, y FROM data), "
+              "(SELECT x, y FROM center), NULL)",
+              StatusCode::kTypeError);
+  ExpectError(engine_,
+              "SELECT * FROM KMEANS((SELECT x, y FROM data), "
+              "(SELECT x, y FROM center), 3, 'abc')",
+              StatusCode::kTypeError);
+}
+
+TEST_F(TableFunctionTest, ScalarArgumentsTakeTheirDeclaredType) {
+  // An integer damping factor and a fractional iteration cap are cast,
+  // not rejected: 1 means damping 1.0, 2.9 means two iterations.
+  auto as_double = RunQuery(engine_,
+                            "SELECT * FROM PAGERANK((SELECT src, dest FROM "
+                            "edges), 1.0, 0.0, 2) ORDER BY vertex");
+  auto as_int = RunQuery(engine_,
+                         "SELECT * FROM PAGERANK((SELECT src, dest FROM "
+                         "edges), 1, 0, 2.9) ORDER BY vertex");
+  ASSERT_EQ(as_double.num_rows(), as_int.num_rows());
+  for (size_t i = 0; i < as_double.num_rows(); ++i) {
+    EXPECT_EQ(as_double.GetInt(i, 0), as_int.GetInt(i, 0));
+    EXPECT_DOUBLE_EQ(as_double.GetDouble(i, 1), as_int.GetDouble(i, 1));
+  }
 }
 
 TEST_F(TableFunctionTest, LambdaBindsAgainstBothTupleParameters) {

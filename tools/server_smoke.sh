@@ -94,6 +94,26 @@ if [[ "${total}" != "${expected}" ]]; then
 fi
 echo "server_smoke: ${clients} clients committed ${total} rows"
 
+# A malformed table-function call (NULL scalar) must come back as a
+# TypeError to its client and leave the server serving everyone else.
+bad_out="$(printf 'SELECT * FROM PAGERANK((SELECT client, seq FROM smoke), NULL);\n' \
+  | "${shell_bin}" --connect "127.0.0.1:${port}" 2>&1 || true)"
+if ! grep -q '^TypeError' <<<"${bad_out}"; then
+  echo "server_smoke: malformed table-function call got no TypeError:" >&2
+  echo "${bad_out}" >&2
+  cat "${server_log}" >&2
+  exit 1
+fi
+after="$(printf 'SELECT count(*) FROM smoke;\n' \
+  | "${shell_bin}" --connect "127.0.0.1:${port}" | grep -oE '[0-9]+' | tail -1)"
+if [[ "${after}" != "${expected}" ]]; then
+  echo "server_smoke: server stopped answering after a malformed call" \
+    "(count '${after}', want ${expected})" >&2
+  cat "${server_log}" >&2
+  exit 1
+fi
+echo "server_smoke: malformed table-function call rejected, server alive"
+
 # Graceful drain: SIGTERM must exit 0 with the clean-drain banner.
 kill -TERM "${server_pid}"
 server_rc=0
