@@ -23,17 +23,6 @@ uint64_t HashCell(const Column& col, size_t row) {
   return h;
 }
 
-bool CellsEqual(const Column& a, size_t ra, const Column& b, size_t rb) {
-  if (a.IsNull(ra) || b.IsNull(rb)) return false;  // SQL: NULL != NULL
-  if (a.type() == DataType::kVarchar || b.type() == DataType::kVarchar) {
-    return a.type() == b.type() && a.GetString(ra) == b.GetString(rb);
-  }
-  if (a.type() == DataType::kDouble || b.type() == DataType::kDouble) {
-    return a.GetNumeric(ra) == b.GetNumeric(rb);
-  }
-  return a.GetBigInt(ra) == b.GetBigInt(rb);
-}
-
 Result<std::shared_ptr<JoinHashTable>> JoinHashTable::Build(
     TablePtr build, std::vector<size_t> key_cols, QueryGuard* guard) {
   SODA_RETURN_NOT_OK(GuardProbe(guard, kJoinBuildSite));
@@ -93,21 +82,37 @@ Result<std::shared_ptr<JoinHashTable>> JoinHashTable::Build(
   return ht;
 }
 
-void JoinHashTable::ProbeRow(uint64_t hash, const DataChunk& chunk,
-                             const std::vector<size_t>& probe_keys,
-                             size_t row,
-                             std::vector<uint32_t>* matches) const {
-  for (uint32_t i = head_[hash & mask_]; i != kInvalid; i = next_[i]) {
-    if (hashes_[i] != hash) continue;
-    bool equal = true;
-    for (size_t c = 0; c < key_cols_.size(); ++c) {
-      if (!CellsEqual(chunk.column(probe_keys[c]), row,
-                      build_->column(key_cols_[c]), i)) {
-        equal = false;
-        break;
-      }
+void JoinHashTable::GatherCandidates(const uint64_t* hashes, size_t num_rows,
+                                     size_t* row, uint32_t* next, size_t limit,
+                                     std::vector<uint32_t>* probe_sel,
+                                     std::vector<uint32_t>* build_sel) const {
+  size_t r = *row;
+  uint32_t i = *next;
+  // analyze:allow(guard-probe: bounded by one chunk's rows and `limit` pairs)
+  while (r < num_rows && probe_sel->size() < limit) {
+    if (i == kStart) i = head_[hashes[r] & mask_];
+    if (i == kInvalid) {
+      ++r;
+      i = kStart;
+      continue;
     }
-    if (equal) matches->push_back(i);
+    if (hashes_[i] == hashes[r]) {
+      probe_sel->push_back(static_cast<uint32_t>(r));
+      build_sel->push_back(i);
+    }
+    i = next_[i];
+  }
+  *row = r;
+  *next = i;
+}
+
+void JoinHashTable::KeepEqualKeys(const DataChunk& chunk,
+                                  const std::vector<size_t>& probe_keys,
+                                  std::vector<uint32_t>* probe_sel,
+                                  std::vector<uint32_t>* build_sel) const {
+  for (size_t c = 0; c < key_cols_.size() && !probe_sel->empty(); ++c) {
+    KeepEqualCells(chunk.column(probe_keys[c]), build_->column(key_cols_[c]),
+                   probe_sel, build_sel);
   }
 }
 
@@ -134,10 +139,22 @@ Status HashJoinProbeTransform::Apply(DataChunk& chunk,
   std::vector<uint64_t> hashes(n);
   HashRows(cols, 0, n, hashes.data());
 
+  // Batches of at most kChunkCapacity candidate pairs: pass 1 gathers the
+  // hash-equal pairs, pass 2 drops those whose keys differ, and the
+  // survivors are materialized with one bulk gather per column.
   std::vector<uint32_t> probe_sel, build_sel;
   probe_sel.reserve(kChunkCapacity);
   build_sel.reserve(kChunkCapacity);
-  auto flush = [&]() -> Status {
+  size_t row = 0;
+  uint32_t next = JoinHashTable::kStart;
+  // analyze:allow(guard-probe: n is one morsel chunk; ParallelFor probes exec.morsel)
+  while (row < n) {
+    probe_sel.clear();
+    build_sel.clear();
+    table_->GatherCandidates(hashes.data(), n, &row, &next, kChunkCapacity,
+                             &probe_sel, &build_sel);
+    table_->KeepEqualKeys(chunk, probe_keys_, &probe_sel, &build_sel);
+    if (probe_sel.empty()) continue;
     DataChunk out(out_schema_);
     for (size_t c = 0; c < left_cols; ++c) {
       out.column(c).AppendGather(chunk.column(c), probe_sel.data(),
@@ -148,23 +165,8 @@ Status HashJoinProbeTransform::Apply(DataChunk& chunk,
                                              build_sel.data(),
                                              build_sel.size());
     }
-    probe_sel.clear();
-    build_sel.clear();
-    return emit(out);
-  };
-
-  std::vector<uint32_t> matches;
-  // analyze:allow(guard-probe: n is one morsel chunk; ParallelFor probes exec.morsel)
-  for (size_t row = 0; row < n; ++row) {
-    matches.clear();
-    table_->ProbeRow(hashes[row], chunk, probe_keys_, row, &matches);
-    for (uint32_t m : matches) {
-      probe_sel.push_back(static_cast<uint32_t>(row));
-      build_sel.push_back(m);
-      if (probe_sel.size() >= kChunkCapacity) SODA_RETURN_NOT_OK(flush());
-    }
+    SODA_RETURN_NOT_OK(emit(out));
   }
-  if (!probe_sel.empty()) SODA_RETURN_NOT_OK(flush());
   return Status::OK();
 }
 

@@ -21,9 +21,6 @@ namespace soda {
 /// exec/hash_kernels.h — batch code should call those directly.
 uint64_t HashCell(const Column& col, size_t row);
 
-/// True when two cells compare SQL-equal (NULL never equals anything).
-bool CellsEqual(const Column& a, size_t ra, const Column& b, size_t rb);
-
 /// Immutable chaining hash table over the build side of an equi-join.
 ///
 /// Built morsel-parallel: workers hash their morsels with the columnar
@@ -40,12 +37,26 @@ class JoinHashTable {
       TablePtr build, std::vector<size_t> key_cols,
       QueryGuard* guard = nullptr);
 
-  /// Appends the indices of build rows whose keys match probe row
-  /// `(chunk, row)` to `matches`. `hash` is the row's combined key hash
-  /// (from HashRows over the probe key columns).
-  void ProbeRow(uint64_t hash, const DataChunk& chunk,
-                const std::vector<size_t>& probe_keys, size_t row,
-                std::vector<uint32_t>* matches) const;
+  /// Pass 1 of the probe: appends the (probe row, build row) pairs whose
+  /// full key hashes match, walking probe rows from `*row` and the chain
+  /// from `*next`, until `limit` pairs are gathered or the rows run out.
+  /// `hashes` are the probe rows' HashRows values. Resumable: `*row` and
+  /// `*next` say where to continue, so one long chain spans several calls.
+  /// Start with `*row = 0` and `*next = kStart`.
+  void GatherCandidates(const uint64_t* hashes, size_t num_rows, size_t* row,
+                        uint32_t* next, size_t limit,
+                        std::vector<uint32_t>* probe_sel,
+                        std::vector<uint32_t>* build_sel) const;
+
+  /// Pass 2 of the probe: keeps the pairs whose keys are SQL-equal, with
+  /// one typed pass per key column (NULL never matches).
+  void KeepEqualKeys(const DataChunk& chunk,
+                     const std::vector<size_t>& probe_keys,
+                     std::vector<uint32_t>* probe_sel,
+                     std::vector<uint32_t>* build_sel) const;
+
+  /// Chain cursor meaning "start at the bucket head of the current row".
+  static constexpr uint32_t kStart = 0xFFFFFFFEu;
 
   const Table& build_table() const { return *build_; }
   size_t num_buckets() const { return head_.size(); }
@@ -74,9 +85,10 @@ class JoinHashTable {
 };
 
 /// Streaming probe: emits probe-row ++ build-row concatenations.
-/// Vectorized: the whole chunk's key hashes are computed up front with the
-/// columnar kernels, matches are gathered into selection vectors, and the
-/// output is materialized with one bulk gather per column.
+/// Vectorized in two passes per batch of up to kChunkCapacity pairs: the
+/// chunk's key hashes come from the columnar kernels, pass 1 gathers the
+/// hash-equal candidate pairs, pass 2 verifies the keys one typed column
+/// at a time, and the output is one bulk gather per column.
 class HashJoinProbeTransform : public Transform {
  public:
   HashJoinProbeTransform(std::shared_ptr<const JoinHashTable> table,

@@ -69,6 +69,21 @@ void HashRows(const std::vector<const Column*>& cols, size_t begin,
 /// touch one row at a time).
 uint64_t HashRow(const std::vector<const Column*>& cols, size_t row);
 
+/// True when row `ra` of `a` and row `rb` of `b` are SQL-equal: BIGINT/BOOL
+/// exactly, DOUBLE by CompareDoubles (NaN equals NaN, -0.0 equals 0.0),
+/// mixed numeric as DOUBLE, VARCHAR bytewise, VARCHAR against a number
+/// never. NULL never equals anything. Grouping builds on it; the join probe
+/// uses the batch form below, which shares its definition.
+bool CellsEqual(const Column& a, size_t ra, const Column& b, size_t rb);
+
+/// Keeps the row pairs (a_rows[k], b_rows[k]) whose cells in `a` and `b`
+/// are equal by CellsEqual's rule, compacting both selections in place
+/// with one typed pass. The join probe's key verification, one call per
+/// key column.
+void KeepEqualCells(const Column& a, const Column& b,
+                    std::vector<uint32_t>* a_rows,
+                    std::vector<uint32_t>* b_rows);
+
 }  // namespace soda
 
 #endif  // SODA_EXEC_HASH_KERNELS_H_

@@ -67,9 +67,10 @@ KeyViews MakeKeyViews(const std::vector<Column>& keys,
 
 /// Three-way compare of row `a` of `x` against row `b` of `y` (two views
 /// of one key) with the same ordering as Value::operator< (NULLs sort
-/// before values, varchar by string compare) — except BIGINT keys compare
-/// exactly instead of through the boxed double conversion the old
-/// comparator paid per element.
+/// before values, varchar by string compare, DOUBLE by CompareDoubles so
+/// NaN sorts after every number) — except BIGINT keys compare exactly
+/// instead of through the boxed double conversion the old comparator paid
+/// per element.
 int CompareKey(const TypedKeyView& x, size_t a, const TypedKeyView& y,
                size_t b) {
   const bool na = x.validity && x.validity[a] == 0;
@@ -85,13 +86,7 @@ int CompareKey(const TypedKeyView& x, size_t a, const TypedKeyView& y,
     if (r < l) return 1;
     return 0;
   }
-  if (x.f64) {
-    const double l = x.f64[a];
-    const double r = y.f64[b];
-    if (l < r) return -1;
-    if (l > r) return 1;
-    return 0;
-  }
+  if (x.f64) return CompareDoubles(x.f64[a], y.f64[b]);
   const int64_t l = x.i64[a];
   const int64_t r = y.i64[b];
   if (l < r) return -1;

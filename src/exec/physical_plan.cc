@@ -49,8 +49,7 @@ class FilterTransform : public Transform {
     DataChunk out;
     for (size_t c = 0; c < chunk.num_columns(); ++c) {
       Column col(chunk.column(c).type());
-      col.Reserve(selection.size());
-      for (uint32_t i : selection) col.AppendFrom(chunk.column(c), i);
+      col.AppendGather(chunk.column(c), selection.data(), selection.size());
       out.AddColumn(std::move(col));
     }
     return emit(out);
@@ -926,13 +925,20 @@ Status PhysicalPlan::RunStreaming(PhysicalPipeline& p, ExecContext& ctx) {
             auto& m = p.transform_ops[idx]->metrics;
             m.rows_in.fetch_add(c.num_rows(), kRelaxed);
             m.chunks.fetch_add(1, kRelaxed);
+            uint64_t downstream = 0;
             const uint64_t s0 = NowNanos();
             Status st = p.transforms[idx]->Apply(
                 c, [&](DataChunk& next) -> Status {
                   m.rows_out.fetch_add(next.num_rows(), kRelaxed);
-                  return apply(next, idx + 1);
+                  const uint64_t d0 = NowNanos();
+                  Status down = apply(next, idx + 1);
+                  downstream += NowNanos() - d0;
+                  return down;
                 });
-            m.nanos.fetch_add(NowNanos() - s0, kRelaxed);
+            const uint64_t total = NowNanos() - s0;
+            m.nanos.fetch_add(total, kRelaxed);
+            m.self_nanos.fetch_add(total - std::min(total, downstream),
+                                   kRelaxed);
             return st;
           };
           Status st = apply(chunk, 0);
@@ -1026,6 +1032,9 @@ std::string PhysicalPlan::ToString(bool analyze) const {
         line += " chunks=" + std::to_string(m.chunks.load(kRelaxed));
       }
       line += " time=" + FormatTime(m.nanos.load(kRelaxed));
+      if (r.kind == StageKind::kTransform) {
+        line += " self=" + FormatTime(m.self_nanos.load(kRelaxed));
+      }
       out += line + "\n";
     }
     out += "  bytes_reserved=" + std::to_string(p.bytes_reserved) + "\n";

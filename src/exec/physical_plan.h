@@ -53,6 +53,9 @@ struct OperatorMetrics {
   std::atomic<uint64_t> nanos{0};     ///< wall time, inclusive of the
                                       ///< downstream chain it pushed into
                                       ///< (like Postgres' "actual time")
+  std::atomic<uint64_t> self_nanos{0};  ///< streaming transforms: `nanos`
+                                        ///< minus the time spent in the
+                                        ///< downstream chain
 };
 
 /// One display/metrics row of the physical plan (a source, transform,

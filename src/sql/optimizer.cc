@@ -154,9 +154,10 @@ bool NormalizeConstant(const Value& literal, DataType col_type, Value* out) {
       }
       if (literal.type() == DataType::kDouble) {
         const double d = literal.double_value();
-        if (d < -9.2e18 || d > 9.2e18) return false;
-        const int64_t i = static_cast<int64_t>(d);
-        if (static_cast<double>(i) != d) return false;  // not integral
+        int64_t i = 0;
+        if (!DoubleToBigInt(d, &i) || static_cast<double>(i) != d) {
+          return false;  // NaN, out of range or not integral
+        }
         *out = Value::BigInt(i);
         return true;
       }
@@ -248,6 +249,14 @@ void PruneScanPartitions(PlanNode* scan, const PartitionSpec& spec) {
     std::vector<uint8_t> allow(spec.num_partitions, 0);
     if (spec.kind == PartitionSpec::Kind::kHash) {
       if (pred.op != CompareOp::kEq) continue;
+      // Hashing reads a DOUBLE's bits, but -0.0 equals 0.0 and every NaN
+      // equals every other (CompareDoubles): those constants cannot name
+      // one partition.
+      if (pred.constant.type() == DataType::kDouble &&
+          (pred.constant.double_value() == 0.0 ||
+           std::isnan(pred.constant.double_value()))) {
+        continue;
+      }
       allow[PartitionOfValue(spec, pred.constant)] = 1;
     } else {
       const int64_t v = pred.constant.AsBigInt();

@@ -141,26 +141,27 @@ void Column::AppendGather(const Column& other, const uint32_t* rows,
   const bool need_validity = other_has_validity || !validity_.empty();
   if (need_validity && validity_.empty()) validity_.assign(size(), 1);
   const size_t old = size();
+  // Numeric payloads and validity are sized once and written in place.
+  auto gather = [rows, count, old](auto& dst, const auto& src) {
+    dst.resize(old + count);
+    auto* out = dst.data() + old;
+    for (size_t i = 0; i < count; ++i) out[i] = src[rows[i]];
+  };
   switch (type_) {
     case DataType::kVarchar:
       str_.reserve(old + count);
       for (size_t i = 0; i < count; ++i) str_.push_back(other.str_[rows[i]]);
       break;
     case DataType::kDouble:
-      f64_.reserve(old + count);
-      for (size_t i = 0; i < count; ++i) f64_.push_back(other.f64_[rows[i]]);
+      gather(f64_, other.f64_);
       break;
     default:
-      i64_.reserve(old + count);
-      for (size_t i = 0; i < count; ++i) i64_.push_back(other.i64_[rows[i]]);
+      gather(i64_, other.i64_);
       break;
   }
   if (need_validity) {
-    validity_.reserve(old + count);
     if (other_has_validity) {
-      for (size_t i = 0; i < count; ++i) {
-        validity_.push_back(other.validity_[rows[i]]);
-      }
+      gather(validity_, other.validity_);
     } else {
       validity_.insert(validity_.end(), count, 1);
     }

@@ -1,6 +1,8 @@
 #include "storage/segment.h"
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 #include <unordered_map>
 
 #include "storage/serde.h"
@@ -103,6 +105,7 @@ void ComputeNumericStats(const Column& src, size_t offset, size_t count,
     if (src.IsNull(offset + i)) continue;
     if (src.type() == DataType::kDouble) {
       double v = src.GetDouble(offset + i);
+      if (std::isnan(v)) continue;  // has_nan comes from the payload
       if (!st.has_minmax) {
         st.min_f64 = st.max_f64 = v;
         st.has_minmax = true;
@@ -121,6 +124,13 @@ void ComputeNumericStats(const Column& src, size_t offset, size_t count,
       }
     }
   }
+}
+
+/// Sets stats.has_nan from a DOUBLE segment's payload (NULL rows hold 0).
+void NoteNaN(Segment* seg) {
+  seg->stats.has_nan =
+      std::any_of(seg->f64.begin(), seg->f64.end(),
+                  [](double v) { return std::isnan(v); });
 }
 
 /// Counts payload runs (null rows participate with their zero payload, so
@@ -287,6 +297,7 @@ Result<SegmentPtr> EncodeSegment(const Column& src, size_t offset,
       break;
     case DataType::kDouble:
       EncodeF64(src, offset, count, seg.get());
+      NoteNaN(seg.get());
       break;
     default:
       EncodeI64(src, offset, count, seg.get());
@@ -556,40 +567,41 @@ std::string ScanPredicate::ToString(const std::string& column_name) const {
 
 namespace {
 
-template <typename T>
-bool Compare(CompareOp op, const T& lhs, const T& rhs) {
+/// Does `v <op> c` hold, given `cmp`, the sign of a three-way compare of
+/// v against c?
+bool Holds(CompareOp op, int cmp) {
   switch (op) {
     case CompareOp::kEq:
-      return lhs == rhs;
+      return cmp == 0;
     case CompareOp::kLt:
-      return lhs < rhs;
+      return cmp < 0;
     case CompareOp::kLe:
-      return lhs <= rhs;
+      return cmp <= 0;
     case CompareOp::kGt:
-      return lhs > rhs;
+      return cmp > 0;
     case CompareOp::kGe:
-      return lhs >= rhs;
+      return cmp >= 0;
   }
   return true;
 }
 
-/// Can any value in [lo, hi] satisfy `v <op> c`?
-template <typename T>
-bool RangeMayMatch(CompareOp op, T lo, T hi, T c) {
+/// Can some v in [lo, hi] satisfy `v <op> c`? `lo_cmp` and `hi_cmp` are
+/// the three-way compares of lo and hi against c.
+bool RangeMayMatch(CompareOp op, int lo_cmp, int hi_cmp) {
   switch (op) {
     case CompareOp::kEq:
-      return lo <= c && c <= hi;
+      return lo_cmp <= 0 && hi_cmp >= 0;
     case CompareOp::kLt:
-      return lo < c;
     case CompareOp::kLe:
-      return lo <= c;
+      return Holds(op, lo_cmp);
     case CompareOp::kGt:
-      return hi > c;
     case CompareOp::kGe:
-      return hi >= c;
+      return Holds(op, hi_cmp);
   }
   return true;
 }
+
+int CompareI64(int64_t a, int64_t b) { return (a > b) - (a < b); }
 
 }  // namespace
 
@@ -598,20 +610,27 @@ bool SegmentMayMatch(const Segment& seg, const ScanPredicate& pred) {
   if (seg.stats.null_count == seg.stats.row_count) {
     return false;  // comparisons never match NULL
   }
+  const SegmentStats& st = seg.stats;
   if (seg.type == DataType::kDouble) {
-    if (!seg.stats.has_minmax || pred.constant.type() != DataType::kDouble) {
+    // Files written before NaN had an order may hold a NaN bound.
+    if (!st.has_minmax || pred.constant.type() != DataType::kDouble ||
+        std::isnan(st.min_f64) || std::isnan(st.max_f64)) {
       return true;
     }
-    return RangeMayMatch(pred.op, seg.stats.min_f64, seg.stats.max_f64,
-                         pred.constant.double_value());
+    // NaN sorts after every number, so a NaN row raises the range's top.
+    const double c = pred.constant.double_value();
+    const double hi =
+        st.has_nan ? std::numeric_limits<double>::quiet_NaN() : st.max_f64;
+    return RangeMayMatch(pred.op, CompareDoubles(st.min_f64, c),
+                         CompareDoubles(hi, c));
   }
   if (seg.type == DataType::kBigInt || seg.type == DataType::kBool) {
-    if (!seg.stats.has_minmax ||
-        pred.constant.type() != DataType::kBigInt) {
+    if (!st.has_minmax || pred.constant.type() != DataType::kBigInt) {
       return true;
     }
-    return RangeMayMatch(pred.op, seg.stats.min_i64, seg.stats.max_i64,
-                         pred.constant.bigint_value());
+    const int64_t c = pred.constant.bigint_value();
+    return RangeMayMatch(pred.op, CompareI64(st.min_i64, c),
+                         CompareI64(st.max_i64, c));
   }
   return true;  // varchar: no ordering stats in the footer
 }
@@ -628,7 +647,7 @@ void SegmentMatchRows(const Segment& seg, size_t offset, size_t count,
       // One comparison per dictionary entry, then a code scan.
       std::vector<uint8_t> hit(seg.strs.size());
       for (size_t d = 0; d < seg.strs.size(); ++d) {
-        hit[d] = Compare(pred.op, seg.strs[d], want) ? 1 : 0;
+        hit[d] = Holds(pred.op, seg.strs[d].compare(want)) ? 1 : 0;
       }
       for (size_t i = offset; i < offset + count; ++i) {
         if (valid(i) && hit[UnpackBit(seg.packed, i, seg.bit_width)]) {
@@ -638,7 +657,7 @@ void SegmentMatchRows(const Segment& seg, size_t offset, size_t count,
       return;
     }
     for (size_t i = offset; i < offset + count; ++i) {
-      if (valid(i) && Compare(pred.op, seg.strs[i], want)) {
+      if (valid(i) && Holds(pred.op, seg.strs[i].compare(want))) {
         sel->push_back(static_cast<uint32_t>(i));
       }
     }
@@ -649,7 +668,7 @@ void SegmentMatchRows(const Segment& seg, size_t offset, size_t count,
     ForEachRow(seg, offset, count, [&](size_t i, size_t run) {
       const double v =
           seg.encoding == SegmentEncoding::kRle ? seg.f64[run] : seg.f64[i];
-      if (valid(i) && Compare(pred.op, v, c)) {
+      if (valid(i) && Holds(pred.op, CompareDoubles(v, c))) {
         sel->push_back(static_cast<uint32_t>(i));
       }
     });
@@ -659,7 +678,7 @@ void SegmentMatchRows(const Segment& seg, size_t offset, size_t count,
   ForEachRow(seg, offset, count, [&](size_t i, size_t run) {
     const int64_t v =
         seg.encoding == SegmentEncoding::kRle ? seg.i64[run] : I64At(seg, i);
-    if (valid(i) && Compare(pred.op, v, c)) {
+    if (valid(i) && Holds(pred.op, CompareI64(v, c))) {
       sel->push_back(static_cast<uint32_t>(i));
     }
   });
@@ -742,6 +761,7 @@ Result<SegmentPtr> ReadSegment(BinaryReader* r) {
   SODA_RETURN_NOT_OK(ReadPod(r, &seg->run_ends));
   SODA_RETURN_NOT_OK(ReadPod(r, &seg->packed));
   SODA_RETURN_NOT_OK(ReadPod(r, &seg->validity));
+  NoteNaN(seg.get());
   SODA_ASSIGN_OR_RETURN(uint64_t num_strs, r->U64());
   seg->strs.reserve(std::min<uint64_t>(num_strs, r->remaining()));
   for (uint64_t i = 0; i < num_strs; ++i) {

@@ -52,10 +52,16 @@ struct SegmentStats {
   uint64_t null_count = 0;
   /// Distinct non-null values for kDict segments; 0 (= unknown) otherwise.
   uint64_t distinct = 0;
-  /// True when min/max below are valid (at least one non-null numeric row).
+  /// True when min/max below are valid (at least one non-null numeric row;
+  /// for kDouble, one that is not NaN).
   bool has_minmax = false;
   int64_t min_i64 = 0, max_i64 = 0;  // kBigInt / kBool
-  double min_f64 = 0, max_f64 = 0;   // kDouble
+  double min_f64 = 0, max_f64 = 0;   // kDouble, NaN excluded
+  /// kDouble: some non-null row is NaN, which sorts after every number
+  /// (CompareDoubles). Not serialized: EncodeSegment and ReadSegment derive
+  /// it from the payload, so it also holds for files written before NaN
+  /// had an order.
+  bool has_nan = false;
 };
 
 /// One immutable encoded run of rows of a single column. Which payload

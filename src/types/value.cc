@@ -44,6 +44,11 @@ Result<Value> Value::CastTo(DataType target) const {
       if (IsNumeric(type_)) return Value::Bool(AsDouble() != 0.0);
       break;
     case DataType::kBigInt:
+      if (type_ == DataType::kDouble) {
+        int64_t v = 0;
+        return DoubleToBigInt(double_value(), &v) ? Value::BigInt(v)
+                                                  : Value::Null(target);
+      }
       if (IsNumeric(type_) || type_ == DataType::kBool) {
         return Value::BigInt(AsBigInt());
       }
@@ -103,7 +108,7 @@ bool Value::operator==(const Value& other) const {
   if (type_ == DataType::kVarchar || other.type_ == DataType::kVarchar) {
     return type_ == other.type_ && varchar_value() == other.varchar_value();
   }
-  return AsDouble() == other.AsDouble();
+  return CompareDoubles(AsDouble(), other.AsDouble()) == 0;
 }
 
 bool Value::operator<(const Value& other) const {
@@ -112,7 +117,7 @@ bool Value::operator<(const Value& other) const {
   if (type_ == DataType::kVarchar && other.type_ == DataType::kVarchar) {
     return varchar_value() < other.varchar_value();
   }
-  return AsDouble() < other.AsDouble();
+  return CompareDoubles(AsDouble(), other.AsDouble()) < 0;
 }
 
 }  // namespace soda

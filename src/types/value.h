@@ -6,6 +6,7 @@
 #ifndef SODA_TYPES_VALUE_H_
 #define SODA_TYPES_VALUE_H_
 
+#include <cmath>
 #include <cstdint>
 #include <string>
 #include <variant>
@@ -75,6 +76,29 @@ class Value {
   bool null_;
   std::variant<int64_t, double, std::string> payload_;
 };
+
+/// Three-way DOUBLE compare: negative, zero or positive as `a` sorts
+/// before, equal to or after `b`. PostgreSQL's rule makes it a total
+/// order: NaN equals NaN and sorts after every number; -0.0 equals 0.0.
+/// Comparisons, ORDER BY, join keys, grouping and scan pushdown (zone
+/// maps included) all use it.
+inline int CompareDoubles(double a, double b) {
+  if (a < b) return -1;
+  if (a > b) return 1;
+  if (a == b) return 0;
+  const bool a_nan = std::isnan(a);  // at least one side is NaN here
+  return a_nan == std::isnan(b) ? 0 : (a_nan ? 1 : -1);
+}
+
+/// DOUBLE -> BIGINT, truncating toward zero. False for NaN and for values
+/// outside BIGINT's range [-2^63, 2^63), where a plain cast is undefined;
+/// CAST and the integral math functions make those rows NULL.
+inline bool DoubleToBigInt(double d, int64_t* out) {
+  constexpr double kTwo63 = 9223372036854775808.0;
+  if (!(d >= -kTwo63 && d < kTwo63)) return false;
+  *out = static_cast<int64_t>(d);
+  return true;
+}
 
 }  // namespace soda
 

@@ -251,5 +251,95 @@ TEST_F(ExecSqlTest, DivisionByZeroYieldsNull) {
   EXPECT_TRUE(r.IsNull(0, 0));
 }
 
+TEST_F(ExecSqlTest, NaNComparesEqualToItselfAndSortsLast) {
+  // x / y: id 1 and 6 are NaN, 2 is 7, 3 is +inf, 4 is -inf, 5 is 3.
+  RunQuery(engine_, "CREATE TABLE f (id INTEGER, x FLOAT, y FLOAT)");
+  RunQuery(engine_,
+           "INSERT INTO f VALUES (1, 0.0, 0.0), (2, 14.0, 2.0), "
+           "(3, 1.0, 0.0), (4, -1.0, 0.0), (5, 3.0, 1.0), (6, 0.0, 0.0)");
+  auto count = [&](const std::string& where) {
+    return RunQuery(engine_, "SELECT count(*) FROM f WHERE " + where)
+        .GetInt(0, 0);
+  };
+  EXPECT_EQ(count("x / y = 7.0"), 1);
+  EXPECT_EQ(count("x / y <> 7.0"), 5);
+  EXPECT_EQ(count("x / y = x / y"), 6);
+  EXPECT_EQ(count("x / y > 1e300"), 3);  // +inf and both NaNs
+  EXPECT_EQ(count("x / y < 0"), 1);
+
+  auto ids = [&](const std::string& order) {
+    return IntColumn(RunQuery(engine_, "SELECT id FROM f ORDER BY " + order),
+                     0);
+  };
+  EXPECT_EQ(ids("x / y, id"), (std::vector<int64_t>{4, 5, 2, 3, 1, 6}));
+  EXPECT_EQ(ids("x / y DESC, id"), (std::vector<int64_t>{1, 6, 3, 2, 5, 4}));
+  EXPECT_EQ(ids("x / y LIMIT 3"), (std::vector<int64_t>{4, 5, 2}));
+  EXPECT_EQ(ids("x / y DESC LIMIT 2"), (std::vector<int64_t>{1, 6}));
+
+  // Grouping and joins use the same rule: the NaNs form one group and
+  // join each other.
+  EXPECT_EQ(RunQuery(engine_,
+                     "SELECT count(*) FROM (SELECT q, count(*) c FROM "
+                     "(SELECT x / y q FROM f) s GROUP BY q) g")
+                .GetInt(0, 0),
+            5);
+  EXPECT_EQ(RunQuery(engine_,
+                     "SELECT count(*) FROM (SELECT id, x / y q FROM f) a "
+                     "JOIN (SELECT id, x / y q FROM f) b ON a.q = b.q")
+                .GetInt(0, 0),
+            8);
+}
+
+TEST_F(ExecSqlTest, NaNPushdownOnSealedTablesMatchesTheVolatileTable) {
+  // v: NaN first (ids 1 and 6), 7, +inf, -inf, 3, -0.0.
+  RunQuery(engine_, "CREATE TABLE f (id INTEGER, x FLOAT, y FLOAT)");
+  RunQuery(engine_,
+           "INSERT INTO f VALUES (1, 0.0, 0.0), (2, 14.0, 2.0), "
+           "(3, 1.0, 0.0), (4, -1.0, 0.0), (5, 3.0, 1.0), (6, 0.0, 0.0), "
+           "(7, 0.0, -1.0)");
+  const std::vector<std::string> tables = {"q", "qs", "qv", "qi"};
+  RunQuery(engine_, "CREATE TABLE q (id INTEGER, v FLOAT)");
+  RunQuery(engine_, "CREATE TABLE qs (id INTEGER, v FLOAT)");
+  RunQuery(engine_,
+           "CREATE TABLE qv (id INTEGER, v FLOAT) "
+           "PARTITION BY HASH(v) PARTITIONS 4");
+  RunQuery(engine_,
+           "CREATE TABLE qi (id INTEGER, v FLOAT) "
+           "PARTITION BY HASH(id) PARTITIONS 3");
+  for (const std::string& t : tables) {
+    RunQuery(engine_, "INSERT INTO " + t + " SELECT id, x / y FROM f");
+    if (t == "q") continue;
+    // Replace the table with a sealed copy of its rows.
+    auto old = engine_.catalog().GetTable(t);
+    ASSERT_OK(old.status());
+    DataChunk rows;
+    (*old)->ScanSlice(0, (*old)->num_rows(), &rows);
+    auto sealed = std::make_shared<Table>(t, (*old)->schema());
+    sealed->set_partition_spec((*old)->partition_spec());
+    for (size_t c = 0; c < 2; ++c) {
+      ASSERT_OK(sealed->SetColumn(c, rows.column(c)));
+    }
+    ASSERT_OK(sealed->Seal());
+    ASSERT_OK(engine_.catalog().ReplaceTable(t, sealed));
+  }
+
+  const std::vector<std::pair<std::string, int64_t>> cases = {
+      {"v = 7.0", 1},       {"v <> 7.0", 6},  {"v > 1e300", 3},
+      {"v >= 1e300", 3},    {"v < 0", 1},     {"v <= 3.0", 3},
+      {"v = 0.0", 1},       {"v = -0.0", 1},  {"v > 0.0 / 0.0", 0},
+      {"v = 0.0 / 0.0", 2}, {"v < 0.0 / 0.0", 5},
+      {"v > 1e300 AND id > 1", 2}};
+  for (const auto& [where, want] : cases) {
+    for (const std::string& t : tables) {
+      const std::string sql = "SELECT count(*) FROM " + t + " WHERE " + where;
+      EXPECT_EQ(RunQuery(engine_, sql).GetInt(0, 0), want) << sql;
+    }
+  }
+  // The predicate reaches the sealed scan, so the cases above test it.
+  auto plan = engine_.Explain("SELECT count(*) FROM qs WHERE v > 1e300");
+  ASSERT_OK(plan.status());
+  EXPECT_NE(plan->find("pushed[v >"), std::string::npos) << *plan;
+}
+
 }  // namespace
 }  // namespace soda

@@ -135,6 +135,53 @@ TEST_F(ExplainTest, AnalyzeJoinAggregateReportsPerOperatorRows) {
   EXPECT_EQ(Metric(text, "Aggregate", "rows_out"), 3) << text;
 }
 
+TEST_F(ExplainTest, AnalyzePrintsSelfTimeOnStreamingTransforms) {
+  auto r = RunQuery(engine_,
+                    "EXPLAIN ANALYZE SELECT t.b * 2 + 1 FROM t "
+                    "JOIN u ON t.a = u.a WHERE t.b > 1.0");
+  const std::string text = ExplainText(r);
+  const std::string pipelines = text.substr(text.find("=== Pipelines ==="));
+  auto field = [](const std::string& line, const std::string& key) {
+    const size_t at = line.find(key + "=");
+    return at == std::string::npos
+               ? -1.0
+               : std::strtod(line.c_str() + at + key.size() + 1, nullptr);
+  };
+  // Each pipeline's stage lines in order; a transform's time covers its
+  // own work plus the stages downstream of it, so self + the next
+  // transform's time never exceeds time (up to the 1 us print rounding).
+  // A sink's time also holds its Finalize, so it is not compared.
+  size_t transforms = 0;
+  size_t pos = 0;
+  std::string prev;
+  while (pos < pipelines.size()) {
+    size_t eol = pipelines.find('\n', pos);
+    if (eol == std::string::npos) eol = pipelines.size();
+    const std::string line = pipelines.substr(pos, eol - pos);
+    pos = eol + 1;
+    if (line.rfind("  ", 0) != 0 || line.find("time=") == std::string::npos) {
+      prev.clear();
+      continue;
+    }
+    const bool transform = line.find("Filter") != std::string::npos ||
+                           line.find("HashJoinProbe") != std::string::npos ||
+                           line.find("Project") != std::string::npos;
+    EXPECT_EQ(line.find("self=") != std::string::npos, transform) << line;
+    if (!prev.empty() && transform) {
+      EXPECT_LE(field(prev, "self") + field(line, "time"),
+                field(prev, "time") + 0.002)
+          << prev << "\n" << line;
+    }
+    if (transform) {
+      ++transforms;
+      EXPECT_GE(field(line, "self"), 0.0) << line;
+      EXPECT_LE(field(line, "self"), field(line, "time")) << line;
+    }
+    prev = transform ? line : "";
+  }
+  EXPECT_GE(transforms, 2u) << text;
+}
+
 TEST_F(ExplainTest, AnalyzeIterateReportsResultRows) {
   auto r = RunQuery(engine_,
                     "EXPLAIN ANALYZE SELECT * FROM ITERATE((SELECT 1 x), "

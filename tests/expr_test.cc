@@ -3,11 +3,20 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <limits>
+#include <optional>
+#include <string>
+#include <vector>
+
 #include "expr/evaluator.h"
 #include "expr/expression.h"
 #include "expr/fold.h"
 #include "expr/type_inference.h"
 #include "tests/test_util.h"
+#include "util/rng.h"
 
 namespace soda {
 namespace {
@@ -146,6 +155,17 @@ TEST(EvaluatorTest, LogicalOpsTreatNullAsFalse) {
   Column out = Eval(e);
   EXPECT_TRUE(out.GetBool(0));
   EXPECT_FALSE(out.GetBool(3));  // NULL -> false under AND
+  // The same with the NULL on the right, under OR too.
+  for (BinaryOp op : {BinaryOp::kAnd, BinaryOp::kOr}) {
+    auto rhs = Expression::Binary(
+        op, Expression::Literal(Value::Bool(op == BinaryOp::kAnd)),
+        Expression::Binary(BinaryOp::kLt, ColA(), Lit(10), DataType::kBool),
+        DataType::kBool);
+    Column r = Eval(rhs);
+    EXPECT_TRUE(r.GetBool(0));
+    EXPECT_FALSE(r.GetBool(3));
+    EXPECT_FALSE(r.IsNull(3));
+  }
 }
 
 TEST(EvaluatorTest, UnaryOps) {
@@ -243,6 +263,188 @@ TEST(EvaluatorTest, PredicateRequiresBool) {
   std::vector<uint32_t> sel;
   auto st = EvaluatePredicate(*ColA(), chunk, &sel);
   EXPECT_EQ(st.code(), StatusCode::kTypeError);
+}
+
+/// A chunk of two DOUBLE columns, x and y, holding NaN in some rows.
+DataChunk NaNChunk() {
+  const double nan = std::nan("");
+  Column x = Column::FromDoubles({nan, nan, 1.0, 7.0, -0.0, nan});
+  Column y = Column::FromDoubles({nan, 7.0, nan, 7.0, 0.0, -1e300});
+  DataChunk chunk;
+  chunk.AddColumn(std::move(x));
+  chunk.AddColumn(std::move(y));
+  return chunk;
+}
+
+TEST(EvaluatorTest, NaNComparisonsFollowPostgresRule) {
+  // NaN = NaN, NaN sorts after every number, -0.0 = 0.0.
+  DataChunk chunk = NaNChunk();
+  auto cmp = [&](BinaryOp op) {
+    auto e = Expression::Binary(
+        op, Expression::ColumnRef(0, DataType::kDouble, "x"),
+        Expression::ColumnRef(1, DataType::kDouble, "y"), DataType::kBool);
+    Column out;
+    EXPECT_OK(EvaluateExpression(*e, chunk, &out));
+    std::vector<int64_t> got;
+    for (size_t i = 0; i < out.size(); ++i) got.push_back(out.GetBigInt(i));
+    return got;
+  };
+  EXPECT_EQ(cmp(BinaryOp::kEq), (std::vector<int64_t>{1, 0, 0, 1, 1, 0}));
+  EXPECT_EQ(cmp(BinaryOp::kNe), (std::vector<int64_t>{0, 1, 1, 0, 0, 1}));
+  EXPECT_EQ(cmp(BinaryOp::kLt), (std::vector<int64_t>{0, 0, 1, 0, 0, 0}));
+  EXPECT_EQ(cmp(BinaryOp::kLe), (std::vector<int64_t>{1, 0, 1, 1, 1, 0}));
+  EXPECT_EQ(cmp(BinaryOp::kGt), (std::vector<int64_t>{0, 1, 0, 0, 0, 1}));
+  EXPECT_EQ(cmp(BinaryOp::kGe), (std::vector<int64_t>{1, 1, 0, 1, 1, 1}));
+
+  // x / y = 7.0 must not count the 0.0 / 0.0 row.
+  Column zero = Column::FromDoubles({0.0, 14.0});
+  Column two = Column::FromDoubles({0.0, 2.0});
+  DataChunk div;
+  div.AddColumn(std::move(zero));
+  div.AddColumn(std::move(two));
+  auto pred = Expression::Binary(
+      BinaryOp::kEq,
+      Expression::Binary(BinaryOp::kDiv,
+                         Expression::ColumnRef(0, DataType::kDouble, "x"),
+                         Expression::ColumnRef(1, DataType::kDouble, "y"),
+                         DataType::kDouble),
+      LitD(7.0), DataType::kBool);
+  std::vector<uint32_t> sel;
+  ASSERT_OK(EvaluatePredicate(*pred, div, &sel));
+  EXPECT_EQ(sel, (std::vector<uint32_t>{1}));
+}
+
+TEST(EvaluatorTest, CompareDoublesIsATotalOrder) {
+  const double nan = std::nan("");
+  EXPECT_EQ(CompareDoubles(nan, nan), 0);
+  EXPECT_EQ(CompareDoubles(nan, -nan), 0);
+  EXPECT_GT(CompareDoubles(nan, 1e308), 0);
+  EXPECT_GT(CompareDoubles(nan, HUGE_VAL), 0);
+  EXPECT_LT(CompareDoubles(-HUGE_VAL, nan), 0);
+  EXPECT_EQ(CompareDoubles(-0.0, 0.0), 0);
+  EXPECT_LT(CompareDoubles(1.0, 2.0), 0);
+}
+
+TEST(EvaluatorTest, SquareIsMultiplicationBitForBit) {
+  // `x ^ 2` and pow(x, 2) are x * x exactly, whichever side is a column.
+  Rng rng(5);
+  std::vector<double> xs(4096), twos(4096, 2.0);
+  for (double& x : xs) x = rng.Uniform(-1e3, 1e3) * rng.Uniform(0, 1);
+  DataChunk chunk;
+  chunk.AddColumn(Column::FromDoubles(xs));
+  chunk.AddColumn(Column::FromDoubles(twos));
+  auto x = [] { return Expression::ColumnRef(0, DataType::kDouble, "x"); };
+  std::vector<ExprPtr> forms;
+  forms.push_back(
+      Expression::Binary(BinaryOp::kPow, x(), Lit(2), DataType::kDouble));
+  forms.push_back(
+      Expression::Binary(BinaryOp::kPow, x(), LitD(2.0), DataType::kDouble));
+  forms.push_back(Expression::Binary(
+      BinaryOp::kPow, x(), Expression::ColumnRef(1, DataType::kDouble, "t"),
+      DataType::kDouble));
+  std::vector<ExprPtr> args;
+  args.push_back(x());
+  args.push_back(Lit(2));
+  forms.push_back(
+      Expression::Function("pow", std::move(args), DataType::kDouble));
+  for (const ExprPtr& e : forms) {
+    Column out;
+    ASSERT_OK(EvaluateExpression(*e, chunk, &out));
+    ASSERT_EQ(out.size(), xs.size());
+    for (size_t i = 0; i < xs.size(); ++i) {
+      ASSERT_EQ(std::bit_cast<uint64_t>(out.GetDouble(i)),
+                std::bit_cast<uint64_t>(xs[i] * xs[i]))
+          << e->ToString() << " row " << i;
+    }
+  }
+}
+
+TEST(EvaluatorTest, LiteralsOnEitherSideOfAColumn) {
+  auto sub = [](ExprPtr l, ExprPtr r) {
+    return Expression::Binary(BinaryOp::kSub, std::move(l), std::move(r),
+                              DataType::kBigInt);
+  };
+  Column left = Eval(sub(Lit(10), ColA()));
+  Column right = Eval(sub(ColA(), Lit(10)));
+  EXPECT_EQ(left.GetBigInt(0), 9);
+  EXPECT_EQ(right.GetBigInt(0), -9);
+  EXPECT_EQ(left.GetBigInt(2), 7);
+  EXPECT_EQ(right.GetBigInt(2), -7);
+  // NULL rows stay NULL with a zero payload.
+  EXPECT_TRUE(left.IsNull(3));
+  EXPECT_TRUE(right.IsNull(3));
+  EXPECT_EQ(left.GetBigInt(3), 0);
+  EXPECT_EQ(right.GetBigInt(3), 0);
+}
+
+TEST(EvaluatorTest, BigIntDivisionByMinusOneDoesNotTrap) {
+  Column a = Column::FromBigInts({INT64_MIN, 9});
+  DataChunk chunk;
+  chunk.AddColumn(std::move(a));
+  auto col = [] { return Expression::ColumnRef(0, DataType::kBigInt, "a"); };
+  auto div = Expression::Binary(BinaryOp::kDiv, col(), Lit(-1),
+                                DataType::kBigInt);
+  auto mod = Expression::Binary(BinaryOp::kMod, col(), Lit(-1),
+                                DataType::kBigInt);
+  Column q, r;
+  ASSERT_OK(EvaluateExpression(*div, chunk, &q));
+  ASSERT_OK(EvaluateExpression(*mod, chunk, &r));
+  EXPECT_EQ(q.GetBigInt(0), INT64_MIN);  // wraps, like INT64_MIN * -1
+  EXPECT_EQ(q.GetBigInt(1), -9);
+  EXPECT_EQ(r.GetBigInt(0), 0);
+  EXPECT_EQ(r.GetBigInt(1), 0);
+}
+
+TEST(EvaluatorTest, DoubleToBigIntIsNullOutsideTheRange) {
+  const double nan = std::nan("");
+  const double inf = std::numeric_limits<double>::infinity();
+  DataChunk chunk;
+  chunk.AddColumn(
+      Column::FromDoubles({nan, inf, -inf, 1e300, 9223372036854775808.0,
+                           -9223372036854775808.0, -2.5, 7.75}));
+  auto col = [] { return Expression::ColumnRef(0, DataType::kDouble, "d"); };
+  auto fn = [&](const std::string& name) {
+    std::vector<ExprPtr> args;
+    args.push_back(col());
+    return Expression::Function(name, std::move(args), DataType::kBigInt);
+  };
+  const std::vector<std::optional<int64_t>> cast_want = {
+      std::nullopt, std::nullopt, std::nullopt, std::nullopt,
+      std::nullopt, INT64_MIN,    -2,           7};
+  const std::vector<std::optional<int64_t>> floor_want = {
+      std::nullopt, std::nullopt, std::nullopt, std::nullopt,
+      std::nullopt, INT64_MIN,    -3,           7};
+  auto expect = [&](const Expression& e,
+                    const std::vector<std::optional<int64_t>>& want) {
+    Column out;
+    ASSERT_OK(EvaluateExpression(e, chunk, &out));
+    for (size_t i = 0; i < want.size(); ++i) {
+      ASSERT_EQ(out.IsNull(i), !want[i].has_value()) << e.ToString() << i;
+      EXPECT_EQ(out.GetBigInt(i), want[i].value_or(0)) << e.ToString() << i;
+    }
+  };
+  expect(*Expression::Cast(col(), DataType::kBigInt), cast_want);
+  expect(*fn("floor"), floor_want);
+  EXPECT_TRUE(Value::Double(nan).CastTo(DataType::kBigInt)->is_null());
+  EXPECT_EQ(Value::Double(-2.5).CastTo(DataType::kBigInt)->bigint_value(), -2);
+
+  // Over BIGINT the integral functions are exact, also beyond 2^53.
+  DataChunk ints;
+  ints.AddColumn(Column::FromBigInts({INT64_MAX, -(int64_t{1} << 60) - 1}));
+  auto icol = [] { return Expression::ColumnRef(0, DataType::kBigInt, "i"); };
+  for (const char* name : {"abs", "floor", "round"}) {
+    std::vector<ExprPtr> args;
+    args.push_back(icol());
+    Column out;
+    ASSERT_OK(EvaluateExpression(
+        *Expression::Function(name, std::move(args), DataType::kBigInt), ints,
+        &out));
+    EXPECT_EQ(out.GetBigInt(0), INT64_MAX) << name;
+    EXPECT_EQ(out.GetBigInt(1), std::string(name) == "abs"
+                                    ? (int64_t{1} << 60) + 1
+                                    : -(int64_t{1} << 60) - 1)
+        << name;
+  }
 }
 
 TEST(EvaluatorTest, ConstantExpression) {

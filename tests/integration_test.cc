@@ -9,6 +9,7 @@
 
 #include "bench_support/workloads.h"
 #include "tests/test_util.h"
+#include "util/parallel.h"
 
 namespace soda {
 namespace {
@@ -82,6 +83,47 @@ TEST_F(KMeansVariantsTest, OperatorLambdaEquivalence) {
   for (size_t r = 0; r < builtin.num_rows(); ++r) {
     for (size_t c = 1; c <= 3; ++c) {
       EXPECT_DOUBLE_EQ(builtin.GetDouble(r, c), custom.GetDouble(r, c));
+    }
+  }
+}
+
+TEST_F(KMeansVariantsTest, SqlStepCentersEqualOperatorCentersExactly) {
+  // Centers as the ITERATE state: each step assigns every point to its
+  // nearest center by `(a.x - b.x)^2` written in SQL and averages the
+  // points per center, so after i steps the centers are the operator's
+  // after i Lloyd rounds. `^ 2` multiplies, as the operator's lambda does,
+  // so both pick the same nearest center and the centers are equal, not
+  // merely close. One worker: per-worker float sums merge in schedule
+  // order.
+  auto distance = [](const std::string& a, const std::string& b) {
+    return "(" + a + ".x1 - " + b + ".x1)^2 + (" + a + ".x2 - " + b +
+           ".x2)^2 + (" + a + ".x3 - " + b + ".x3)^2";
+  };
+  const std::string dist = distance("d", "c");
+  const std::string dist2 = distance("d2", "c2");
+  const std::string assign =
+      "SELECT d.id id, min(c.cid) cid FROM data d, iterate c, "
+      "(SELECT d2.id did, min(" + dist2 + ") mind FROM data d2, iterate c2 "
+      "GROUP BY d2.id) m WHERE m.did = d.id AND (" + dist + ") = m.mind "
+      "GROUP BY d.id";
+  const std::string step =
+      "SELECT max(s.i) + 1 i, a.cid cid, avg(v.x1) x1, avg(v.x2) x2, "
+      "avg(v.x3) x3 FROM (" + assign + ") a JOIN data v ON v.id = a.id, "
+      "(SELECT max(i) i FROM iterate) s GROUP BY a.cid";
+  const std::string sql =
+      "SELECT cid, x1, x2, x3 FROM ITERATE((SELECT 0 i, cid, x1, x2, x3 "
+      "FROM centers), (" + step + "), (SELECT 1 FROM iterate WHERE i >= 3)) "
+      "ORDER BY cid";
+  ScopedSerialExecution one_worker;
+  auto iterated = RunQuery(engine_, sql);
+  auto op = RunQuery(engine_,
+                     workloads::KMeansOperatorSql("data", "centers", 3, 3));
+  ASSERT_EQ(iterated.num_rows(), op.num_rows());
+  for (size_t r = 0; r < iterated.num_rows(); ++r) {
+    ASSERT_EQ(iterated.GetInt(r, 0), op.GetInt(r, 0));
+    for (size_t c = 1; c <= 3; ++c) {
+      EXPECT_EQ(iterated.GetDouble(r, c), op.GetDouble(r, c))
+          << "center " << r << " dim " << c;
     }
   }
 }

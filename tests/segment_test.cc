@@ -7,12 +7,15 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <vector>
 
 #include "storage/column.h"
 #include "storage/segment.h"
+#include "storage/serde.h"
 #include "tests/test_util.h"
 #include "types/value.h"
 
@@ -77,12 +80,13 @@ void CheckPredicateExact(const Column& src, const SegmentPtr& seg,
             (pred.op == CompareOp::kGt && c > 0) ||
             (pred.op == CompareOp::kGe && c >= 0);
     } else if (src.type() == DataType::kDouble) {
-      const double v = src.GetDouble(i), k = pred.constant.AsDouble();
-      hit = (pred.op == CompareOp::kEq && v == k) ||
-            (pred.op == CompareOp::kLt && v < k) ||
-            (pred.op == CompareOp::kLe && v <= k) ||
-            (pred.op == CompareOp::kGt && v > k) ||
-            (pred.op == CompareOp::kGe && v >= k);
+      // SQL's order: NaN equals NaN and sorts after every number.
+      const int c = CompareDoubles(src.GetDouble(i), pred.constant.AsDouble());
+      hit = (pred.op == CompareOp::kEq && c == 0) ||
+            (pred.op == CompareOp::kLt && c < 0) ||
+            (pred.op == CompareOp::kLe && c <= 0) ||
+            (pred.op == CompareOp::kGt && c > 0) ||
+            (pred.op == CompareOp::kGe && c >= 0);
     } else {
       const int64_t v = src.GetBigInt(i), k = pred.constant.AsBigInt();
       hit = (pred.op == CompareOp::kEq && v == k) ||
@@ -283,6 +287,56 @@ TEST(SegmentTest, ZoneMapSkipsDisjointRanges) {
       SegmentMayMatch(*seg, {0, CompareOp::kGe, Value::BigInt(199)}));
   EXPECT_TRUE(
       SegmentMayMatch(*seg, {0, CompareOp::kEq, Value::BigInt(150)}));
+}
+
+TEST(SegmentTest, NaNFollowsTheSqlOrderInZoneMapsAndMatches) {
+  const double nan = std::nan("");
+  const double inf = std::numeric_limits<double>::infinity();
+  // NaN first (the old stats took it as both bounds), NaN in the middle,
+  // only NaN, and a long NaN-free run of RLE, each with a NULL.
+  std::vector<std::vector<double>> cases = {
+      {nan, 5.0, -0.0, 2.0, 0.0, 9.0},
+      {1.0, 2.0, nan, 3.0, -inf, inf},
+      {nan, nan, nan},
+  };
+  cases.push_back(std::vector<double>(40, 4.0));
+  cases.back().push_back(nan);
+  for (const std::vector<double>& values : cases) {
+    Column c(DataType::kDouble);
+    for (double v : values) c.AppendDouble(v);
+    c.AppendNull();
+    SegmentPtr seg = RoundTrip(c);
+    ASSERT_NE(seg, nullptr);
+    EXPECT_TRUE(seg->stats.has_nan);
+    for (double k : {nan, 1e300, 4.5, 0.0, -0.0, -1.0}) {
+      CheckAllOps(c, seg, Value::Double(k));
+    }
+    // has_nan is not in the file: ReadSegment derives it again.
+    BinaryWriter w;
+    WriteSegment(*seg, &w);
+    BinaryReader r(w.buffer());
+    auto back = ReadSegment(&r);
+    ASSERT_OK(back.status());
+    EXPECT_TRUE((*back)->stats.has_nan);
+    EXPECT_EQ(ComputeSegmentCrc(**back), seg->crc);
+  }
+
+  // A NaN row keeps the segment for `>` however small its numbers are.
+  Column small(DataType::kDouble);
+  for (double v : {1.0, nan, 2.0}) small.AppendDouble(v);
+  SegmentPtr seg = RoundTrip(small);
+  ASSERT_NE(seg, nullptr);
+  EXPECT_EQ(seg->stats.max_f64, 2.0);
+  EXPECT_TRUE(
+      SegmentMayMatch(*seg, {0, CompareOp::kGt, Value::Double(1e300)}));
+  EXPECT_FALSE(SegmentMayMatch(*seg, {0, CompareOp::kLt, Value::Double(1.0)}));
+
+  // Footers written before NaN had an order may carry a NaN bound; such a
+  // segment is never skipped.
+  Segment legacy = *seg;
+  legacy.stats.min_f64 = legacy.stats.max_f64 = nan;
+  EXPECT_TRUE(
+      SegmentMayMatch(legacy, {0, CompareOp::kLt, Value::Double(1.5)}));
 }
 
 TEST(SegmentTest, EncodedFormIsSmallerOnCompressibleData) {

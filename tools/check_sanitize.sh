@@ -28,8 +28,10 @@ if [[ "${sanitizers}" == "thread" ]]; then
   # nproc, which is 1 on small CI boxes — zero interleaving, zero signal).
   export TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1}"
   # Segment/Partition ride along: sealed scans decode concurrently.
+  # Property/Expr: the two-pass join probe and the evaluator kernels on
+  # the 4-worker pool.
   SODA_THREADS=4 ctest --test-dir "${build_dir}" \
-    -R 'ParallelExec|Robustness|PhysicalPlan|Durability|Server|Segment|Partition|Cache|Prepared' \
+    -R 'ParallelExec|Robustness|PhysicalPlan|Durability|Server|Segment|Partition|Cache|Prepared|Property|Expr' \
     -j "$(nproc)" --output-on-failure
   echo "check_sanitize: concurrency suites clean under thread (SODA_THREADS=4)"
 else
