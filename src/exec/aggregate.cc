@@ -14,7 +14,9 @@
 #include "exec/executor.h"
 #include "exec/hash_join.h"
 #include "exec/hash_kernels.h"
+#include "types/value.h"
 #include "util/first_error.h"
+#include "util/logging.h"
 #include "util/parallel.h"
 
 namespace soda {
@@ -32,58 +34,10 @@ bool GroupCellsEqual(const Column& a, size_t ra, const Column& b, size_t rb) {
   return CellsEqual(a, ra, b, rb);
 }
 
-/// One aggregate's accumulator; a single struct covers all supported
-/// functions (count/sum/avg/min/max/var/stddev). Integer min/max are
-/// tracked exactly alongside the double pair: BIGINT values beyond 2^53
-/// round in a double, so `min(x)`/`max(x)` over BIGINT read `imin`/`imax`.
-struct AggState {
-  int64_t count = 0;
-  int64_t isum = 0;
-  int64_t imin = 0;
-  int64_t imax = 0;
-  double sum = 0;
-  double sumsq = 0;
-  double min = 0;
-  double max = 0;
-
-  void UpdateNumeric(double v, int64_t iv) {
-    if (count == 0) {
-      min = max = v;
-      imin = imax = iv;
-    } else {
-      if (v < min) min = v;
-      if (v > max) max = v;
-      if (iv < imin) imin = iv;
-      if (iv > imax) imax = iv;
-    }
-    ++count;
-    isum += iv;
-    sum += v;
-    sumsq += v * v;
-  }
-
-  void Merge(const AggState& other) {
-    if (other.count == 0) return;
-    if (count == 0) {
-      *this = other;
-      return;
-    }
-    count += other.count;
-    isum += other.isum;
-    sum += other.sum;
-    sumsq += other.sumsq;
-    if (other.min < min) min = other.min;
-    if (other.max > max) max = other.max;
-    if (other.imin < imin) imin = other.imin;
-    if (other.imax > imax) imax = other.imax;
-  }
-};
-
 /// Pre-classified update kind for one aggregate spec. The consume loop is
 /// the hottest code in a GROUP BY pipeline; dispatching once per spec at
 /// sink construction lets each row touch only the accumulator fields its
-/// function actually reads at materialization, instead of maintaining the
-/// full 8-field AggState for every spec.
+/// function actually reads at materialization.
 enum class AggOp : uint8_t {
   kCountStar,   ///< count(*): unconditional count
   kCountArg,    ///< count(x): count of non-NULL (also any varchar arg)
@@ -95,17 +49,16 @@ enum class AggOp : uint8_t {
   kMaxInt,      ///< max over BIGINT: exact integer max + count
   kMaxDouble,   ///< max over DOUBLE: double max + count
   kVar,         ///< var/stddev: sum + sum of squares + count
-  kGeneric,     ///< unknown function: maintain everything
 };
 
 // --- Compact per-spec accumulators -----------------------------------------
 // One struct per AggOp family, holding only the fields that op reads at
 // materialization. Groups store their specs' states packed back-to-back in
-// one byte block, so a GROUP BY row touches one short run of cache lines
-// instead of `num_specs` full 64-byte AggStates — at large group counts the
-// consume loop is bound by exactly those misses. Every struct leads with
-// `count`, so a spec defensively demoted to kCountArg (varchar argument)
-// still writes a valid prefix of whatever layout its slot was given.
+// one byte block, so a GROUP BY row touches one short run of cache lines;
+// at large group counts the consume loop is bound by exactly those misses.
+// Every struct leads with `count`, so a spec defensively demoted to
+// kCountArg (varchar argument) still writes a valid prefix of whatever
+// layout its slot was given.
 
 struct CountState {
   int64_t count;
@@ -150,10 +103,8 @@ size_t StateSize(AggOp op) {
       return sizeof(MinMaxDoubleState);
     case AggOp::kVar:
       return sizeof(VarState);
-    case AggOp::kGeneric:
-      return sizeof(AggState);
   }
-  return sizeof(AggState);
+  return sizeof(VarState);
 }
 
 /// Byte layout of one group's packed accumulator block. Shared by every
@@ -217,8 +168,8 @@ void MergeSpecState(AggOp op, uint8_t* dst, const uint8_t* src) {
       auto* d = reinterpret_cast<MinMaxDoubleState*>(dst);
       const auto* s = reinterpret_cast<const MinMaxDoubleState*>(src);
       if (s->count == 0) break;
-      if (d->count == 0 || (op == AggOp::kMinDouble ? s->val < d->val
-                                                    : s->val > d->val)) {
+      const int c = CompareDoubles(s->val, d->val);
+      if (d->count == 0 || (op == AggOp::kMinDouble ? c < 0 : c > 0)) {
         d->val = s->val;
       }
       d->count += s->count;
@@ -232,10 +183,6 @@ void MergeSpecState(AggOp op, uint8_t* dst, const uint8_t* src) {
       d->sumsq += s->sumsq;
       break;
     }
-    case AggOp::kGeneric:
-      reinterpret_cast<AggState*>(dst)->Merge(
-          *reinterpret_cast<const AggState*>(src));
-      break;
   }
 }
 
@@ -254,8 +201,10 @@ AggOp ClassifyAggOp(const AggregateSpec& spec) {
   if (spec.function == "max") {
     return int_result ? AggOp::kMaxInt : AggOp::kMaxDouble;
   }
-  if (spec.function == "var" || spec.function == "stddev") return AggOp::kVar;
-  return AggOp::kGeneric;
+  // The binder admits only the functions above (AggregateFunctions() in
+  // expr/type_inference.cc).
+  SODA_DCHECK(spec.function == "var" || spec.function == "stddev");
+  return AggOp::kVar;
 }
 
 /// Per-worker (and per-merge-partition) grouping state. The group index is
@@ -504,14 +453,18 @@ class AggregateSink : public TableSink {
           case AggOp::kMinDouble: {
             auto* sst = reinterpret_cast<MinMaxDoubleState*>(st);
             const double v = arg.GetNumeric(row);
-            if (sst->count == 0 || v < sst->val) sst->val = v;
+            if (sst->count == 0 || CompareDoubles(v, sst->val) < 0) {
+              sst->val = v;
+            }
             sst->count++;
             break;
           }
           case AggOp::kMaxDouble: {
             auto* sst = reinterpret_cast<MinMaxDoubleState*>(st);
             const double v = arg.GetNumeric(row);
-            if (sst->count == 0 || v > sst->val) sst->val = v;
+            if (sst->count == 0 || CompareDoubles(v, sst->val) > 0) {
+              sst->val = v;
+            }
             sst->count++;
             break;
           }
@@ -525,13 +478,6 @@ class AggregateSink : public TableSink {
           }
           case AggOp::kCountStar:
             break;  // handled above
-          case AggOp::kGeneric: {
-            const double v = arg.GetNumeric(row);
-            const int64_t iv =
-                arg.type() == DataType::kDouble ? 0 : arg.GetBigInt(row);
-            reinterpret_cast<AggState*>(st)->UpdateNumeric(v, iv);
-            break;
-          }
         }
       }
     }
@@ -633,25 +579,14 @@ class AggregateSink : public TableSink {
     SODA_RETURN_NOT_OK(GuardReserve(guard, result_bytes, kAggMergeSite));
 
     std::vector<Table> outputs(fragments.size());
-    {
-      FirstError first_error;
-      Status par = ParallelFor(
-          guard, fragments.size(),
-          [&](size_t begin, size_t end, size_t) {
-            for (size_t p = begin; p < end; ++p) {
-              if (first_error.failed()) return;
-              if (!fragments[p]) continue;
-              Status st = MaterializeFragment(*fragments[p], &outputs[p]);
-              if (!st.ok()) {
-                first_error.Record(std::move(st));
-                return;
-              }
-            }
-          },
-          /*morsel_size=*/1);
-      SODA_RETURN_NOT_OK(first_error.Take());
-      SODA_RETURN_NOT_OK(par);
-    }
+    SODA_RETURN_NOT_OK(ParallelFor(
+        guard, fragments.size(),
+        [&](size_t begin, size_t end, size_t) {
+          for (size_t p = begin; p < end; ++p) {
+            if (fragments[p]) MaterializeFragment(*fragments[p], &outputs[p]);
+          }
+        },
+        /*morsel_size=*/1));
 
     // Single fragment (serial pipelines, one producing worker): adopt it
     // as the result instead of re-copying through the splice below.
@@ -698,7 +633,7 @@ class AggregateSink : public TableSink {
   /// aggregate's schema: keys are spliced column-wise (AppendSlice, not
   /// row-at-a-time AppendFrom), aggregate columns are computed one column
   /// at a time over the packed states.
-  Status MaterializeFragment(const GroupTable& frag, Table* out) const {
+  void MaterializeFragment(const GroupTable& frag, Table* out) const {
     const size_t groups = frag.NumGroups();
     *out = Table("aggregate.fragment", plan_.schema);
     out->Reserve(groups);
@@ -720,9 +655,6 @@ class AggregateSink : public TableSink {
         if (op == AggOp::kCountStar || op == AggOp::kCountArg) {
           col.AppendBigInt(count);
           continue;
-        }
-        if (op == AggOp::kGeneric) {
-          return Status::Internal("unknown aggregate: " + spec.function);
         }
         if (count == 0) {
           col.AppendNull();
@@ -768,12 +700,10 @@ class AggregateSink : public TableSink {
           }
           case AggOp::kCountStar:
           case AggOp::kCountArg:
-          case AggOp::kGeneric:
             break;  // handled above
         }
       }
     }
-    return Status::OK();
   }
 
   const PlanNode& plan_;

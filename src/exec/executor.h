@@ -18,6 +18,7 @@
 #ifndef SODA_EXEC_EXECUTOR_H_
 #define SODA_EXEC_EXECUTOR_H_
 
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <string>
@@ -54,13 +55,18 @@ class Transform {
   virtual std::string name() const = 0;
 };
 
-/// Per-chunk context handed to sinks by the pipeline driver.
+/// Per-chunk context handed to sinks by the pipeline driver. A row's
+/// source position is `(branch, sequence)`: materializing sinks return
+/// their rows in that order at every thread count.
 struct SinkContext {
   /// Stable worker slot in [0, NumWorkers()); index into per-worker state.
   size_t worker_id = 0;
+  /// Index of the UNION ALL child whose pipeline produced the chunk (the
+  /// pipelines share one sink); 0 for every other pipeline.
+  uint32_t branch = 0;
   /// Source-order id of the originating source chunk (its row offset).
   /// All chunks emitted for one source chunk share its sequence, so
-  /// order-sensitive sinks (LIMIT) can reassemble source order.
+  /// order-sensitive sinks can reassemble source order.
   uint64_t sequence = 0;
 };
 
@@ -71,9 +77,11 @@ class Sink {
   virtual Status Consume(DataChunk& chunk, const SinkContext& sctx) = 0;
   /// Merges worker state; called once, after all Consume calls finished.
   virtual Status Finalize() = 0;
-  /// Early-exit signal: once true, workers stop pulling further morsels
-  /// (cross-worker LIMIT cutoff). Must be cheap — polled per chunk.
-  virtual bool done() const { return false; }
+  /// Early-exit signal: true once no row at source position `sequence` or
+  /// later can reach the result (cross-worker LIMIT cutoff), so a worker
+  /// about to scan that source chunk stops. Must be cheap — polled per
+  /// chunk.
+  virtual bool done(uint64_t /*sequence*/) const { return false; }
   /// EXPLAIN display name, e.g. "Materialize", "Aggregate groups=1 [...]".
   virtual std::string name() const = 0;
 };
@@ -85,9 +93,13 @@ class TableSink : public Sink {
   virtual TablePtr result() const = 0;
 };
 
-/// Sink that materializes into per-worker tables merged on Finalize. When
-/// only one worker produced rows (serial pipelines, shared UNION ALL
-/// sinks on the caller thread) the partial is adopted without a copy.
+/// Sink that materializes its input in source order. Each worker appends
+/// to its own partial and records one run `(branch, sequence, begin, rows)`
+/// per consumed source chunk; Finalize concatenates the runs of all
+/// workers ordered by `(branch, sequence)`, so the result is the serial
+/// result at every thread count. When one worker produced every run in
+/// that order already (every pipeline at one thread), its partial is
+/// adopted without a copy.
 class MaterializeSink : public TableSink {
  public:
   explicit MaterializeSink(Schema schema);
@@ -97,8 +109,19 @@ class MaterializeSink : public TableSink {
   TablePtr result() const override { return result_; }
 
  private:
+  /// The rows one source chunk contributed to a worker's partial.
+  struct Run {
+    uint32_t branch;
+    uint64_t sequence;
+    size_t begin;
+    size_t rows;
+  };
+  struct Partial {
+    std::unique_ptr<Table> table;
+    std::vector<Run> runs;  ///< in arrival order
+  };
   Schema schema_;
-  std::vector<std::unique_ptr<Table>> partials_;
+  std::vector<Partial> partials_;
   TablePtr result_;
 };
 
@@ -111,9 +134,9 @@ class MaterializeSink : public TableSink {
 std::shared_ptr<TableSink> MakeAggregateSink(const PlanNode& plan);
 
 /// ORDER BY sink for a kSort node (operators.cc): materializes its input
-/// and key columns per worker, then stable-sorts with a typed (unboxed)
-/// comparator at Finalize. Key ties keep source order (chunk sequence),
-/// so the result does not depend on the worker count.
+/// plus the evaluated keys through a MaterializeSink (source order), then
+/// stable-sorts with a typed (unboxed) comparator at Finalize. Key ties
+/// keep source order, so the result does not depend on the worker count.
 std::shared_ptr<TableSink> MakeSortSink(const PlanNode& plan);
 
 /// Top-N sink for `Limit(Sort(x))` with limit >= 0 (operators.cc): fed
@@ -127,8 +150,9 @@ std::shared_ptr<TableSink> MakeTopNSink(const PlanNode& limit,
                                         std::vector<size_t> columns);
 
 /// LIMIT/OFFSET sink for a kLimit node (operators.cc): buffers
-/// sequence-tagged chunks and trips `done()` once offset+limit rows are
-/// collected, so the pipeline stops scanning (cross-worker early exit).
+/// sequence-tagged chunks; once the chunks up to some sequence hold
+/// offset+limit rows, `done()` stops the scan past that sequence
+/// (cross-worker early exit) and the result is the serial one.
 std::shared_ptr<TableSink> MakeLimitSink(const PlanNode& plan);
 
 /// Sorts `input` by `plan.sort_keys` (stable, NULLs first) into a fresh

@@ -3,26 +3,28 @@
 /// (Top-N) and LIMIT sinks.
 ///
 /// Sort keys are decoded into typed vectors and compared through raw
-/// payload arrays (no per-element Value boxing). Key ties break on the
-/// rows' position in the input stream (source chunk sequence, then row),
-/// so parallel results equal the serial stable sort. LIMIT collects
-/// sequence-tagged chunks and trips its done() flag once offset+limit rows
-/// exist, so the pipeline stops scanning.
+/// payload arrays (no per-element Value boxing). Key ties keep the rows'
+/// position in the input stream: ORDER BY materializes in source order
+/// before its stable sort, Top-N breaks ties on (source chunk sequence,
+/// row), so parallel results equal the serial stable sort. LIMIT collects
+/// sequence-tagged chunks and stops the scan past the first sequence whose
+/// prefix holds offset+limit rows.
 
 #include <algorithm>
 #include <atomic>
 #include <limits>
+#include <map>
 #include <numeric>
 
 #include "exec/executor.h"
 #include "expr/evaluator.h"
+#include "util/mutex.h"
 #include "util/parallel.h"
 
 namespace soda {
 
 namespace {
 
-constexpr auto kRelaxed = std::memory_order_relaxed;
 constexpr size_t kUnlimited = std::numeric_limits<size_t>::max();
 
 /// Probe/charge site of the ORDER BY operators.
@@ -104,10 +106,8 @@ int CompareRows(const KeyViews& x, size_t a, const KeyViews& y, size_t b) {
   return 0;
 }
 
-/// Stable sort permutation of `[0, n)` by the evaluated key columns.
-std::vector<uint32_t> SortOrder(const std::vector<Column>& keys,
-                                const std::vector<SortKey>& specs, size_t n) {
-  const KeyViews views = MakeKeyViews(keys, specs);
+/// Stable sort permutation of `[0, n)` by the key views.
+std::vector<uint32_t> SortOrder(const KeyViews& views, size_t n) {
   std::vector<uint32_t> order(n);
   std::iota(order.begin(), order.end(), 0);
   std::stable_sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
@@ -116,28 +116,24 @@ std::vector<uint32_t> SortOrder(const std::vector<Column>& keys,
   return order;
 }
 
-/// Rebuilds `input` in `order`. The row-wise rebuild bypasses
-/// Table::AppendChunk, so the output (same footprint as the input) is
-/// charged to the memory budget up front.
+/// Rebuilds the leading `schema` columns of `input` in `order`. The
+/// row-wise rebuild bypasses Table::AppendChunk, so the output (same
+/// footprint as those columns) is charged to the memory budget up front.
 Result<TablePtr> RebuildSorted(const Table& input,
                                const std::vector<uint32_t>& order,
                                const Schema& schema, QueryGuard* guard) {
-  SODA_RETURN_NOT_OK(GuardReserve(guard, input.MemoryUsage(), kSortSite));
+  const size_t width = schema.num_fields();
+  size_t bytes = 0;
+  for (size_t c = 0; c < width; ++c) bytes += input.column(c).MemoryUsage();
+  SODA_RETURN_NOT_OK(GuardReserve(guard, bytes, kSortSite));
   auto out = std::make_shared<Table>("sorted", schema);
   out->Reserve(order.size());
   for (uint32_t r : order) {
-    for (size_t c = 0; c < input.num_columns(); ++c) {
+    for (size_t c = 0; c < width; ++c) {
       out->column(c).AppendFrom(input.column(c), r);
     }
   }
   return out;
-}
-
-std::vector<Column> EmptyColumns(const std::vector<SortKey>& keys) {
-  std::vector<Column> cols;
-  cols.reserve(keys.size());
-  for (const auto& k : keys) cols.emplace_back(k.expr->type);
-  return cols;
 }
 
 /// Evaluates every sort key over `chunk`.
@@ -162,76 +158,42 @@ std::string SortName(const PlanNode& plan) {
 
 // --- ORDER BY sink --------------------------------------------------------
 
-/// Materializes input rows and their evaluated key columns per worker.
-/// Finalize concatenates the per-chunk runs of all workers in sequence
-/// order before the stable sort, so key ties keep source order and the
-/// result is the same at every thread count.
+/// Materializes the input rows with their evaluated keys appended as
+/// trailing columns through a MaterializeSink, so Finalize sees them in
+/// source order at every thread count; the stable sort then keeps key
+/// ties in that order.
 class SortSink : public TableSink {
  public:
-  explicit SortSink(const PlanNode& plan) : plan_(plan) {
-    locals_.resize(NumWorkers());
-  }
+  explicit SortSink(const PlanNode& plan)
+      : plan_(plan),
+        rows_(std::make_unique<MaterializeSink>(RowSchema(plan))) {}
 
   Status Consume(DataChunk& chunk, const SinkContext& sctx) override {
-    auto& local = locals_[sctx.worker_id];
-    if (!local) {
-      local = std::make_unique<Local>();
-      local->data = std::make_unique<Table>("sort.partial", plan_.schema);
-      local->keys = EmptyColumns(plan_.sort_keys);
-    }
-    std::vector<Column> parts;
-    SODA_RETURN_NOT_OK(EvaluateKeys(plan_.sort_keys, chunk, &parts));
-    for (size_t k = 0; k < parts.size(); ++k) {
-      local->keys[k].AppendSlice(parts[k], 0, parts[k].size());
-    }
-    local->runs.push_back(
-        {sctx.sequence, local->data->num_rows(), chunk.num_rows(), nullptr});
-    return local->data->AppendChunk(chunk);
+    std::vector<Column> keys;
+    SODA_RETURN_NOT_OK(EvaluateKeys(plan_.sort_keys, chunk, &keys));
+    std::vector<Column>& cols = chunk.columns();
+    const size_t width = cols.size();
+    for (Column& k : keys) cols.push_back(std::move(k));
+    Status st = rows_->Consume(chunk, sctx);
+    cols.resize(width);
+    return st;
   }
 
   Status Finalize() override {
-    std::vector<Run> runs;
-    Local* only = nullptr;
-    size_t populated = 0;
-    for (auto& l : locals_) {
-      if (!l) continue;
-      ++populated;
-      only = l.get();
-      for (Run r : l->runs) {
-        r.local = l.get();
-        runs.push_back(r);
-      }
+    SODA_RETURN_NOT_OK(rows_->Finalize());
+    const TablePtr rows = rows_->result();
+    rows_.reset();
+    const size_t width = plan_.schema.num_fields();
+    KeyViews views;
+    views.reserve(plan_.sort_keys.size());
+    for (size_t k = 0; k < plan_.sort_keys.size(); ++k) {
+      views.push_back(MakeKeyView(rows->column(width + k),
+                                  plan_.sort_keys[k].descending));
     }
-    auto by_seq = [](const Run& a, const Run& b) { return a.seq < b.seq; };
-    Table merged_data("sort.merged", plan_.schema);
-    std::vector<Column> merged_keys;
-    const Table* data;
-    const std::vector<Column>* keys;
-    if (populated == 1 && std::is_sorted(runs.begin(), runs.end(), by_seq)) {
-      data = only->data.get();
-      keys = &only->keys;
-    } else {
-      std::stable_sort(runs.begin(), runs.end(), by_seq);
-      merged_keys = EmptyColumns(plan_.sort_keys);
-      for (const Run& r : runs) {
-        for (size_t c = 0; c < merged_data.num_columns(); ++c) {
-          merged_data.column(c).AppendSlice(r.local->data->column(c), r.begin,
-                                            r.rows);
-        }
-        for (size_t k = 0; k < merged_keys.size(); ++k) {
-          merged_keys[k].AppendSlice(r.local->keys[k], r.begin, r.rows);
-        }
-      }
-      locals_.clear();  // free the partials before the sorted copy exists
-      data = &merged_data;
-      keys = &merged_keys;
-    }
-    std::vector<uint32_t> order =
-        SortOrder(*keys, plan_.sort_keys, data->num_rows());
+    std::vector<uint32_t> order = SortOrder(views, rows->num_rows());
     SODA_ASSIGN_OR_RETURN(
         result_,
-        RebuildSorted(*data, order, plan_.schema, QueryGuard::Current()));
-    locals_.clear();
+        RebuildSorted(*rows, order, plan_.schema, QueryGuard::Current()));
     return Status::OK();
   }
 
@@ -239,21 +201,18 @@ class SortSink : public TableSink {
   TablePtr result() const override { return result_; }
 
  private:
-  struct Local;
-  /// The rows one source chunk contributed to a worker's partial.
-  struct Run {
-    uint64_t seq;
-    size_t begin;
-    size_t rows;
-    const Local* local;  ///< set while merging
-  };
-  struct Local {
-    std::unique_ptr<Table> data;
-    std::vector<Column> keys;  ///< evaluated sort keys, row-aligned to data
-    std::vector<Run> runs;     ///< in arrival order
-  };
+  /// The sort's schema plus one trailing column per key.
+  static Schema RowSchema(const PlanNode& plan) {
+    Schema schema = plan.schema;
+    for (size_t k = 0; k < plan.sort_keys.size(); ++k) {
+      schema.AddField(Field("sort_key" + std::to_string(k),
+                            plan.sort_keys[k].expr->type));
+    }
+    return schema;
+  }
+
   const PlanNode& plan_;
-  std::vector<std::unique_ptr<Local>> locals_;
+  std::unique_ptr<MaterializeSink> rows_;
   TablePtr result_;
 };
 
@@ -365,7 +324,7 @@ class TopNSink : public TableSink {
     return Status::OK();
   }
 
-  bool done() const override { return target_ == 0; }
+  bool done(uint64_t) const override { return target_ == 0; }
 
   Status Finalize() override {
     std::vector<KeyViews> views(locals_.size());
@@ -487,9 +446,12 @@ class TopNSink : public TableSink {
 
 // --- LIMIT sink -----------------------------------------------------------
 
-/// Buffers sequence-tagged chunks until offset+limit rows exist, then
-/// trips done() so workers stop scanning. Finalize reassembles source
-/// order by sequence and slices out [offset, offset+limit).
+/// Buffers sequence-tagged chunks. Once the chunks up to some sequence S
+/// hold offset+limit rows, rows past S can never reach the result, however
+/// the remaining chunks before S turn out: later chunks are dropped and
+/// done() stops workers from scanning them. Finalize reassembles source
+/// order by sequence and slices out [offset, offset+limit), so the result
+/// is the serial one at every thread count.
 class LimitSink : public TableSink {
  public:
   explicit LimitSink(const PlanNode& plan)
@@ -499,27 +461,22 @@ class LimitSink : public TableSink {
                     ? kUnlimited
                     : offset_ + static_cast<size_t>(plan.limit)) {
     partials_.resize(NumWorkers());
-    if (target_ == 0) done_.store(true);
+    if (target_ == 0) end_seq_.store(0);
   }
 
   Status Consume(DataChunk& chunk, const SinkContext& sctx) override {
-    if (target_ != kUnlimited && collected_.load(kRelaxed) >= target_) {
-      return Status::OK();  // raced past the cutoff; drop the chunk
-    }
+    if (done(sctx.sequence)) return Status::OK();  // past the cutoff
     const size_t rows = chunk.num_rows();
     // The buffered chunks bypass Table appends, so charge them explicitly.
     SODA_RETURN_NOT_OK(GuardReserve(QueryGuard::Current(),
                                     chunk.MemoryUsage(), "exec.limit"));
     partials_[sctx.worker_id].push_back({sctx.sequence, std::move(chunk)});
-    if (target_ != kUnlimited &&
-        collected_.fetch_add(rows, kRelaxed) + rows >= target_) {
-      done_.store(true, std::memory_order_release);
-    }
+    if (target_ != kUnlimited) Count(sctx.sequence, rows);
     return Status::OK();
   }
 
-  bool done() const override {
-    return done_.load(std::memory_order_acquire);
+  bool done(uint64_t sequence) const override {
+    return sequence >= end_seq_.load(std::memory_order_acquire);
   }
 
   Status Finalize() override {
@@ -577,12 +534,34 @@ class LimitSink : public TableSink {
     uint64_t seq;
     DataChunk chunk;
   };
+
+  /// Records `rows` kept at `seq` and lowers the cutoff to the smallest
+  /// sequence whose prefix holds target_ rows.
+  void Count(uint64_t seq, size_t rows) SODA_EXCLUDES(mu_) {
+    MutexLock lock(&mu_);
+    rows_by_seq_[seq] += rows;
+    kept_ += rows;
+    if (kept_ < target_) return;
+    size_t prefix = 0;
+    for (auto it = rows_by_seq_.begin(); it != rows_by_seq_.end(); ++it) {
+      prefix += it->second;
+      if (prefix < target_) continue;
+      end_seq_.store(it->first + 1, std::memory_order_release);
+      rows_by_seq_.erase(std::next(it), rows_by_seq_.end());
+      kept_ = prefix;
+      return;
+    }
+  }
+
   const PlanNode& plan_;
   const size_t offset_;
   const size_t target_;  ///< offset + limit; kUnlimited when LIMIT ALL
   std::vector<std::vector<SeqChunk>> partials_;
-  std::atomic<size_t> collected_{0};
-  std::atomic<bool> done_{false};
+  /// Sequences at or past this one cannot reach the result.
+  std::atomic<uint64_t> end_seq_{std::numeric_limits<uint64_t>::max()};
+  Mutex mu_;
+  std::map<uint64_t, size_t> rows_by_seq_ SODA_GUARDED_BY(mu_);
+  size_t kept_ SODA_GUARDED_BY(mu_) = 0;  ///< rows in rows_by_seq_
   TablePtr result_;
 };
 
@@ -593,7 +572,8 @@ Result<TablePtr> SortTable(const Table& input, const PlanNode& plan,
   const size_t n = input.num_rows();
 
   // Evaluate the sort keys over the full input (chunk-wise).
-  std::vector<Column> keys = EmptyColumns(plan.sort_keys);
+  std::vector<Column> keys;
+  for (const auto& k : plan.sort_keys) keys.emplace_back(k.expr->type);
   DataChunk chunk;
   std::vector<Column> parts;
   for (size_t offset = 0; offset < n; offset += kChunkCapacity) {
@@ -605,7 +585,8 @@ Result<TablePtr> SortTable(const Table& input, const PlanNode& plan,
     }
   }
 
-  std::vector<uint32_t> order = SortOrder(keys, plan.sort_keys, n);
+  std::vector<uint32_t> order =
+      SortOrder(MakeKeyViews(keys, plan.sort_keys), n);
   return RebuildSorted(input, order, plan.schema, ctx.guard);
 }
 

@@ -429,35 +429,18 @@ class PhysicalPlanBuilder {
         // the `(SELECT x1..xd FROM data)` inputs of analytics operators,
         // which HyPer would fuse into the operator's own materialization):
         // one bulk column copy instead of chunked pipeline copies. On a
-        // sealed source only the projected columns are decoded. Over a
-        // sorted result (the binder drops hidden sort columns this way)
-        // the copy also keeps the row order, which re-streaming through
-        // per-worker partials would lose.
+        // sealed source only the projected columns are decoded.
         const PlanNode& child = *node.children[0];
-        if (AllColumnRefs(node.exprs) && (child.kind == PlanKind::kScan ||
-                                          child.kind == PlanKind::kBindingRef ||
-                                          child.kind == PlanKind::kSort)) {
+        if (AllColumnRefs(node.exprs) &&
+            (child.kind == PlanKind::kScan ||
+             child.kind == PlanKind::kBindingRef)) {
           PhysicalPipeline p;
-          std::function<Result<TablePtr>(PhysicalPlan&, ExecContext&)> source;
-          if (child.kind == PlanKind::kSort) {
-            SODA_ASSIGN_OR_RETURN(size_t idx, Complete(child));
-            p.inputs.push_back(idx);
-            source = [idx](PhysicalPlan& pp, ExecContext&) -> Result<TablePtr> {
-              TablePtr t = pp.pipeline(idx).result;
-              if (!t) return Status::Internal("project input not materialized");
-              return t;
-            };
-          } else {
-            auto resolve = MakeSourceResolver(child);
-            source = [resolve](PhysicalPlan&, ExecContext& ctx) {
-              return resolve(ctx);
-            };
-          }
+          auto resolve = MakeSourceResolver(child);
           p.op = Op("Project " + ExprListString(node.exprs) +
                     " (column copy)");
-          p.op_fn = [&node, source](PhysicalPlan& pp,
-                                    ExecContext& ctx) -> Result<TablePtr> {
-            SODA_ASSIGN_OR_RETURN(TablePtr in, source(pp, ctx));
+          p.op_fn = [&node, resolve](PhysicalPlan&,
+                                     ExecContext& ctx) -> Result<TablePtr> {
+            SODA_ASSIGN_OR_RETURN(TablePtr in, resolve(ctx));
             auto out = std::make_shared<Table>("project", node.schema);
             std::vector<size_t> cols;
             cols.reserve(node.exprs.size());
@@ -548,7 +531,7 @@ class PhysicalPlanBuilder {
         // When every transform preserves cardinality, offset+limit output
         // rows need exactly offset+limit source rows: bound the scan
         // itself (deterministic O(k) path). Otherwise the sink's done()
-        // flag stops workers once enough rows were collected.
+        // stops workers past the source chunk that completes the rows.
         bool bounded = node.limit >= 0;
         for (const auto& t : p.transforms) {
           if (!t || !t->preserves_cardinality()) {
@@ -566,70 +549,30 @@ class PhysicalPlanBuilder {
         return Push(std::move(p));
       }
       case PlanKind::kUnionAll: {
-        // All children feed one shared sink; a final source-less pipeline
-        // closes it. Chunks append straight into the sink — the old
-        // path materialized every child and then re-copied it (and charged
-        // the QueryGuard for both).
+        // Every child streams into one shared sink, stamped with its child
+        // index as the branch, so the result holds the children's rows in
+        // child order, each in source order; a final source-less pipeline
+        // closes the sink.
         auto shared = std::make_shared<MaterializeSink>(node.schema);
         auto shared_op = Op("UnionAll (materialize)");
         std::vector<size_t> child_idx;
         child_idx.reserve(node.children.size());
-        for (const auto& child : node.children) {
-          SODA_ASSIGN_OR_RETURN(PhysicalPipeline cp, Stream(*child));
-          if (cp.transforms.empty() && cp.prepares.empty()) {
-            // Transform-free child: append chunk-wise on the scheduler
-            // thread (keeps child order, lands in one sink partial that
-            // Finalize can adopt without a copy).
-            PhysicalPipeline q;
-            q.inputs = cp.inputs;
-            auto src = cp.table_source;
-            auto cols = std::make_shared<std::vector<size_t>>(
-                std::move(cp.scan_columns));
-            const size_t in = cp.input_pipeline;
-            q.op = Op("UnionAppend (" + cp.source_op->name + ")");
-            q.op_fn = [src, in, cols, shared, shared_op](
-                          PhysicalPlan& pp,
-                          ExecContext& ctx) -> Result<TablePtr> {
-              TablePtr t;
-              if (src) {
-                SODA_ASSIGN_OR_RETURN(t, src(ctx));
-              } else {
-                t = pp.pipeline(in).result;
-                if (!t) {
-                  return Status::Internal("union input not materialized");
-                }
-              }
-              const size_t n = t->num_rows();
-              DataChunk chunk;
-              for (size_t off = 0; off < n; off += kChunkCapacity) {
-                SODA_RETURN_NOT_OK(ctx.Probe("exec.union"));
-                const size_t count = std::min(kChunkCapacity, n - off);
-                t->ScanSlice(off, count, &chunk,
-                             cols->empty() ? nullptr : cols.get());
-                shared_op->metrics.rows_in.fetch_add(count, kRelaxed);
-                shared_op->metrics.chunks.fetch_add(1, kRelaxed);
-                SinkContext sctx;
-                sctx.sequence = off;
-                SODA_RETURN_NOT_OK(shared->Consume(chunk, sctx));
-              }
-              return TablePtr();
-            };
-            child_idx.push_back(Push(std::move(q)));
-          } else {
-            cp.sink = shared;
-            cp.sink_op = shared_op;
-            cp.finalize_sink = false;
-            child_idx.push_back(Push(std::move(cp)));
-          }
+        for (size_t b = 0; b < node.children.size(); ++b) {
+          SODA_ASSIGN_OR_RETURN(PhysicalPipeline cp,
+                                Stream(*node.children[b]));
+          cp.branch = static_cast<uint32_t>(b);
+          cp.sink = shared;
+          cp.sink_op = shared_op;
+          cp.finalize_sink = false;
+          child_idx.push_back(Push(std::move(cp)));
         }
         PhysicalPipeline fin;
         fin.sink = shared;
         fin.sink_op = shared_op;
         fin.finalize_sink = true;
         fin.inputs = child_idx;
-        // Every union funnels through this merge point, so probe here:
-        // the per-chunk probe above only covers transform-free children.
-        // The null display slot keeps the probe out of EXPLAIN output.
+        // Every union funnels through this merge point, so probe here. The
+        // null display slot keeps the probe out of EXPLAIN output.
         fin.prepares.push_back(
             [](PhysicalPlan&, PhysicalPipeline&, ExecContext& ctx) {
               return ctx.Probe("exec.union");
@@ -863,9 +806,9 @@ Status PhysicalPlan::RunStreaming(PhysicalPipeline& p, ExecContext& ctx) {
         }
         for (size_t offset = begin; offset < end;) {
           if (first_error.failed()) return;
-          // Cross-worker early exit (LIMIT): enough rows collected, the
-          // remaining source rows are never even scanned.
-          if (sink.done()) return;
+          // Cross-worker early exit (LIMIT): rows from this source chunk
+          // on cannot reach the result, so they are never even scanned.
+          if (sink.done(offset)) return;
           size_t count = std::min(kChunkCapacity, end - offset);
           size_t phys = offset;
           if (pruned) {
@@ -905,6 +848,7 @@ Status PhysicalPlan::RunStreaming(PhysicalPipeline& p, ExecContext& ctx) {
           }
           SinkContext sctx;
           sctx.worker_id = worker_id;
+          sctx.branch = p.branch;
           sctx.sequence = offset;  // source order, shared by derived chunks
 
           // Apply the transform chain with continuation-style emits,

@@ -100,6 +100,9 @@ struct PhysicalPipeline {
   /// sealed tables never decode dropped columns). Empty = all columns.
   std::vector<size_t> scan_columns;
   PhysOpPtr source_op;
+  /// UNION ALL child index this pipeline streams into the shared sink
+  /// with (`SinkContext::branch`); 0 for every other pipeline.
+  uint32_t branch = 0;
 
   /// The transform chain. Entries may be null until a `prepares` closure
   /// fills them (join probes wait for their build pipeline's result);

@@ -173,11 +173,10 @@ Result<DataType> InferFunctionType(const std::string& name,
 
 Result<DataType> InferAggregateType(const std::string& name, DataType arg) {
   if (name == "count") return DataType::kBigInt;
-  if (name == "min" || name == "max") return arg;
   if (!IsNumeric(arg)) {
     return Status::TypeError(name + " expects a numeric argument");
   }
-  if (name == "sum") return arg;
+  if (name == "min" || name == "max" || name == "sum") return arg;
   if (name == "avg" || name == "stddev" || name == "var") {
     return DataType::kDouble;
   }

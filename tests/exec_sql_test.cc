@@ -4,6 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <string>
+#include <vector>
+
 #include "tests/test_util.h"
 
 namespace soda {
@@ -288,6 +292,30 @@ TEST_F(ExecSqlTest, NaNComparesEqualToItselfAndSortsLast) {
                      "JOIN (SELECT id, x / y q FROM f) b ON a.q = b.q")
                 .GetInt(0, 0),
             8);
+}
+
+TEST_F(ExecSqlTest, DoubleMinMaxFollowTheNaNSortRuleInAnyRowOrder) {
+  // x / y over (0, 0) is NaN. min and max rank NaN as ORDER BY does, after
+  // every number, so its position in the input does not change the result.
+  const std::vector<std::string> orders = {
+      "(0.0, 0.0), (1.0, 1.0), (5.0, 1.0)",
+      "(1.0, 1.0), (5.0, 1.0), (0.0, 0.0)"};
+  for (size_t i = 0; i < orders.size(); ++i) {
+    const std::string t = "m" + std::to_string(i);
+    RunQuery(engine_, "CREATE TABLE " + t + " (x FLOAT, y FLOAT)");
+    RunQuery(engine_, "INSERT INTO " + t + " VALUES " + orders[i]);
+    auto r = RunQuery(engine_, "SELECT min(x / y), max(x / y) FROM " + t);
+    EXPECT_EQ(r.GetDouble(0, 0), 1.0) << orders[i];
+    EXPECT_TRUE(std::isnan(r.GetDouble(0, 1))) << orders[i];
+    auto last = RunQuery(engine_, "SELECT x / y q FROM " + t +
+                                      " ORDER BY q DESC LIMIT 1");
+    EXPECT_TRUE(std::isnan(last.GetDouble(0, 0))) << orders[i];
+  }
+  // min/max have numeric states only: a VARCHAR argument is a type error.
+  RunQuery(engine_, "CREATE TABLE ms (s VARCHAR)");
+  RunQuery(engine_, "INSERT INTO ms VALUES ('a'), ('b')");
+  ExpectError(engine_, "SELECT min(s) FROM ms", StatusCode::kTypeError);
+  ExpectError(engine_, "SELECT max(s) FROM ms", StatusCode::kTypeError);
 }
 
 TEST_F(ExecSqlTest, NaNPushdownOnSealedTablesMatchesTheVolatileTable) {

@@ -73,12 +73,17 @@ TEST_F(ExplainTest, PlainExplainPrintsPipelineDecomposition) {
 }
 
 TEST_F(ExplainTest, UnionAllDecomposesIntoSharedSinkPipelines) {
-  // The pure-column-ref projections fuse into the scans, so both children
-  // qualify for the transform-free UnionAppend fast path.
+  // The pure-column-ref projections fuse into the scans, and both
+  // children stream into the shared sink.
   auto r = RunQuery(engine_,
                     "EXPLAIN SELECT a FROM t UNION ALL SELECT a FROM u");
   std::string text = ExplainText(r);
-  EXPECT_NE(text.find("UnionAppend (Scan t project [a#0])"),
+  EXPECT_NE(text.find("P0: Scan t project [a#0] -> "
+                      "UnionAll (materialize) (shared)"),
+            std::string::npos)
+      << text;
+  EXPECT_NE(text.find("P1: Scan u project [a#0] -> "
+                      "UnionAll (materialize) (shared)"),
             std::string::npos)
       << text;
   EXPECT_NE(text.find("P2 [<- P0, P1]: UnionAll (materialize)"),
