@@ -178,18 +178,6 @@ Result<QueryResult> ExecuteSelect(const SelectStmt* stmt, Catalog* catalog,
   return QueryResult(std::move(result), ctx.stats);
 }
 
-/// Seals a freshly built (exclusively owned) DML result of at least
-/// kSealMinRows rows. Partitioned tables always seal — pruning needs the
-/// partition-clustered layout.
-Status MaybeSeal(Table* table) {
-  if (table->sealed()) return Status::OK();
-  if (table->partition_spec().partitioned() ||
-      table->num_rows() >= kSealMinRows) {
-    return table->Seal();
-  }
-  return Status::OK();
-}
-
 /// Builds the CREATE TABLE partition spec from the parsed clause,
 /// resolving the column against `schema` and validating bounds.
 Result<PartitionSpec> BuildPartitionSpec(const CreateTableStmt& stmt,
@@ -231,139 +219,6 @@ Result<PartitionSpec> BuildPartitionSpec(const CreateTableStmt& stmt,
   return spec;
 }
 
-/// INSERT into a sealed table: every existing row group is shared by
-/// pointer into the new table version — only the staged rows are encoded
-/// (bucketed into their partitions first). The old image is never decoded.
-Result<TablePtr> AppendSealed(const Table& prev, const Table& staged) {
-  const PartitionSpec& spec = prev.partition_spec();
-  const auto& prev_offsets = prev.partition_offsets();
-  const size_t P = prev_offsets.size() - 1;
-
-  // Bucket staged rows by partition (single bucket when unpartitioned).
-  std::vector<std::vector<uint32_t>> buckets(P);
-  if (spec.partitioned() && spec.num_partitions == P) {
-    const Column& pcol = staged.column(spec.column_index);
-    for (size_t r = 0; r < staged.num_rows(); ++r) {
-      buckets[PartitionOfRow(spec, pcol, r)].push_back(
-          static_cast<uint32_t>(r));
-    }
-  } else {
-    buckets[0].resize(staged.num_rows());
-    for (size_t r = 0; r < staged.num_rows(); ++r) {
-      buckets[0][r] = static_cast<uint32_t>(r);
-    }
-  }
-
-  std::vector<std::vector<SegmentPtr>> groups;
-  std::vector<size_t> offsets{0};
-  size_t g = 0;
-  size_t total = 0;
-  for (size_t p = 0; p < P; ++p) {
-    while (g < prev.num_row_groups() &&
-           prev.group_offset(g) < prev_offsets[p + 1]) {
-      std::vector<SegmentPtr> group;
-      group.reserve(prev.num_columns());
-      for (size_t c = 0; c < prev.num_columns(); ++c) {
-        group.push_back(prev.group_segment(g, c));
-      }
-      total += prev.group_rows(g);
-      groups.push_back(std::move(group));
-      ++g;
-    }
-    if (!buckets[p].empty()) {
-      // Gather this partition's staged rows into flat columns, then
-      // encode them as fresh groups appended at the partition's end.
-      std::vector<Column> part;
-      part.reserve(staged.num_columns());
-      for (size_t c = 0; c < staged.num_columns(); ++c) {
-        Column col(staged.column(c).type());
-        col.Reserve(buckets[p].size());
-        col.AppendGather(staged.column(c), buckets[p].data(),
-                         buckets[p].size());
-        part.push_back(std::move(col));
-      }
-      const size_t rows = buckets[p].size();
-      for (size_t off = 0; off < rows; off += kSegmentRows) {
-        const size_t take = std::min(kSegmentRows, rows - off);
-        std::vector<SegmentPtr> group;
-        group.reserve(part.size());
-        for (const Column& col : part) {
-          SODA_ASSIGN_OR_RETURN(SegmentPtr seg,
-                                EncodeSegment(col, off, take));
-          group.push_back(std::move(seg));
-        }
-        groups.push_back(std::move(group));
-      }
-      total += rows;
-    }
-    offsets.push_back(total);
-  }
-
-  auto next = std::make_shared<Table>(prev.name(), prev.schema());
-  next->set_partition_spec(spec);
-  SODA_RETURN_NOT_OK(next->AdoptSealed(std::move(groups), std::move(offsets)));
-  return next;
-}
-
-/// Rebuilds a sealed table after DELETE/UPDATE, re-encoding only the
-/// partitions that contain touched rows; untouched partitions share their
-/// row groups with the previous version by pointer.
-///
-/// `next_flat` must hold the complete post-statement rows in the same
-/// partition-contiguous order as `prev` (DELETE removes rows in place;
-/// UPDATE replaces values in place — neither reorders, so partition p's
-/// rows occupy [new_offsets[p], new_offsets[p+1]) in `next_flat`).
-/// `touched[p]` marks partitions whose rows changed.
-Result<TablePtr> ResealReusing(const Table& prev, const Table& next_flat,
-                               const std::vector<uint8_t>& touched,
-                               const std::vector<size_t>& new_offsets) {
-  const size_t P = touched.size();
-  const auto& prev_offsets = prev.partition_offsets();
-  std::vector<std::vector<SegmentPtr>> groups;
-  std::vector<size_t> offsets{0};
-  size_t g = 0;
-  size_t total = 0;
-  for (size_t p = 0; p < P; ++p) {
-    if (!touched[p]) {
-      while (g < prev.num_row_groups() &&
-             prev.group_offset(g) < prev_offsets[p + 1]) {
-        std::vector<SegmentPtr> group;
-        group.reserve(prev.num_columns());
-        for (size_t c = 0; c < prev.num_columns(); ++c) {
-          group.push_back(prev.group_segment(g, c));
-        }
-        total += prev.group_rows(g);
-        groups.push_back(std::move(group));
-        ++g;
-      }
-    } else {
-      while (g < prev.num_row_groups() &&
-             prev.group_offset(g) < prev_offsets[p + 1]) {
-        ++g;  // skip the stale groups
-      }
-      for (size_t off = new_offsets[p]; off < new_offsets[p + 1];
-           off += kSegmentRows) {
-        const size_t take = std::min(kSegmentRows, new_offsets[p + 1] - off);
-        std::vector<SegmentPtr> group;
-        group.reserve(next_flat.num_columns());
-        for (size_t c = 0; c < next_flat.num_columns(); ++c) {
-          SODA_ASSIGN_OR_RETURN(
-              SegmentPtr seg,
-              EncodeSegment(next_flat.column(c), off, take));
-          group.push_back(std::move(seg));
-        }
-        groups.push_back(std::move(group));
-      }
-      total += new_offsets[p + 1] - new_offsets[p];
-    }
-    offsets.push_back(total);
-  }
-  auto next = std::make_shared<Table>(prev.name(), prev.schema());
-  next->set_partition_spec(prev.partition_spec());
-  SODA_RETURN_NOT_OK(next->AdoptSealed(std::move(groups), std::move(offsets)));
-  return next;
-}
-
 Result<QueryResult> ExecuteCreate(const CreateTableStmt& stmt,
                                   Catalog* catalog,
                                   const EngineOptions& options,
@@ -390,17 +245,11 @@ Result<QueryResult> ExecuteCreate(const CreateTableStmt& stmt,
     for (const auto& f : result.schema().fields()) {
       schema.AddField(Field(f.name, f.type));  // strip qualifiers
     }
-    const Table& src = *result.table();
-    // The bulk column copy bypasses Table::AppendChunk; charge it before
-    // the table is registered so a failed budget leaves no empty shell.
-    SODA_RETURN_NOT_OK(
-        GuardReserve(guard, src.MemoryUsage(), "exec.dml"));
-    auto table = std::make_shared<Table>(ToLower(stmt.name), schema);
-    for (size_t c = 0; c < src.num_columns(); ++c) {
-      table->column(c).AppendSlice(src.column(c), 0, src.num_rows());
-    }
-    // Seal before logging so the checkpoint/WAL image is the encoded one.
-    SODA_RETURN_NOT_OK(MaybeSeal(table.get()));
+    SODA_ASSIGN_OR_RETURN(TablePtr empty,
+                          NewTable(ToLower(stmt.name), std::move(schema), {}));
+    SODA_ASSIGN_OR_RETURN(
+        TablePtr table,
+        BuildNextVersion(*empty, nullptr, result.table().get(), "exec.dml"));
     SODA_RETURN_NOT_OK(CommitDurable(
         dur, [&] { return dur->LogTableImage(*table); },
         [&] { return catalog->RegisterTable(std::move(table)); }));
@@ -411,107 +260,79 @@ Result<QueryResult> ExecuteCreate(const CreateTableStmt& stmt,
     schema.AddField(Field(name, type));
   }
   SODA_ASSIGN_OR_RETURN(PartitionSpec spec, BuildPartitionSpec(stmt, schema));
+  SODA_ASSIGN_OR_RETURN(TablePtr table,
+                        NewTable(ToLower(stmt.name), schema, spec));
   SODA_RETURN_NOT_OK(CommitDurable(
       dur,
       [&] { return dur->LogCreateTable(ToLower(stmt.name), schema, spec); },
-      [&]() -> Status {
-        auto table = std::make_shared<Table>(ToLower(stmt.name), schema);
-        table->set_partition_spec(spec);
-        // Partitioned tables live sealed from birth: every later INSERT
-        // goes through the group-reuse append path (AppendSealed), which
-        // requires the clustered layout to already exist.
-        if (spec.partitioned()) SODA_RETURN_NOT_OK(table->Seal());
-        return catalog->RegisterTable(std::move(table));
-      }));
+      [&] { return catalog->RegisterTable(std::move(table)); }));
   return QueryResult();
 }
 
-/// Evaluates an optional WHERE over a full table; `selected[i]` is set for
-/// rows where the predicate is TRUE (all rows when `where` is null).
-Result<std::vector<uint8_t>> EvaluateRowMask(const Table& table,
-                                             const ParseExpr* where,
-                                             Catalog* catalog,
-                                             QueryGuard* guard) {
-  std::vector<uint8_t> selected(table.num_rows(), where ? 0 : 1);
-  if (!where) return selected;
+/// Binds a DML WHERE clause over `table`'s rows; null when there is none.
+Result<ExprPtr> BindDmlWhere(const ParseExpr* where, const Table& table,
+                             Catalog* catalog) {
+  if (!where) return ExprPtr();
   Binder binder(catalog);
-  Schema schema = table.schema().WithQualifier(table.name());
-  SODA_ASSIGN_OR_RETURN(ExprPtr pred, binder.BindScalar(*where, schema));
+  SODA_ASSIGN_OR_RETURN(
+      ExprPtr pred,
+      binder.BindScalar(*where, table.schema().WithQualifier(table.name())));
   if (pred->type != DataType::kBool) {
     return Status::BindError("WHERE clause must be boolean");
   }
-  DataChunk chunk;
-  const size_t n = table.num_rows();
-  for (size_t offset = 0; offset < n; offset += kChunkCapacity) {
-    SODA_RETURN_NOT_OK(GuardProbe(guard, "exec.dml"));
-    table.ScanSlice(offset, std::min(kChunkCapacity, n - offset), &chunk);
-    std::vector<uint32_t> sel;
-    SODA_RETURN_NOT_OK(EvaluatePredicate(*pred, chunk, &sel));
-    for (uint32_t i : sel) selected[offset + i] = 1;
-  }
-  return selected;
+  return pred;
 }
 
-/// DELETE: copy-on-write — build the surviving rows into a fresh table and
-/// atomically swap it in (readers holding the old TablePtr keep a
-/// consistent snapshot). The new image is write-ahead-logged before the
-/// swap, so the statement commits to disk and memory together.
+/// The rows of `rows` that `where` selects (every row when it is null).
+Status SelectRows(const Expression* where, const DataChunk& rows,
+                  std::vector<uint32_t>* sel) {
+  if (where) return EvaluatePredicate(*where, rows, sel);
+  sel->resize(rows.num_rows());
+  for (size_t r = 0; r < sel->size(); ++r) (*sel)[r] = static_cast<uint32_t>(r);
+  return Status::OK();
+}
+
+/// DELETE: copy-on-write — each row group keeps the rows WHERE does not
+/// select (groups without a deleted row are shared with the previous
+/// version), the new version is write-ahead-logged and then swapped in, so
+/// readers holding the old TablePtr keep a consistent snapshot.
 Result<QueryResult> ExecuteDelete(const DeleteStmt& stmt, Catalog* catalog,
                                   DurabilityManager* dur, QueryGuard* guard) {
   SODA_ASSIGN_OR_RETURN(TablePtr table, catalog->GetTable(stmt.table));
   // Writes must see the whole table (copy-on-write rebuild); quarantined
   // payload would silently turn into all-NULL placeholder rows.
   SODA_RETURN_NOT_OK(table->CheckReadable(0, table->num_rows()));
-  // The rebuild indexes rows directly: read a flat copy of a sealed table.
-  SODA_ASSIGN_OR_RETURN(TablePtr flat, FlatView(table, guard));
-  SODA_ASSIGN_OR_RETURN(
-      std::vector<uint8_t> doomed,
-      EvaluateRowMask(*flat, stmt.where.get(), catalog, guard));
-  // Copy-on-write duplicates (up to) the whole table; charge the rebuild
-  // before touching it so budget failures leave the old snapshot intact.
-  SODA_RETURN_NOT_OK(GuardReserve(guard, flat->MemoryUsage(), "exec.dml"));
-  auto next = std::make_shared<Table>(table->name(), table->schema());
-  next->set_partition_spec(table->partition_spec());
-  for (size_t c = 0; c < flat->num_columns(); ++c) {
-    for (size_t r = 0; r < flat->num_rows(); ++r) {
-      if (!doomed[r]) next->column(c).AppendFrom(flat->column(c), r);
-    }
-  }
-  TablePtr publish = next;
-  if (table->sealed() && table->partition_spec().partitioned()) {
-    // Surviving rows keep their clustered order (the rebuild filters in
-    // place), so partitions with no deleted row can share their encoded
-    // groups with the previous version; only touched partitions re-encode.
-    const auto& prev_offsets = table->partition_offsets();
-    const size_t P = prev_offsets.size() - 1;
-    std::vector<uint8_t> touched(P, 0);
-    std::vector<size_t> new_offsets(P + 1, 0);
-    for (size_t p = 0; p < P; ++p) {
-      size_t survivors = 0;
-      for (size_t r = prev_offsets[p]; r < prev_offsets[p + 1]; ++r) {
-        if (doomed[r]) {
-          touched[p] = 1;
-        } else {
-          ++survivors;
-        }
+  SODA_ASSIGN_OR_RETURN(ExprPtr where,
+                        BindDmlWhere(stmt.where.get(), *table, catalog));
+  GroupEdit edit = [&](DataChunk* rows) -> Result<bool> {
+    SODA_RETURN_NOT_OK(GuardProbe(guard, "exec.dml"));
+    std::vector<uint32_t> doomed;
+    SODA_RETURN_NOT_OK(SelectRows(where.get(), *rows, &doomed));
+    if (doomed.empty()) return false;
+    std::vector<uint32_t> keep;
+    size_t d = 0;
+    for (uint32_t r = 0; r < rows->num_rows(); ++r) {
+      if (d < doomed.size() && doomed[d] == r) {
+        ++d;
+      } else {
+        keep.push_back(r);
       }
-      new_offsets[p + 1] = new_offsets[p] + survivors;
     }
-    SODA_ASSIGN_OR_RETURN(publish,
-                          ResealReusing(*table, *next, touched, new_offsets));
-  } else {
-    SODA_RETURN_NOT_OK(MaybeSeal(next.get()));
-  }
+    *rows = GatherRows(rows->columns(), keep);
+    return true;
+  };
+  SODA_ASSIGN_OR_RETURN(TablePtr next,
+                        BuildNextVersion(*table, edit, nullptr, "exec.dml"));
   SODA_RETURN_NOT_OK(CommitDurable(
-      dur, [&] { return dur->LogTableImage(*publish); },
-      [&] { return catalog->ReplaceTable(stmt.table, std::move(publish)); }));
+      dur, [&] { return dur->LogTableImage(*next); },
+      [&] { return catalog->ReplaceTable(stmt.table, std::move(next)); }));
   return QueryResult();
 }
 
-/// UPDATE: gather-evaluate-scatter — SET expressions run only over the
-/// rows the WHERE mask selects (a failing or expensive expression on an
-/// unselected row never executes), then the new values are scattered into
-/// a fresh table which is swapped in (copy-on-write).
+/// UPDATE: gather-evaluate-scatter per row group — SET expressions run
+/// only over the rows WHERE selects (a failing or expensive expression on
+/// an unselected row never executes), the new values are scattered into
+/// the group, and the next version is swapped in (copy-on-write).
 Result<QueryResult> ExecuteUpdate(const UpdateStmt& stmt, Catalog* catalog,
                                   DurabilityManager* dur, QueryGuard* guard) {
   SODA_ASSIGN_OR_RETURN(TablePtr table, catalog->GetTable(stmt.table));
@@ -522,6 +343,7 @@ Result<QueryResult> ExecuteUpdate(const UpdateStmt& stmt, Catalog* catalog,
 
   // Bind assignments; insert casts for compatible numeric mismatches.
   std::vector<std::pair<size_t, ExprPtr>> assignments;
+  bool repartitions = false;
   for (const auto& [col_name, parse_expr] : stmt.assignments) {
     SODA_ASSIGN_OR_RETURN(size_t col, schema.FindField(col_name));
     SODA_ASSIGN_OR_RETURN(ExprPtr expr,
@@ -536,120 +358,61 @@ Result<QueryResult> ExecuteUpdate(const UpdateStmt& stmt, Catalog* catalog,
       }
       expr = Expression::Cast(std::move(expr), want);
     }
+    repartitions |= table->partition_spec().partitioned() &&
+                    col == table->partition_spec().column_index;
     assignments.emplace_back(col, std::move(expr));
   }
+  SODA_ASSIGN_OR_RETURN(ExprPtr where,
+                        BindDmlWhere(stmt.where.get(), *table, catalog));
 
-  // Gather and merge index rows directly (see ExecuteDelete).
-  SODA_ASSIGN_OR_RETURN(TablePtr flat, FlatView(table, guard));
-  SODA_ASSIGN_OR_RETURN(
-      std::vector<uint8_t> selected,
-      EvaluateRowMask(*flat, stmt.where.get(), catalog, guard));
-
-  const size_t n = flat->num_rows();
-  std::vector<size_t> sel;
-  for (size_t r = 0; r < n; ++r) {
-    if (selected[r]) sel.push_back(r);
-  }
-
-  // New values for the selected rows only, in selection order (compact:
-  // new_values[a][i] belongs to row sel[i]).
-  std::vector<Column> new_values;
-  for (auto& [col, expr] : assignments) {
-    new_values.emplace_back(schema.field(col).type);
-    (void)expr;
-  }
-  if (sel.size() == n) {
-    // Every row selected: contiguous scan beats row-wise gathering.
-    DataChunk chunk;
-    for (size_t offset = 0; offset < n; offset += kChunkCapacity) {
-      SODA_RETURN_NOT_OK(GuardProbe(guard, "exec.dml"));
-      flat->ScanSlice(offset, std::min(kChunkCapacity, n - offset), &chunk);
-      for (size_t a = 0; a < assignments.size(); ++a) {
-        Column part;
-        SODA_RETURN_NOT_OK(
-            EvaluateExpression(*assignments[a].second, chunk, &part));
-        new_values[a].AppendSlice(part, 0, part.size());
-      }
-    }
-  } else {
-    for (size_t start = 0; start < sel.size(); start += kChunkCapacity) {
-      SODA_RETURN_NOT_OK(GuardProbe(guard, "exec.dml"));
-      const size_t count = std::min(kChunkCapacity, sel.size() - start);
-      DataChunk gathered;
-      for (size_t c = 0; c < flat->num_columns(); ++c) {
-        Column col(flat->column(c).type());
-        col.Reserve(count);
-        for (size_t i = 0; i < count; ++i) {
-          col.AppendFrom(flat->column(c), sel[start + i]);
-        }
-        gathered.AddColumn(std::move(col));
-      }
-      for (size_t a = 0; a < assignments.size(); ++a) {
-        Column part;
-        SODA_RETURN_NOT_OK(
-            EvaluateExpression(*assignments[a].second, gathered, &part));
-        new_values[a].AppendSlice(part, 0, part.size());
-      }
-    }
-  }
-
-  // The copy-on-write merge duplicates the table (see ExecuteDelete).
-  SODA_RETURN_NOT_OK(GuardReserve(guard, flat->MemoryUsage(), "exec.dml"));
-  auto next = std::make_shared<Table>(table->name(), table->schema());
-  next->set_partition_spec(table->partition_spec());
-  for (size_t c = 0; c < flat->num_columns(); ++c) {
-    const Column* updated = nullptr;
+  GroupEdit edit = [&](DataChunk* rows) -> Result<bool> {
+    SODA_RETURN_NOT_OK(GuardProbe(guard, "exec.dml"));
+    std::vector<uint32_t> sel;
+    SODA_RETURN_NOT_OK(SelectRows(where.get(), *rows, &sel));
+    if (sel.empty()) return false;
+    const bool all = sel.size() == rows->num_rows();
+    DataChunk gathered;
+    if (!all) gathered = GatherRows(rows->columns(), sel);
+    // Every SET expression reads the pre-update values.
+    std::vector<Column> values(assignments.size());
     for (size_t a = 0; a < assignments.size(); ++a) {
-      if (assignments[a].first == c) updated = &new_values[a];
+      SODA_RETURN_NOT_OK(EvaluateExpression(
+          *assignments[a].second, all ? *rows : gathered, &values[a]));
     }
-    Column& dst = next->column(c);
-    if (!updated) {
-      dst.AppendSlice(flat->column(c), 0, n);
-      continue;
-    }
-    size_t cursor = 0;
-    for (size_t r = 0; r < n; ++r) {
-      if (selected[r]) {
-        dst.AppendFrom(*updated, cursor++);
-      } else {
-        dst.AppendFrom(flat->column(c), r);
+    for (size_t a = 0; a < assignments.size(); ++a) {
+      Column& dst = rows->column(assignments[a].first);
+      if (all) {
+        dst = std::move(values[a]);
+        continue;
       }
-    }
-  }
-  // Assigning the partition column can move rows between partitions, which
-  // invalidates the clustered order — only then is a full re-seal needed.
-  bool repartitions = false;
-  if (table->partition_spec().partitioned()) {
-    for (const auto& [col, expr] : assignments) {
-      if (col == table->partition_spec().column_index) repartitions = true;
-      (void)expr;
-    }
-  }
-  TablePtr publish = next;
-  if (table->sealed() && table->partition_spec().partitioned() &&
-      !repartitions) {
-    // In-place value replacement keeps row order and counts, so the new
-    // partition layout equals the old one; only partitions containing a
-    // selected row re-encode.
-    const auto& prev_offsets = table->partition_offsets();
-    const size_t P = prev_offsets.size() - 1;
-    std::vector<uint8_t> touched(P, 0);
-    for (size_t p = 0; p < P; ++p) {
-      for (size_t r = prev_offsets[p]; r < prev_offsets[p + 1]; ++r) {
-        if (selected[r]) {
-          touched[p] = 1;
-          break;
+      Column merged(dst.type());
+      merged.Reserve(dst.size());
+      size_t next = 0;
+      for (uint32_t r = 0; r < dst.size(); ++r) {
+        if (next < sel.size() && sel[next] == r) {
+          merged.AppendFrom(values[a], next++);
+        } else {
+          merged.AppendFrom(dst, r);
         }
       }
+      dst = std::move(merged);
     }
-    SODA_ASSIGN_OR_RETURN(publish,
-                          ResealReusing(*table, *next, touched, prev_offsets));
-  } else {
-    SODA_RETURN_NOT_OK(MaybeSeal(next.get()));
+    return true;
+  };
+  SODA_ASSIGN_OR_RETURN(TablePtr next,
+                        BuildNextVersion(*table, edit, nullptr, "exec.dml"));
+  if (repartitions) {
+    // Assigned partition keys can move rows between partitions: re-seal
+    // from a flat copy to restore the clustered layout.
+    auto flat = std::make_shared<Table>(table->name(), table->schema());
+    SODA_RETURN_NOT_OK(next->DecodeInto(flat.get(), guard, "exec.dml"));
+    flat->set_partition_spec(table->partition_spec());
+    SODA_RETURN_NOT_OK(flat->Seal());
+    next = std::move(flat);
   }
   SODA_RETURN_NOT_OK(CommitDurable(
-      dur, [&] { return dur->LogTableImage(*publish); },
-      [&] { return catalog->ReplaceTable(stmt.table, std::move(publish)); }));
+      dur, [&] { return dur->LogTableImage(*next); },
+      [&] { return catalog->ReplaceTable(stmt.table, std::move(next)); }));
   return QueryResult();
 }
 
@@ -668,8 +431,8 @@ Result<QueryResult> ExecuteDrop(const DropTableStmt& stmt, Catalog* catalog,
 }
 
 /// INSERT: all-or-nothing. New rows are staged into a side table; only
-/// when every row has evaluated, type-checked, and been write-ahead-logged
-/// is the live table rebuilt and atomically swapped in. A failure at any
+/// when every row has evaluated and type-checked is the next version
+/// built, write-ahead-logged and atomically swapped in. A failure at any
 /// point (bad row, tripped guard, injected fault, failed commit) leaves
 /// the table — in memory and on disk — exactly as it was.
 Result<QueryResult> ExecuteInsert(const InsertStmt& stmt, Catalog* catalog,
@@ -677,9 +440,9 @@ Result<QueryResult> ExecuteInsert(const InsertStmt& stmt, Catalog* catalog,
                                   DurabilityManager* dur, QueryGuard* guard,
                                   const CacheCtx& cc) {
   SODA_ASSIGN_OR_RETURN(TablePtr table, catalog->GetTable(stmt.table));
-  // INSERT rebuilds (or group-reuse-appends to) the current payload; a
-  // quarantined table rejects the write rather than splice rows onto
-  // placeholder data. DROP TABLE and kTableImage recovery still work.
+  // INSERT appends to the current payload's row groups; a quarantined
+  // table rejects the write rather than splice rows onto placeholder data.
+  // DROP TABLE and kTableImage recovery still work.
   SODA_RETURN_NOT_OK(table->CheckReadable(0, table->num_rows()));
   Table staged(table->name(), table->schema());
 
@@ -751,28 +514,13 @@ Result<QueryResult> ExecuteInsert(const InsertStmt& stmt, Catalog* catalog,
     }
   }
 
-  // Commit point: log the staged rows, then rebuild-and-swap so readers
-  // holding the old TablePtr keep a consistent snapshot (the same
-  // copy-on-write path UPDATE/DELETE use).
-  SODA_RETURN_NOT_OK(GuardReserve(guard, table->MemoryUsage(), "exec.dml"));
+  // Build the next version, then commit: log the staged rows, then swap it
+  // in, so readers holding the old TablePtr keep a consistent snapshot.
+  SODA_ASSIGN_OR_RETURN(TablePtr next,
+                        BuildNextVersion(*table, nullptr, &staged, "exec.dml"));
   SODA_RETURN_NOT_OK(CommitDurable(
       dur, [&] { return dur->LogAppendRows(staged); },
-      [&]() -> Status {
-        if (table->sealed()) {
-          // Group-reuse append: existing segments are shared by pointer
-          // into the new version; only the staged rows are encoded.
-          SODA_ASSIGN_OR_RETURN(TablePtr next, AppendSealed(*table, staged));
-          return catalog->ReplaceTable(table->name(), std::move(next));
-        }
-        auto next = std::make_shared<Table>(table->name(), table->schema());
-        next->set_partition_spec(table->partition_spec());
-        for (size_t c = 0; c < table->num_columns(); ++c) {
-          next->column(c).AppendSlice(table->column(c), 0, table->num_rows());
-          next->column(c).AppendSlice(staged.column(c), 0, staged.num_rows());
-        }
-        SODA_RETURN_NOT_OK(MaybeSeal(next.get()));
-        return catalog->ReplaceTable(table->name(), std::move(next));
-      }));
+      [&] { return catalog->ReplaceTable(table->name(), std::move(next)); }));
   return QueryResult();
 }
 

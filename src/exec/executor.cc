@@ -5,6 +5,7 @@
 #include "exec/physical_plan.h"
 #include "exec/plan_verifier.h"
 #include "util/parallel.h"
+#include "util/query_guard.h"
 
 namespace soda {
 
@@ -14,18 +15,24 @@ MaterializeSink::MaterializeSink(Schema schema) : schema_(std::move(schema)) {
 
 Status MaterializeSink::Consume(DataChunk& chunk, const SinkContext& sctx) {
   Partial& partial = partials_[sctx.worker_id];
-  if (!partial.table) {
-    partial.table = std::make_unique<Table>("partial", schema_);
-  }
-  const size_t begin = partial.table->num_rows();
-  SODA_RETURN_NOT_OK(partial.table->AppendChunk(chunk));
   // The chunks one source chunk yields arrive back to back on one worker.
-  if (!partial.runs.empty() && partial.runs.back().branch == sctx.branch &&
-      partial.runs.back().sequence == sctx.sequence) {
+  const bool extends = !partial.runs.empty() &&
+                       partial.runs.back().branch == sctx.branch &&
+                       partial.runs.back().sequence == sctx.sequence;
+  if (!extends && (partial.pieces.empty() ||
+                   (partials_.size() > 1 &&
+                    partial.pieces.back()->num_rows() >= kSegmentRows))) {
+    partial.pieces.push_back(std::make_unique<Table>("partial", schema_));
+  }
+  Table& piece = *partial.pieces.back();
+  const size_t begin = piece.num_rows();
+  SODA_RETURN_NOT_OK(piece.AppendChunk(chunk));
+  if (extends) {
     partial.runs.back().rows += chunk.num_rows();
   } else {
-    partial.runs.push_back(
-        {sctx.branch, sctx.sequence, begin, chunk.num_rows()});
+    partial.runs.push_back({sctx.branch, sctx.sequence,
+                            partial.pieces.size() - 1, begin,
+                            chunk.num_rows()});
   }
   return Status::OK();
 }
@@ -33,36 +40,57 @@ Status MaterializeSink::Consume(DataChunk& chunk, const SinkContext& sctx) {
 Status MaterializeSink::Finalize() {
   struct Ref {
     const Run* run;
-    const Table* table;
+    size_t worker;
   };
   std::vector<Ref> refs;
   Partial* only = nullptr;
   size_t populated = 0;
-  for (Partial& partial : partials_) {
-    if (!partial.table) continue;
+  for (size_t w = 0; w < partials_.size(); ++w) {
+    if (partials_[w].pieces.empty()) continue;
     ++populated;
-    only = &partial;
-    for (const Run& r : partial.runs) refs.push_back({&r, partial.table.get()});
+    only = &partials_[w];
+    for (const Run& r : partials_[w].runs) refs.push_back({&r, w});
   }
   auto before = [](const Ref& a, const Ref& b) {
     return a.run->branch != b.run->branch ? a.run->branch < b.run->branch
                                           : a.run->sequence < b.run->sequence;
   };
-  if (populated == 1 && std::is_sorted(refs.begin(), refs.end(), before)) {
-    result_ = std::move(only->table);
+  if (populated == 1 && only->pieces.size() == 1 &&
+      std::is_sorted(refs.begin(), refs.end(), before)) {
+    result_ = std::move(only->pieces[0]);
     partials_.clear();
     return Status::OK();
   }
   std::sort(refs.begin(), refs.end(), before);
-  auto out = std::make_shared<Table>("result", schema_);
+  // A worker consumes source chunks in (branch, sequence) order, so while
+  // the copy runs at most one piece per partial is partly copied: that
+  // overlap is what the copy adds on top of the charged partials.
+  size_t overlap = 0;
   size_t rows = 0;
-  for (const Ref& ref : refs) rows += ref.run->rows;
+  std::vector<std::vector<size_t>> rows_left(partials_.size());
+  for (size_t w = 0; w < partials_.size(); ++w) {
+    size_t largest = 0;
+    for (const auto& piece : partials_[w].pieces) {
+      largest = std::max(largest, piece->MemoryUsage());
+      rows_left[w].push_back(piece->num_rows());
+      rows += piece->num_rows();
+    }
+    overlap += largest;
+  }
+  SODA_RETURN_NOT_OK(
+      GuardReserve(QueryGuard::Current(), overlap, "storage.append"));
+  auto out = std::make_shared<Table>("result", schema_);
   out->Reserve(rows);
   for (const Ref& ref : refs) {
+    if (ref.run->rows == 0) continue;
+    auto& piece = partials_[ref.worker].pieces[ref.run->piece];
     for (size_t c = 0; c < out->num_columns(); ++c) {
-      out->column(c).AppendSlice(ref.table->column(c), ref.run->begin,
+      out->column(c).AppendSlice(piece->column(c), ref.run->begin,
                                  ref.run->rows);
     }
+    size_t& left = rows_left[ref.worker][ref.run->piece];
+    left -= ref.run->rows;
+    if (left == 0) piece.reset();
   }
   partials_.clear();
   result_ = std::move(out);

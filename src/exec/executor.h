@@ -94,12 +94,13 @@ class TableSink : public Sink {
 };
 
 /// Sink that materializes its input in source order. Each worker appends
-/// to its own partial and records one run `(branch, sequence, begin, rows)`
-/// per consumed source chunk; Finalize concatenates the runs of all
-/// workers ordered by `(branch, sequence)`, so the result is the serial
-/// result at every thread count. When one worker produced every run in
-/// that order already (every pipeline at one thread), its partial is
-/// adopted without a copy.
+/// to its own partial and records one run `(branch, sequence, piece,
+/// begin, rows)` per consumed source chunk; Finalize concatenates the runs
+/// of all workers ordered by `(branch, sequence)`, so the result is the
+/// serial result at every thread count. When one worker produced every run
+/// in that order already (every pipeline at one thread), its partial is
+/// adopted without a copy. Otherwise the copy frees each piece of a
+/// partial once its runs are copied, and charges the overlap.
 class MaterializeSink : public TableSink {
  public:
   explicit MaterializeSink(Schema schema);
@@ -109,15 +110,20 @@ class MaterializeSink : public TableSink {
   TablePtr result() const override { return result_; }
 
  private:
-  /// The rows one source chunk contributed to a worker's partial.
+  /// The rows one source chunk contributed to a worker's partial: rows
+  /// [begin, begin + rows) of `pieces[piece]`.
   struct Run {
     uint32_t branch;
     uint64_t sequence;
+    size_t piece;
     size_t begin;
     size_t rows;
   };
   struct Partial {
-    std::unique_ptr<Table> table;
+    /// Rows in arrival order. With more than one worker a new piece starts
+    /// at the first run past kSegmentRows rows, so Finalize can free the
+    /// partial piece by piece while it copies.
+    std::vector<std::unique_ptr<Table>> pieces;
     std::vector<Run> runs;  ///< in arrival order
   };
   Schema schema_;

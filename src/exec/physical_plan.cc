@@ -46,12 +46,7 @@ class FilterTransform : public Transform {
     SODA_RETURN_NOT_OK(EvaluatePredicate(*predicate_, chunk, &selection));
     if (selection.size() == chunk.num_rows()) return emit(chunk);
     if (selection.empty()) return Status::OK();
-    DataChunk out;
-    for (size_t c = 0; c < chunk.num_columns(); ++c) {
-      Column col(chunk.column(c).type());
-      col.AppendGather(chunk.column(c), selection.data(), selection.size());
-      out.AddColumn(std::move(col));
-    }
+    DataChunk out = GatherRows(chunk.columns(), selection);
     return emit(out);
   }
 

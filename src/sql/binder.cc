@@ -213,6 +213,9 @@ Result<PlanPtr> Binder::BindSelect(const SelectStmt& stmt) {
           }
         }
         SODA_RETURN_NOT_OK(bound.status());
+        // A constant key (`ORDER BY NULL`) orders nothing: drop it, as
+        // PostgreSQL does, so rows keep their source order.
+        if (bound.ValueOrDie()->IsConstant()) continue;
         key.expr = std::move(bound.ValueOrDie());
         node->sort_keys.push_back(std::move(key));
       }
@@ -236,7 +239,7 @@ Result<PlanPtr> Binder::BindSelect(const SelectStmt& stmt) {
         }
         plan = MakeProject(std::move(plan), std::move(keep),
                            std::move(keep_schema));
-      } else {
+      } else if (!node->sort_keys.empty()) {  // else only constant keys
         node->schema = plan->schema;
         node->children.push_back(std::move(plan));
         plan = std::move(node);

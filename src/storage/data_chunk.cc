@@ -34,4 +34,15 @@ size_t DataChunk::MemoryUsage() const {
   return bytes;
 }
 
+DataChunk GatherRows(const std::vector<Column>& columns,
+                     const std::vector<uint32_t>& sel) {
+  DataChunk out;
+  for (const Column& col : columns) {
+    Column gathered(col.type());
+    gathered.AppendGather(col, sel.data(), sel.size());
+    out.AddColumn(std::move(gathered));
+  }
+  return out;
+}
+
 }  // namespace soda

@@ -59,6 +59,11 @@ class DataChunk {
   std::vector<Column> columns_;
 };
 
+/// Rows `sel` of `columns` as a chunk (one selection-vector gather per
+/// column).
+DataChunk GatherRows(const std::vector<Column>& columns,
+                     const std::vector<uint32_t>& sel);
+
 }  // namespace soda
 
 #endif  // SODA_STORAGE_DATA_CHUNK_H_

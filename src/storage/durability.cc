@@ -14,8 +14,8 @@ namespace soda {
 Status ApplyWalRecord(Catalog* catalog, const WalRecord& record) {
   switch (record.type) {
     case WalRecordType::kCreateTable: {
-      auto table = std::make_shared<Table>(record.table, record.schema);
-      table->set_partition_spec(record.spec);
+      SODA_ASSIGN_OR_RETURN(TablePtr table,
+                            NewTable(record.table, record.schema, record.spec));
       if (catalog->HasTable(record.table)) {
         return catalog->ReplaceTable(record.table, std::move(table));
       }
@@ -40,26 +40,13 @@ Status ApplyWalRecord(Catalog* catalog, const WalRecord& record) {
                        << record.table;
         return Status::OK();
       }
-      if (table->num_columns() != record.rows->num_columns()) {
-        return Status::ExecutionError(
-            "wal replay: append arity mismatch for table " + record.table);
-      }
-      // Recovery is single-threaded and the catalog is private to this
-      // engine, so appending in place (no copy-on-write swap) is safe. A
-      // sealed image (encoded checkpoint / kTableImage) is flattened
-      // first; Open() re-seals once the whole tail is applied.
-      SODA_RETURN_NOT_OK(table->EnsureFlat());
-      for (size_t c = 0; c < table->num_columns(); ++c) {
-        if (table->column(c).type() != record.rows->column(c).type()) {
-          return Status::ExecutionError(
-              "wal replay: append type mismatch for table " + record.table);
-        }
-      }
-      for (size_t c = 0; c < table->num_columns(); ++c) {
-        table->column(c).AppendSlice(record.rows->column(c), 0,
-                                     record.rows->num_rows());
-      }
-      return Status::OK();
+      // The same append INSERT runs, so replay rebuilds exactly the row
+      // groups the live engine built.
+      SODA_ASSIGN_OR_RETURN(
+          TablePtr next,
+          BuildNextVersion(*table, nullptr, record.rows.get(),
+                           "storage.append"));
+      return catalog->ReplaceTable(record.table, std::move(next));
     }
     case WalRecordType::kTableImage: {
       if (catalog->HasTable(record.table)) {
@@ -99,36 +86,14 @@ Result<std::unique_ptr<DurabilityManager>> DurabilityManager::Open(
   SODA_ASSIGN_OR_RETURN(std::unique_ptr<Wal> wal,
                         Wal::Open(data_dir + "/" + kWalFileName, &records));
   uint64_t last_lsn = checkpoint_lsn;
-  std::vector<std::string> flattened;
   // analyze:allow(guard-probe: WAL replay during recovery; no query guard in scope)
   for (const WalRecord& record : records) {
     if (record.lsn <= checkpoint_lsn) continue;  // already in the snapshot
-    if (record.type == WalRecordType::kAppendRows &&
-        catalog->HasTable(record.table)) {
-      SODA_ASSIGN_OR_RETURN(TablePtr t, catalog->GetTable(record.table));
-      if (t->sealed()) flattened.push_back(record.table);
-    }
     SODA_RETURN_NOT_OK(ApplyWalRecord(catalog, record));
     last_lsn = record.lsn;
   }
   wal->set_last_lsn(std::max(wal->last_lsn(), last_lsn));
   wal->SetFsyncMode(mode, group_bytes);
-
-  // Replay flattens sealed tables it appends into; restore the encoded
-  // representation so a recovered engine matches the pre-crash footprint.
-  // Partitioned tables are re-sealed unconditionally — pruning relies on
-  // the clustered layout. Tables checkpointed flat deliberately stay
-  // flat (recovery reproduces the stored representation, bit for bit).
-  for (const std::string& name : catalog->TableNames()) {
-    SODA_ASSIGN_OR_RETURN(TablePtr table, catalog->GetTable(name));
-    const bool was_flattened =
-        std::find(flattened.begin(), flattened.end(), name) !=
-        flattened.end();
-    if (!table->sealed() &&
-        (table->partition_spec().partitioned() || was_flattened)) {
-      SODA_RETURN_NOT_OK(table->Seal());
-    }
-  }
   return std::unique_ptr<DurabilityManager>(
       new DurabilityManager(data_dir, std::move(wal)));
 }

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "util/query_guard.h"
-#include "util/retry.h"
 #include "util/string_util.h"
 
 namespace soda {
@@ -14,8 +13,8 @@ namespace {
 /// current query's memory budget under this name.
 constexpr char kAppendSite[] = "storage.append";
 
-/// Probe site for whole-table segment decode (DecodeInto and EnsureFlat;
-/// the streaming scan path probes it per morsel in exec).
+/// Probe site for whole-table segment decode (FlatView; the streaming scan
+/// path probes it per morsel in exec).
 constexpr char kDecodeSite[] = "storage.segment_decode";
 
 size_t ValueBytes(const Value& v) {
@@ -449,32 +448,6 @@ Status Table::Seal() {
   return Status::OK();
 }
 
-Status Table::EnsureFlat() {
-  if (!sealed_) return Status::OK();
-  // Flattening a quarantined table would bake the all-NULL placeholders
-  // into the flat payload as if they were real rows — refuse.
-  SODA_RETURN_NOT_OK(CheckReadable(0, num_rows()));
-  // Decode faults can be transient (injected kUnavailable) — retry with
-  // backoff before surfacing; see util/retry.h.
-  SODA_RETURN_NOT_OK(RetryTransient(DefaultIoRetryPolicy(), [] {
-    return GuardProbe(QueryGuard::Current(), kDecodeSite);
-  }));
-  const size_t n = num_rows();
-  for (size_t c = 0; c < columns_.size(); ++c) {
-    Column col(schema_.field(c).type);
-    col.Reserve(n);
-    for (const auto& group : groups_) {
-      DecodeSegment(*group[c], 0, group[c]->row_count(), &col);
-    }
-    columns_[c] = std::move(col);
-  }
-  groups_.clear();
-  group_offsets_.clear();
-  partition_offsets_.clear();
-  sealed_ = false;
-  return Status::OK();
-}
-
 Status Table::AdoptSealed(std::vector<std::vector<SegmentPtr>> groups,
                           std::vector<size_t> partition_offsets) {
   std::vector<size_t> offsets{0};
@@ -520,6 +493,142 @@ Status Table::AdoptSealed(std::vector<std::vector<SegmentPtr>> groups,
   }
   sealed_ = true;
   return Status::OK();
+}
+
+// --- Table versions --------------------------------------------------------
+
+Result<TablePtr> NewTable(std::string name, Schema schema,
+                          PartitionSpec spec) {
+  auto table = std::make_shared<Table>(std::move(name), std::move(schema));
+  const bool partitioned = spec.partitioned();
+  table->set_partition_spec(std::move(spec));
+  if (partitioned) SODA_RETURN_NOT_OK(table->Seal());
+  return table;
+}
+
+namespace {
+
+/// Appends the rows of `columns` to `groups` as row groups of at most
+/// kSegmentRows rows.
+Status EncodeGroups(const std::vector<Column>& columns,
+                    std::vector<std::vector<SegmentPtr>>* groups) {
+  const size_t n = columns.empty() ? 0 : columns[0].size();
+  for (size_t off = 0; off < n; off += kSegmentRows) {
+    const size_t take = std::min(kSegmentRows, n - off);
+    std::vector<SegmentPtr> group;
+    group.reserve(columns.size());
+    for (const Column& col : columns) {
+      SODA_ASSIGN_OR_RETURN(SegmentPtr seg, EncodeSegment(col, off, take));
+      group.push_back(std::move(seg));
+    }
+    groups->push_back(std::move(group));
+  }
+  return Status::OK();
+}
+
+/// The flat case of BuildNextVersion: `prev` is one range.
+Result<TablePtr> BuildFlatVersion(const Table& prev, const GroupEdit& edit,
+                                  const Table* staged, const char* site) {
+  size_t bytes = 0;
+  for (size_t c = 0; c < prev.num_columns(); ++c) {
+    bytes += SliceBytes(prev.column(c), 0, prev.num_rows());
+    if (staged) bytes += SliceBytes(staged->column(c), 0, staged->num_rows());
+  }
+  SODA_RETURN_NOT_OK(GuardReserve(QueryGuard::Current(), bytes, site));
+  DataChunk rows;
+  prev.ScanSlice(0, prev.num_rows(), &rows);
+  if (edit) SODA_RETURN_NOT_OK(edit(&rows).status());
+  auto next = std::make_shared<Table>(prev.name(), prev.schema());
+  next->set_partition_spec(prev.partition_spec());
+  for (size_t c = 0; c < prev.num_columns(); ++c) {
+    if (staged) {
+      rows.column(c).AppendSlice(staged->column(c), 0, staged->num_rows());
+    }
+    SODA_RETURN_NOT_OK(next->SetColumn(c, std::move(rows.column(c))));
+  }
+  if (next->partition_spec().partitioned() ||
+      next->num_rows() >= kSealMinRows) {
+    SODA_RETURN_NOT_OK(next->Seal());
+  }
+  return next;
+}
+
+}  // namespace
+
+Result<TablePtr> BuildNextVersion(const Table& prev, const GroupEdit& edit,
+                                  const Table* staged, const char* site) {
+  if (staged) {
+    if (staged->sealed() || staged->num_columns() != prev.num_columns()) {
+      return Status::ExecutionError("append to '" + prev.name() +
+                                    "': staged rows must be flat and match "
+                                    "the table's arity");
+    }
+    for (size_t c = 0; c < prev.num_columns(); ++c) {
+      if (staged->schema().field(c).type != prev.schema().field(c).type) {
+        return Status::ExecutionError("append to '" + prev.name() +
+                                      "': type mismatch at column " +
+                                      std::to_string(c));
+      }
+    }
+  }
+  if (!prev.sealed()) return BuildFlatVersion(prev, edit, staged, site);
+
+  // Bucket the staged rows by partition (one bucket when unpartitioned).
+  const PartitionSpec& spec = prev.partition_spec();
+  const std::vector<size_t>& prev_offsets = prev.partition_offsets();
+  const size_t P = prev_offsets.size() - 1;
+  std::vector<std::vector<uint32_t>> buckets(P);
+  const size_t staged_rows = staged ? staged->num_rows() : 0;
+  for (size_t r = 0; r < staged_rows; ++r) {
+    const size_t p =
+        spec.partitioned() && spec.num_partitions == P
+            ? PartitionOfRow(spec, staged->column(spec.column_index), r)
+            : 0;
+    buckets[p].push_back(static_cast<uint32_t>(r));
+  }
+
+  std::vector<std::vector<SegmentPtr>> groups;
+  std::vector<size_t> offsets{0};
+  size_t total = 0;
+  auto add = [&](const std::vector<Column>& columns) {
+    total += columns.empty() ? 0 : columns[0].size();
+    return EncodeGroups(columns, &groups);
+  };
+  DataChunk rows;
+  size_t g = 0;
+  for (size_t p = 0; p < P; ++p) {
+    for (; g < prev.num_row_groups() &&
+           prev.group_offset(g) < prev_offsets[p + 1];
+         ++g) {
+      if (edit) {
+        prev.ScanSlice(prev.group_offset(g), prev.group_rows(g), &rows);
+        SODA_ASSIGN_OR_RETURN(bool replaced, edit(&rows));
+        if (replaced) {
+          SODA_RETURN_NOT_OK(add(rows.columns()));
+          continue;
+        }
+      }
+      std::vector<SegmentPtr> group;
+      group.reserve(prev.num_columns());
+      for (size_t c = 0; c < prev.num_columns(); ++c) {
+        group.push_back(prev.group_segment(g, c));
+      }
+      groups.push_back(std::move(group));
+      total += prev.group_rows(g);
+    }
+    if (buckets[p].size() == staged_rows && staged_rows > 0) {
+      SODA_RETURN_NOT_OK(add(staged->columns()));
+    } else if (!buckets[p].empty()) {
+      SODA_RETURN_NOT_OK(
+          add(GatherRows(staged->columns(), buckets[p]).columns()));
+    }
+    offsets.push_back(total);
+  }
+
+  auto next = std::make_shared<Table>(prev.name(), prev.schema());
+  next->set_partition_spec(spec);
+  SODA_RETURN_NOT_OK(next->AdoptSealed(std::move(groups), std::move(offsets)));
+  return next;
 }
 
 // --- Quarantine ----------------------------------------------------------

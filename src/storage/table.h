@@ -23,6 +23,7 @@
 #ifndef SODA_STORAGE_TABLE_H_
 #define SODA_STORAGE_TABLE_H_
 
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -39,10 +40,9 @@ namespace soda {
 
 class QueryGuard;
 
-/// DML results below this row count stay flat — encoding tiny tables
-/// costs more than it saves. Partitioned tables always seal regardless
-/// (pruning needs the clustered layout). Engine + recovery share this
-/// threshold.
+/// A flat next version (BuildNextVersion) below this row count stays flat
+/// — encoding tiny tables costs more than it saves. Partitioned tables
+/// always seal regardless (pruning needs the clustered layout).
 inline constexpr size_t kSealMinRows = 4096;
 
 /// A named, schema-full, columnar relation.
@@ -73,6 +73,12 @@ class Table {
   const Column& column(size_t i) const {
     SODA_DCHECK(!sealed_);
     return columns_[i];
+  }
+
+  /// All columns; flat tables only.
+  const std::vector<Column>& columns() const {
+    SODA_DCHECK(!sealed_);
+    return columns_;
   }
 
   void Reserve(size_t n) {
@@ -152,12 +158,6 @@ class Table {
   /// "storage.segment_encode".
   Status Seal();
 
-  /// Decodes the flat columns in place and drops the sealed representation
-  /// — the table becomes flat and appendable again. Only legal on
-  /// exclusively owned tables (WAL replay, recovery); shared snapshot
-  /// readers take a FlatView copy instead.
-  Status EnsureFlat();
-
   /// Row ranges: partition p spans [partition_offsets()[p],
   /// partition_offsets()[p+1]). Sealed tables always expose offsets — an
   /// unpartitioned sealed table reports the single range [0, num_rows).
@@ -175,7 +175,7 @@ class Table {
   }
 
   /// Installs an already-encoded representation wholesale (deserialization
-  /// and the engine's partition-reusing rebuild). `groups` is outer=group,
+  /// and BuildNextVersion). `groups` is outer=group,
   /// inner=column; `partition_offsets` must be group-aligned and span
   /// [0, total rows]. Replaces any existing payload (and clears any
   /// quarantine flags — callers re-mark after adopting).
@@ -264,9 +264,38 @@ using TablePtr = std::shared_ptr<Table>;
 
 /// `table` itself when it is flat; otherwise a per-statement flat copy of
 /// all its columns (Table::DecodeInto, charged to `guard`). Consumers that
-/// index rows directly — hash-join builds, sorts, analytics inputs, DML
-/// rebuilds — read a possibly-sealed table through this.
+/// index rows directly — hash-join builds, sorts, analytics inputs — read a
+/// possibly-sealed table through this.
 Result<TablePtr> FlatView(TablePtr table, QueryGuard* guard);
+
+// --- Table versions (DESIGN.md §9) -----------------------------------------
+//
+// Published tables are immutable: every write builds the table's next
+// version with BuildNextVersion and swaps it into the catalog. INSERT, CTAS,
+// UPDATE, DELETE and WAL replay all go through it, so a recovered table has
+// exactly the row groups the live engine built.
+
+/// A new, empty table for CREATE TABLE and its WAL replay. Partitioned
+/// tables are sealed from birth, so every later version appends to the
+/// clustered layout.
+Result<TablePtr> NewTable(std::string name, Schema schema, PartitionSpec spec);
+
+/// One row group's edit in BuildNextVersion. `rows` holds the group's rows
+/// (all of a flat table's rows form one group). Returns false to keep the
+/// group as it is, or true after replacing `*rows` with the group's new
+/// rows; a group left with no rows is dropped.
+using GroupEdit = std::function<Result<bool>(DataChunk* rows)>;
+
+/// Builds the next version of `prev`, row group by row group and partition
+/// by partition. `edit` (may be empty) sees each group: kept groups are
+/// shared with `prev` by pointer, replacement rows are encoded in
+/// kSegmentRows pieces. The rows of `staged` (flat, same column types; may
+/// be null) are appended at the end of their partition. A flat `prev`
+/// yields a flat copy, sealed when the table is partitioned or holds at
+/// least kSealMinRows rows. The flat copy is charged to the thread's
+/// QueryGuard under `site`; decoded groups are transient and uncharged.
+Result<TablePtr> BuildNextVersion(const Table& prev, const GroupEdit& edit,
+                                  const Table* staged, const char* site);
 
 }  // namespace soda
 

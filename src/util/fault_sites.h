@@ -59,7 +59,8 @@ inline constexpr FaultSiteInfo kFaultSites[] = {
     // Executor / physical plan layer.
     {"exec.agg_merge", "aggregation: radix partition merge"},
     {"exec.cross_join", "nested-loop cross join inner loop"},
-    {"exec.dml", "engine DML loops (INSERT/UPDATE/DELETE row batches)"},
+    {"exec.dml",
+     "engine DML: INSERT rows, UPDATE/DELETE row groups, the rebuild charge"},
     {"exec.join_build", "hash join: morsel-parallel build"},
     {"exec.limit", "LIMIT sink: buffered chunk charge"},
     {"exec.morsel", "ParallelFor morsel boundary"},
@@ -81,7 +82,8 @@ inline constexpr FaultSiteInfo kFaultSites[] = {
     {"storage.partition_prune", "scan: applying the pruned partition set"},
     {"storage.scrub", "scrub pass: per-table CRC sweep"},
     {"storage.segment_decode",
-     "sealed scan / EnsureFlat: decoding encoded segments"},
+     "sealed scan / FlatView: decoding encoded segments (WAL replay "
+     "never decodes)"},
     {"storage.segment_encode", "EncodeSegment: encoded payload charge"},
     {"wal.append", "WAL: logical record append"},
     {"wal.fsync", "WAL: fsync of the log tail"},

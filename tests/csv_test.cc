@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cstdio>
 #include <fstream>
 
@@ -16,8 +18,11 @@ using testing::RunQuery;
 
 class CsvTest : public ::testing::Test {
  protected:
+  /// A temp file holding `content`. The name carries the pid: ctest runs
+  /// each test in its own process, in parallel, with the same counter.
   std::string WriteTemp(const std::string& content) {
     std::string path = ::testing::TempDir() + "soda_csv_" +
+                       std::to_string(getpid()) + "_" +
                        std::to_string(counter_++) + ".csv";
     std::ofstream f(path);
     f << content;

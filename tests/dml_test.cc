@@ -206,5 +206,54 @@ TEST_F(DmlTest, AnalyticsSeeFreshDataAfterDml) {
   EXPECT_DOUBLE_EQ(r.GetDouble(0, 2), 1.5);   // mean of updated y {1, 2}
 }
 
+TEST_F(DmlTest, OneRowUpdateAndDeleteShareUntouchedRowGroups) {
+  // 40,000 rows seal into three row groups of an unpartitioned table. A
+  // statement that changes one row rebuilds only that row's group; the
+  // next version shares every other group's segments by pointer.
+  std::string values = "INSERT INTO keys VALUES ";
+  for (int i = 0; i < 200; ++i) {
+    values += (i ? ", (" : "(") + std::to_string(i) + ")";
+  }
+  ASSERT_OK(engine_.ExecuteScript("CREATE TABLE keys (k BIGINT); " + values +
+                                  "; CREATE TABLE u AS SELECT a.k * 200 + b.k "
+                                  "AS k, a.k AS v FROM keys a, keys b")
+                .status());
+  auto table = [&] { return *engine_.catalog().GetTable("u"); };
+  auto shared_groups = [](const Table& prev, const Table& next) {
+    size_t shared = 0;
+    for (size_t g = 0; g < next.num_row_groups(); ++g) {
+      for (size_t h = 0; h < prev.num_row_groups(); ++h) {
+        bool same = true;
+        for (size_t c = 0; c < prev.num_columns(); ++c) {
+          same &= next.group_segment(g, c) == prev.group_segment(h, c);
+        }
+        shared += same;
+      }
+    }
+    return shared;
+  };
+  const TablePtr before = table();
+  ASSERT_TRUE(before->sealed());
+  ASSERT_EQ(before->num_row_groups(), 3u);
+
+  ASSERT_OK(engine_.Execute("UPDATE u SET v = -1 WHERE k = 20000").status());
+  const TablePtr updated = table();
+  ASSERT_TRUE(updated->sealed());
+  EXPECT_EQ(updated->num_row_groups(), 3u);
+  EXPECT_EQ(shared_groups(*before, *updated), 2u);
+  EXPECT_EQ(RunQuery(engine_, "SELECT k FROM u WHERE v = -1").GetInt(0, 0),
+            20000);
+
+  ASSERT_OK(engine_.Execute("DELETE FROM u WHERE k = 777").status());
+  const TablePtr deleted = table();
+  ASSERT_TRUE(deleted->sealed());
+  EXPECT_EQ(deleted->num_row_groups(), 3u);
+  EXPECT_EQ(shared_groups(*updated, *deleted), 2u);
+  EXPECT_EQ(deleted->num_rows(), 39999u);
+  EXPECT_EQ(RunQuery(engine_, "SELECT count(*) FROM u WHERE k = 777")
+                .GetInt(0, 0),
+            0);
+}
+
 }  // namespace
 }  // namespace soda

@@ -73,6 +73,23 @@ TEST_F(ExecSqlTest, OrderByExpressionAndMultipleKeys) {
   EXPECT_EQ(IntColumn(r, 0), (std::vector<int64_t>{4, 2, 3, 1}));
 }
 
+TEST_F(ExecSqlTest, OrderByConstantKeepsSourceOrder) {
+  // A constant key orders nothing (PostgreSQL accepts it): rows come back
+  // in source order, with and without LIMIT, and beside a real key.
+  ASSERT_OK(engine_.Execute("CREATE TABLE n (x INTEGER)").status());
+  ASSERT_OK(
+      engine_.Execute("INSERT INTO n VALUES (3), (1), (4), (2)").status());
+  EXPECT_EQ(IntColumn(RunQuery(engine_, "SELECT x FROM n ORDER BY NULL"), 0),
+            (std::vector<int64_t>{3, 1, 4, 2}));
+  EXPECT_EQ(IntColumn(RunQuery(engine_,
+                               "SELECT x FROM n ORDER BY NULL LIMIT 2"),
+                      0),
+            (std::vector<int64_t>{3, 1}));
+  EXPECT_EQ(
+      IntColumn(RunQuery(engine_, "SELECT x FROM n ORDER BY NULL DESC, x"), 0),
+      (std::vector<int64_t>{1, 2, 3, 4}));
+}
+
 TEST_F(ExecSqlTest, LimitOffset) {
   auto r = RunQuery(engine_, "SELECT a FROM t ORDER BY a LIMIT 2 OFFSET 1");
   EXPECT_EQ(IntColumn(r, 0), (std::vector<int64_t>{2, 3}));

@@ -670,6 +670,27 @@ TEST_F(ParallelExecTwinTest, UnionAllOfBareTransformedAndMixedBranches) {
       "UnionAll (materialize) (shared)");
 }
 
+TEST_F(ParallelExecTwinTest, UnionAllFinalizeChargesItsCopy) {
+  // Four workers leave interleaved partials, so Finalize copies them into
+  // one table. The copy frees each piece as it goes and charges the
+  // overlap: nonzero, and far below a second copy of the output.
+  auto r = RunQuery(engine_,
+                    "EXPLAIN ANALYZE SELECT id, x FROM big UNION ALL "
+                    "SELECT id, x FROM big");
+  std::string text;
+  for (size_t i = 0; i < r.num_rows(); ++i) text += r.GetString(i, 0) + "\n";
+  const size_t finalize = text.find("[<- P0, P1]");
+  ASSERT_NE(finalize, std::string::npos) << text;
+  const std::string needle = "bytes_reserved=";
+  const size_t at = text.find(needle, finalize);
+  ASSERT_NE(at, std::string::npos) << text;
+  const int64_t reserved =
+      std::strtoll(text.c_str() + at + needle.size(), nullptr, 10);
+  const int64_t output_bytes = 2 * kRows * 16;
+  EXPECT_GT(reserved, 0) << text;
+  EXPECT_LT(reserved, output_bytes / 4) << text;
+}
+
 TEST_F(ParallelExecTwinTest, UniqueKeyJoinHiddenSortColumnLimitAndIterate) {
   ExpectTwins(
       "SELECT b.id, d.w, b.x FROM big b JOIN dim d ON b.g = d.k "

@@ -314,6 +314,24 @@ TEST_F(PartitionTest, DecodeOverMemoryBudgetFailsBeforeDecoding) {
   EXPECT_EQ(wide->MemoryUsage(), encoded_bytes);
 }
 
+TEST_F(PartitionTest, OneRowUpdateOfLargeSealedTableFitsSmallBudget) {
+  // The same 160k rows, with a unique id. The UPDATE decodes one row group
+  // at a time and re-encodes only the group holding the row, so it fits a
+  // budget the whole decoded table (~3.8 MB) would overrun.
+  RunQuery(engine_,
+           "CREATE TABLE wide AS SELECT a.k * 400 + b.k AS id, a.k AS k, "
+           "b.v AS v FROM ft a, ft b");
+  ASSERT_TRUE(CatalogTable(engine_, "wide")->sealed());
+  RunQuery(engine_, "SET soda.memory_limit_mb = 1");
+  RunQuery(engine_, "UPDATE wide SET v = -1 WHERE id = 12345");
+  RunQuery(engine_, "SET soda.memory_limit_mb = 0");
+  auto r = RunQuery(engine_, "SELECT id, count(*) FROM wide WHERE v = -1 "
+                             "GROUP BY id");
+  ASSERT_EQ(r.num_rows(), 1u);
+  EXPECT_EQ(r.GetInt(0, 0), 12345);
+  EXPECT_EQ(r.GetInt(0, 1), 1);
+}
+
 // --- durability: encoded checkpoints ---------------------------------------
 
 class PartitionDurabilityTest : public ::testing::Test {

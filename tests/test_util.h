@@ -14,15 +14,17 @@
 
 namespace soda::testing {
 
+// `_st` is a copy: `expr` is often `SomeCall().status()`, a reference into
+// a temporary Result that dies at the end of the declaration.
 #define ASSERT_OK(expr)                                              \
   do {                                                               \
-    const auto& _st = (expr);                                        \
+    const ::soda::Status _st = (expr);                               \
     ASSERT_TRUE(_st.ok()) << "status: " << _st.ToString();           \
   } while (0)
 
 #define EXPECT_OK(expr)                                              \
   do {                                                               \
-    const auto& _st = (expr);                                        \
+    const ::soda::Status _st = (expr);                               \
     EXPECT_TRUE(_st.ok()) << "status: " << _st.ToString();           \
   } while (0)
 

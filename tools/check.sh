@@ -60,8 +60,10 @@ elif [[ "${fast}" == "0" ]]; then
   # buffers around, exactly where a sanitizer earns its keep. (The full
   # suite above already includes these; this run guards against test
   # filters and makes a recovery regression unmissable in the log.)
+  # Partition adds the partitioned-table reopen tests.
   ctest --test-dir "${repo_root}/build-address-undefined" \
-    -R 'Durability|CrashRecovery|Dml' -j "$(nproc)" --output-on-failure
+    -R 'Durability|CrashRecovery|Dml|Partition' -j "$(nproc)" \
+    --output-on-failure
   echo "check: recovery suite clean under address,undefined"
 fi
 echo "check: all passes clean"
