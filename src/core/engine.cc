@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cctype>
+#include <iterator>
+#include <numeric>
 
 #include "core/plan_cache.h"
 #include "exec/executor.h"
@@ -219,6 +221,21 @@ Result<PartitionSpec> BuildPartitionSpec(const CreateTableStmt& stmt,
   return spec;
 }
 
+/// Applies `delta` to `prev` (null when the delta creates the table), then
+/// commits it: log the delta, then publish the next version, so readers
+/// holding the old TablePtr keep a consistent snapshot.
+Result<QueryResult> CommitWrite(Catalog* catalog, DurabilityManager* dur,
+                                const Table* prev, const TableDelta& delta) {
+  SODA_ASSIGN_OR_RETURN(TablePtr next, ApplyDelta(prev, delta));
+  SODA_RETURN_NOT_OK(CommitDurable(
+      dur, [&] { return dur->wal()->AppendTableWrite(delta); },
+      [&] {
+        return prev ? catalog->ReplaceTable(delta.table, std::move(next))
+                    : catalog->RegisterTable(std::move(next));
+      }));
+  return QueryResult();
+}
+
 Result<QueryResult> ExecuteCreate(const CreateTableStmt& stmt,
                                   Catalog* catalog,
                                   const EngineOptions& options,
@@ -233,6 +250,9 @@ Result<QueryResult> ExecuteCreate(const CreateTableStmt& stmt,
     return Status::AlreadyExists("table already exists: " +
                                  ToLower(stmt.name));
   }
+  TableDelta delta;
+  delta.table = ToLower(stmt.name);
+  delta.create = true;
   if (stmt.as_select) {
     // CREATE TABLE .. AS SELECT: materialize first, log second, register
     // third, so a failing query or a failed commit leaves no half-created
@@ -241,32 +261,19 @@ Result<QueryResult> ExecuteCreate(const CreateTableStmt& stmt,
         QueryResult result,
         ExecuteSelect(stmt.as_select.get(), catalog, options, dur, guard,
                       InnerCacheCtx(cc)));
-    Schema schema;
-    for (const auto& f : result.schema().fields()) {
-      schema.AddField(Field(f.name, f.type));  // strip qualifiers
+    Table& rows = *result.table();
+    for (size_t c = 0; c < rows.num_columns(); ++c) {
+      const Field& f = rows.schema().field(c);
+      delta.schema.AddField(Field(f.name, f.type));  // strip qualifiers
+      delta.appended.push_back(std::move(rows.column(c)));
     }
-    SODA_ASSIGN_OR_RETURN(TablePtr empty,
-                          NewTable(ToLower(stmt.name), std::move(schema), {}));
-    SODA_ASSIGN_OR_RETURN(
-        TablePtr table,
-        BuildNextVersion(*empty, nullptr, result.table().get(), "exec.dml"));
-    SODA_RETURN_NOT_OK(CommitDurable(
-        dur, [&] { return dur->LogTableImage(*table); },
-        [&] { return catalog->RegisterTable(std::move(table)); }));
-    return QueryResult();
+  } else {
+    for (const auto& [name, type] : stmt.columns) {
+      delta.schema.AddField(Field(name, type));
+    }
+    SODA_ASSIGN_OR_RETURN(delta.spec, BuildPartitionSpec(stmt, delta.schema));
   }
-  Schema schema;
-  for (const auto& [name, type] : stmt.columns) {
-    schema.AddField(Field(name, type));
-  }
-  SODA_ASSIGN_OR_RETURN(PartitionSpec spec, BuildPartitionSpec(stmt, schema));
-  SODA_ASSIGN_OR_RETURN(TablePtr table,
-                        NewTable(ToLower(stmt.name), schema, spec));
-  SODA_RETURN_NOT_OK(CommitDurable(
-      dur,
-      [&] { return dur->LogCreateTable(ToLower(stmt.name), schema, spec); },
-      [&] { return catalog->RegisterTable(std::move(table)); }));
-  return QueryResult();
+  return CommitWrite(catalog, dur, nullptr, delta);
 }
 
 /// Binds a DML WHERE clause over `table`'s rows; null when there is none.
@@ -292,10 +299,59 @@ Status SelectRows(const Expression* where, const DataChunk& rows,
   return Status::OK();
 }
 
-/// DELETE: copy-on-write — each row group keeps the rows WHERE does not
-/// select (groups without a deleted row are shared with the previous
-/// version), the new version is write-ahead-logged and then swapped in, so
-/// readers holding the old TablePtr keep a consistent snapshot.
+/// The rows in [0, n) that the ascending `sel` does not list.
+std::vector<uint32_t> Unselected(const std::vector<uint32_t>& sel, size_t n) {
+  std::vector<uint32_t> all(n), rest;
+  std::iota(all.begin(), all.end(), 0u);
+  std::set_difference(all.begin(), all.end(), sel.begin(), sel.end(),
+                      std::back_inserter(rest));
+  return rest;
+}
+
+/// Commits an UPDATE/DELETE: walks `table`'s row groups (a flat table is
+/// one) except those the zone maps rule out for a `col <op> constant`
+/// conjunct of `where`. `edit(rows, moved)` returns true after editing a
+/// group's decoded `*rows` in place; rows it puts in `*moved` leave for the
+/// delta's appended rows. An edited sealed group is re-encoded; an edited
+/// flat table moves whole into the appended rows.
+template <typename Edit>
+Result<QueryResult> CommitEdit(Catalog* catalog, DurabilityManager* dur,
+                               QueryGuard* guard, const Table& table,
+                               const Expression* where, const Edit& edit) {
+  TableDelta delta = DeltaFor(table);
+  const std::vector<ScanPredicate> preds =
+      where ? ExtractScanPredicates(*where, table.schema())
+            : std::vector<ScanPredicate>();
+  DataChunk rows;
+  DataChunk moved(table.schema());
+  for (size_t g = 0; g < delta.prev_groups; ++g) {
+    if (table.sealed() && !table.GroupMayMatch(g, preds)) continue;
+    SODA_RETURN_NOT_OK(GuardProbe(guard, "exec.dml"));
+    if (table.sealed()) {
+      table.ScanSlice(table.group_offset(g), table.group_rows(g), &rows);
+    } else {
+      SODA_RETURN_NOT_OK(GuardReserve(guard, table.MemoryUsage(), "exec.dml"));
+      table.ScanSlice(0, table.num_rows(), &rows);
+    }
+    SODA_ASSIGN_OR_RETURN(bool edited, edit(&rows, &moved));
+    if (!edited) continue;
+    std::vector<RowGroup> replacement;
+    if (table.sealed()) {
+      SODA_RETURN_NOT_OK(EncodeGroups(rows.columns(), 0, rows.num_rows(),
+                                      &replacement));
+    } else {
+      for (size_t c = 0; c < rows.num_columns(); ++c) {
+        moved.column(c).AppendSlice(rows.column(c), 0, rows.num_rows());
+      }
+    }
+    delta.replaced.emplace_back(g, std::move(replacement));
+  }
+  if (!moved.empty()) delta.appended = std::move(moved.columns());
+  return CommitWrite(catalog, dur, &table, delta);
+}
+
+/// DELETE: copy-on-write — each touched row group keeps the rows WHERE
+/// does not select; the delta replaces only those groups.
 Result<QueryResult> ExecuteDelete(const DeleteStmt& stmt, Catalog* catalog,
                                   DurabilityManager* dur, QueryGuard* guard) {
   SODA_ASSIGN_OR_RETURN(TablePtr table, catalog->GetTable(stmt.table));
@@ -304,35 +360,24 @@ Result<QueryResult> ExecuteDelete(const DeleteStmt& stmt, Catalog* catalog,
   SODA_RETURN_NOT_OK(table->CheckReadable(0, table->num_rows()));
   SODA_ASSIGN_OR_RETURN(ExprPtr where,
                         BindDmlWhere(stmt.where.get(), *table, catalog));
-  GroupEdit edit = [&](DataChunk* rows) -> Result<bool> {
-    SODA_RETURN_NOT_OK(GuardProbe(guard, "exec.dml"));
-    std::vector<uint32_t> doomed;
-    SODA_RETURN_NOT_OK(SelectRows(where.get(), *rows, &doomed));
-    if (doomed.empty()) return false;
-    std::vector<uint32_t> keep;
-    size_t d = 0;
-    for (uint32_t r = 0; r < rows->num_rows(); ++r) {
-      if (d < doomed.size() && doomed[d] == r) {
-        ++d;
-      } else {
-        keep.push_back(r);
-      }
-    }
-    *rows = GatherRows(rows->columns(), keep);
-    return true;
-  };
-  SODA_ASSIGN_OR_RETURN(TablePtr next,
-                        BuildNextVersion(*table, edit, nullptr, "exec.dml"));
-  SODA_RETURN_NOT_OK(CommitDurable(
-      dur, [&] { return dur->LogTableImage(*next); },
-      [&] { return catalog->ReplaceTable(stmt.table, std::move(next)); }));
-  return QueryResult();
+  return CommitEdit(
+      catalog, dur, guard, *table, where.get(),
+      [&](DataChunk* rows, DataChunk*) -> Result<bool> {
+        std::vector<uint32_t> doomed;
+        SODA_RETURN_NOT_OK(SelectRows(where.get(), *rows, &doomed));
+        if (doomed.empty()) return false;
+        *rows =
+            GatherRows(rows->columns(), Unselected(doomed, rows->num_rows()));
+        return true;
+      });
 }
 
 /// UPDATE: gather-evaluate-scatter per row group — SET expressions run
 /// only over the rows WHERE selects (a failing or expensive expression on
-/// an unselected row never executes), the new values are scattered into
-/// the group, and the next version is swapped in (copy-on-write).
+/// an unselected row never executes) and the new values are scattered into
+/// the group. When SET assigns the partition column, the updated rows
+/// leave their group instead, and ApplyDelta appends them to their new
+/// partition.
 Result<QueryResult> ExecuteUpdate(const UpdateStmt& stmt, Catalog* catalog,
                                   DurabilityManager* dur, QueryGuard* guard) {
   SODA_ASSIGN_OR_RETURN(TablePtr table, catalog->GetTable(stmt.table));
@@ -343,7 +388,7 @@ Result<QueryResult> ExecuteUpdate(const UpdateStmt& stmt, Catalog* catalog,
 
   // Bind assignments; insert casts for compatible numeric mismatches.
   std::vector<std::pair<size_t, ExprPtr>> assignments;
-  bool repartitions = false;
+  bool moves_rows = false;
   for (const auto& [col_name, parse_expr] : stmt.assignments) {
     SODA_ASSIGN_OR_RETURN(size_t col, schema.FindField(col_name));
     SODA_ASSIGN_OR_RETURN(ExprPtr expr,
@@ -358,62 +403,47 @@ Result<QueryResult> ExecuteUpdate(const UpdateStmt& stmt, Catalog* catalog,
       }
       expr = Expression::Cast(std::move(expr), want);
     }
-    repartitions |= table->partition_spec().partitioned() &&
-                    col == table->partition_spec().column_index;
+    moves_rows |= table->partition_spec().partitioned() &&
+                  col == table->partition_spec().column_index;
     assignments.emplace_back(col, std::move(expr));
   }
   SODA_ASSIGN_OR_RETURN(ExprPtr where,
                         BindDmlWhere(stmt.where.get(), *table, catalog));
 
-  GroupEdit edit = [&](DataChunk* rows) -> Result<bool> {
-    SODA_RETURN_NOT_OK(GuardProbe(guard, "exec.dml"));
+  auto edit = [&](DataChunk* rows, DataChunk* moved) -> Result<bool> {
     std::vector<uint32_t> sel;
     SODA_RETURN_NOT_OK(SelectRows(where.get(), *rows, &sel));
     if (sel.empty()) return false;
-    const bool all = sel.size() == rows->num_rows();
-    DataChunk gathered;
-    if (!all) gathered = GatherRows(rows->columns(), sel);
     // Every SET expression reads the pre-update values.
+    DataChunk updated = GatherRows(rows->columns(), sel);
     std::vector<Column> values(assignments.size());
     for (size_t a = 0; a < assignments.size(); ++a) {
-      SODA_RETURN_NOT_OK(EvaluateExpression(
-          *assignments[a].second, all ? *rows : gathered, &values[a]));
+      SODA_RETURN_NOT_OK(
+          EvaluateExpression(*assignments[a].second, updated, &values[a]));
     }
     for (size_t a = 0; a < assignments.size(); ++a) {
-      Column& dst = rows->column(assignments[a].first);
-      if (all) {
-        dst = std::move(values[a]);
-        continue;
+      updated.column(assignments[a].first) = std::move(values[a]);
+    }
+    if (moves_rows) {
+      for (size_t c = 0; c < updated.num_columns(); ++c) {
+        moved->column(c).AppendSlice(updated.column(c), 0, sel.size());
       }
+      *rows = GatherRows(rows->columns(), Unselected(sel, rows->num_rows()));
+      return true;
+    }
+    for (const auto& [col, expr] : assignments) {
+      Column& dst = rows->column(col);
       Column merged(dst.type());
       merged.Reserve(dst.size());
-      size_t next = 0;
-      for (uint32_t r = 0; r < dst.size(); ++r) {
-        if (next < sel.size() && sel[next] == r) {
-          merged.AppendFrom(values[a], next++);
-        } else {
-          merged.AppendFrom(dst, r);
-        }
+      for (uint32_t r = 0, k = 0; r < dst.size(); ++r) {
+        const bool hit = k < sel.size() && sel[k] == r;
+        merged.AppendFrom(hit ? updated.column(col) : dst, hit ? k++ : r);
       }
       dst = std::move(merged);
     }
     return true;
   };
-  SODA_ASSIGN_OR_RETURN(TablePtr next,
-                        BuildNextVersion(*table, edit, nullptr, "exec.dml"));
-  if (repartitions) {
-    // Assigned partition keys can move rows between partitions: re-seal
-    // from a flat copy to restore the clustered layout.
-    auto flat = std::make_shared<Table>(table->name(), table->schema());
-    SODA_RETURN_NOT_OK(next->DecodeInto(flat.get(), guard, "exec.dml"));
-    flat->set_partition_spec(table->partition_spec());
-    SODA_RETURN_NOT_OK(flat->Seal());
-    next = std::move(flat);
-  }
-  SODA_RETURN_NOT_OK(CommitDurable(
-      dur, [&] { return dur->LogTableImage(*next); },
-      [&] { return catalog->ReplaceTable(stmt.table, std::move(next)); }));
-  return QueryResult();
+  return CommitEdit(catalog, dur, guard, *table, where.get(), edit);
 }
 
 Result<QueryResult> ExecuteDrop(const DropTableStmt& stmt, Catalog* catalog,
@@ -425,7 +455,7 @@ Result<QueryResult> ExecuteDrop(const DropTableStmt& stmt, Catalog* catalog,
     return Status::KeyError("table not found: " + ToLower(stmt.name));
   }
   SODA_RETURN_NOT_OK(CommitDurable(
-      dur, [&] { return dur->LogDropTable(ToLower(stmt.name)); },
+      dur, [&] { return dur->wal()->AppendDropTable(ToLower(stmt.name)); },
       [&] { return catalog->DropTable(stmt.name); }));
   return QueryResult();
 }
@@ -442,7 +472,7 @@ Result<QueryResult> ExecuteInsert(const InsertStmt& stmt, Catalog* catalog,
   SODA_ASSIGN_OR_RETURN(TablePtr table, catalog->GetTable(stmt.table));
   // INSERT appends to the current payload's row groups; a quarantined
   // table rejects the write rather than splice rows onto placeholder data.
-  // DROP TABLE and kTableImage recovery still work.
+  // DROP TABLE still works.
   SODA_RETURN_NOT_OK(table->CheckReadable(0, table->num_rows()));
   Table staged(table->name(), table->schema());
 
@@ -514,14 +544,11 @@ Result<QueryResult> ExecuteInsert(const InsertStmt& stmt, Catalog* catalog,
     }
   }
 
-  // Build the next version, then commit: log the staged rows, then swap it
-  // in, so readers holding the old TablePtr keep a consistent snapshot.
-  SODA_ASSIGN_OR_RETURN(TablePtr next,
-                        BuildNextVersion(*table, nullptr, &staged, "exec.dml"));
-  SODA_RETURN_NOT_OK(CommitDurable(
-      dur, [&] { return dur->LogAppendRows(staged); },
-      [&] { return catalog->ReplaceTable(table->name(), std::move(next)); }));
-  return QueryResult();
+  TableDelta delta = DeltaFor(*table);
+  for (size_t c = 0; c < staged.num_columns(); ++c) {
+    delta.appended.push_back(std::move(staged.column(c)));
+  }
+  return CommitWrite(catalog, dur, table.get(), delta);
 }
 
 /// Builds the background-maintenance thresholds from the engine knobs.
@@ -558,15 +585,9 @@ Status RunScrubPass(Catalog* catalog, Mutex* write_mu, DurabilityManager* dur,
     // their pinned version; only the quarantine flags change.
     auto next = std::make_shared<Table>(t->name(), t->schema());
     next->set_partition_spec(t->partition_spec());
-    std::vector<std::vector<SegmentPtr>> cloned;
-    cloned.reserve(t->num_row_groups());
+    std::vector<RowGroup> cloned;
     for (size_t g = 0; g < t->num_row_groups(); ++g) {
-      std::vector<SegmentPtr> row;
-      row.reserve(t->num_columns());
-      for (size_t c = 0; c < t->num_columns(); ++c) {
-        row.push_back(t->group_segment(g, c));
-      }
-      cloned.push_back(std::move(row));
+      cloned.push_back(t->row_group(g));
     }
     SODA_RETURN_NOT_OK(
         next->AdoptSealed(std::move(cloned), t->partition_offsets()));

@@ -203,13 +203,13 @@ void CollectConstConjuncts(const Expression& e,
   out->push_back(&e);
 }
 
-/// Harvests `col <op> literal` conjuncts of `pred` into the scan's pushed
-/// predicate list. The Filter keeps the full predicate — pushed copies are
-/// accelerators, never the source of truth.
-void ExtractScanPredicates(const Expression& pred, PlanNode* scan) {
+}  // namespace
+
+std::vector<ScanPredicate> ExtractScanPredicates(const Expression& pred,
+                                                 const Schema& schema) {
   std::vector<const Expression*> conjuncts;
   CollectConstConjuncts(pred, &conjuncts);
-  scan->scan_predicates.clear();
+  std::vector<ScanPredicate> out;
   for (const Expression* c : conjuncts) {
     if (c->kind != ExprKind::kBinary || c->children.size() != 2) continue;
     const Expression* col = c->children[0].get();
@@ -224,18 +224,20 @@ void ExtractScanPredicates(const Expression& pred, PlanNode* scan) {
     }
     CompareOp op;
     if (!ToCompareOp(c->binary_op, flipped, &op)) continue;
-    if (col->column_index >= scan->schema.num_fields()) continue;
+    if (col->column_index >= schema.num_fields()) continue;
     ScanPredicate sp;
     sp.column = col->column_index;
     sp.op = op;
-    if (!NormalizeConstant(lit->literal,
-                           scan->schema.field(col->column_index).type,
+    if (!NormalizeConstant(lit->literal, schema.field(col->column_index).type,
                            &sp.constant)) {
       continue;
     }
-    scan->scan_predicates.push_back(std::move(sp));
+    out.push_back(std::move(sp));
   }
+  return out;
 }
+
+namespace {
 
 /// Recomputes the scan's partition set from its pushed predicates. Hash
 /// layouts prune on equality only; range layouts prune on any comparison
@@ -507,7 +509,9 @@ void PushScanPredicates(PlanNode* plan, Catalog* catalog) {
   // may have more conjuncts.
   if (plan->kind == PlanKind::kFilter &&
       plan->children[0]->kind == PlanKind::kScan) {
-    ExtractScanPredicates(*plan->predicate, plan->children[0].get());
+    PlanNode* scan = plan->children[0].get();
+    scan->scan_predicates =
+        ExtractScanPredicates(*plan->predicate, scan->schema);
     AnnotateScan(plan->children[0].get(), catalog);
     return;
   }

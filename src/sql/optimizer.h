@@ -27,6 +27,13 @@ PlanPtr OptimizePlan(PlanPtr plan, Catalog* catalog);
 /// substituting parameters, since `col = $1` is no constant at PREPARE.
 void PushScanPredicates(PlanNode* plan, Catalog* catalog);
 
+/// The `col <op> constant` conjuncts of `pred`, a predicate over
+/// `schema`, as scan predicates with constants in the column's payload
+/// type. They are accelerators (zone maps, encoded filters, pruning); the
+/// caller still evaluates the full predicate.
+std::vector<ScanPredicate> ExtractScanPredicates(const Expression& pred,
+                                                 const Schema& schema);
+
 /// Rough output-cardinality estimate used for join build-side selection.
 double EstimateRows(const PlanNode& plan, Catalog* catalog);
 

@@ -11,52 +11,38 @@
 
 namespace soda {
 
+namespace {
+
+/// Applies one recovered WAL record to the catalog.
 Status ApplyWalRecord(Catalog* catalog, const WalRecord& record) {
-  switch (record.type) {
-    case WalRecordType::kCreateTable: {
-      SODA_ASSIGN_OR_RETURN(TablePtr table,
-                            NewTable(record.table, record.schema, record.spec));
-      if (catalog->HasTable(record.table)) {
-        return catalog->ReplaceTable(record.table, std::move(table));
-      }
-      return catalog->RegisterTable(std::move(table));
-    }
-    case WalRecordType::kDropTable: {
-      Status st = catalog->DropTable(record.table);
-      // A drop of a missing table can only mean the log predates external
-      // damage; recovery stays lenient here, matching torn-tail handling.
-      if (!st.ok() && st.code() != StatusCode::kKeyError) return st;
-      return Status::OK();
-    }
-    case WalRecordType::kAppendRows: {
-      SODA_ASSIGN_OR_RETURN(TablePtr table, catalog->GetTable(record.table));
-      if (table->quarantined()) {
-        // The base payload is damaged; splicing new rows into placeholder
-        // data would fabricate row positions. The appended rows stay in
-        // the WAL (it is not truncated past them until the table heals),
-        // and every read of the table already fails with kDataLoss —
-        // recovery stays lenient so the rest of the catalog comes up.
-        SODA_LOG(Warn) << "wal replay: skipping append to quarantined table "
-                       << record.table;
-        return Status::OK();
-      }
-      // The same append INSERT runs, so replay rebuilds exactly the row
-      // groups the live engine built.
-      SODA_ASSIGN_OR_RETURN(
-          TablePtr next,
-          BuildNextVersion(*table, nullptr, record.rows.get(),
-                           "storage.append"));
-      return catalog->ReplaceTable(record.table, std::move(next));
-    }
-    case WalRecordType::kTableImage: {
-      if (catalog->HasTable(record.table)) {
-        return catalog->ReplaceTable(record.table, record.rows);
-      }
-      return catalog->RegisterTable(record.rows);
-    }
+  const TableDelta& delta = record.delta;
+  if (record.type == WalRecordType::kDropTable) {
+    Status st = catalog->DropTable(delta.table);
+    // A drop of a missing table can only mean the log predates external
+    // damage; recovery stays lenient here, matching torn-tail handling.
+    if (!st.ok() && st.code() != StatusCode::kKeyError) return st;
+    return Status::OK();
   }
-  return Status::Internal("wal replay: unknown record type");
+  if (delta.create) {
+    SODA_ASSIGN_OR_RETURN(TablePtr table, ApplyDelta(nullptr, delta));
+    return catalog->RegisterTable(std::move(table));
+  }
+  SODA_ASSIGN_OR_RETURN(TablePtr table, catalog->GetTable(delta.table));
+  if (table->quarantined()) {
+    // Splicing the write into placeholder data would fabricate rows. The
+    // record stays in the WAL until the table heals, reads of the table
+    // already fail with kDataLoss, and the rest of the catalog comes up.
+    SODA_LOG(Warn) << "wal replay: skipping write to quarantined table "
+                   << delta.table;
+    return Status::OK();
+  }
+  // The delta the live statement applied, applied the same way: replay
+  // rebuilds exactly the live row groups and decodes none of them.
+  SODA_ASSIGN_OR_RETURN(TablePtr next, ApplyDelta(table.get(), delta));
+  return catalog->ReplaceTable(delta.table, std::move(next));
 }
+
+}  // namespace
 
 Result<std::unique_ptr<DurabilityManager>> DurabilityManager::Open(
     const std::string& data_dir, Catalog* catalog, WalFsyncMode mode,

@@ -11,7 +11,7 @@
 ///   3. scan the WAL, truncating any torn tail, and replay every record
 ///      with lsn > checkpoint lsn (records at or below it are already in
 ///      the snapshot — this makes a crash between checkpoint-rename and
-///      WAL-truncation harmless);
+///      WAL-truncation harmless) through the live engine's ApplyDelta;
 ///   4. leave the log open for appending, numbering new records after the
 ///      highest recovered LSN.
 
@@ -67,26 +67,9 @@ class DurabilityManager {
       const std::string& data_dir, Catalog* catalog, WalFsyncMode mode,
       size_t group_bytes);
 
-  // --- Per-statement redo logging (called before the catalog mutation
-  // --- is published; a failure means the statement must not commit). ----
-  // --- Call through Commit()/CommitDurable so the log→publish pair is
-  // --- atomic with respect to CHECKPOINT.
-  Status LogCreateTable(const std::string& name, const Schema& schema,
-                        const PartitionSpec& spec = {}) {
-    return wal_->AppendCreateTable(name, schema, spec);
-  }
-  Status LogDropTable(const std::string& name) {
-    return wal_->AppendDropTable(name);
-  }
-  Status LogAppendRows(const Table& staged_rows) {
-    return wal_->AppendRows(staged_rows);
-  }
-  Status LogTableImage(const Table& image) {
-    return wal_->AppendTableImage(image);
-  }
-
-  /// Runs one statement's commit unit under the commit lock: `log`
-  /// appends the redo record (log-before-publish), `publish` mutates the
+  /// Runs one statement's commit unit under the commit lock, so the
+  /// log→publish pair is atomic with respect to CHECKPOINT: `log` appends
+  /// the redo record to wal() (log-before-publish), `publish` mutates the
   /// catalog. A `log` failure skips `publish` — the statement fails with
   /// neither the log nor memory touched.
   Status Commit(const std::function<Status()>& log,
@@ -192,9 +175,6 @@ inline Status CommitDurable(DurabilityManager* dur,
   if (!dur) return publish();
   return dur->Commit(log, publish);
 }
-
-/// Applies one recovered WAL record to the catalog (exposed for tests).
-Status ApplyWalRecord(Catalog* catalog, const WalRecord& record);
 
 }  // namespace soda
 

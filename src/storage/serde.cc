@@ -203,6 +203,49 @@ Result<PartitionSpec> ReadPartitionSpec(BinaryReader* r) {
   return spec;
 }
 
+void WriteRowGroup(const RowGroup& group, BinaryWriter* w) {
+  BinaryWriter sw;
+  for (const SegmentPtr& seg : group) {
+    sw = BinaryWriter();
+    WriteSegment(*seg, &sw);
+    w->U32(static_cast<uint32_t>(sw.buffer().size()));
+    w->U32(Crc32(sw.buffer().data(), sw.buffer().size()));
+    w->Bytes(sw.buffer().data(), sw.buffer().size());
+  }
+}
+
+Result<RowGroup> ReadRowGroup(BinaryReader* r, const Schema& schema,
+                              size_t rows, bool* corrupt) {
+  // Segments are length + CRC framed: a checksum failure costs exactly
+  // one row group — the group gets decode-safe all-NULL placeholders and
+  // the read continues at the next frame.
+  RowGroup group;
+  group.reserve(schema.num_fields());
+  for (size_t c = 0; c < schema.num_fields(); ++c) {
+    SODA_ASSIGN_OR_RETURN(uint32_t payload_len, r->U32());
+    SODA_ASSIGN_OR_RETURN(uint32_t crc, r->U32());
+    SODA_ASSIGN_OR_RETURN(std::string_view payload, r->View(payload_len));
+    SegmentPtr seg;
+    if (Crc32(payload.data(), payload.size()) == crc) {
+      BinaryReader sr(payload);
+      auto parsed = ReadSegment(&sr);
+      if (parsed.ok() && (*parsed)->type == schema.field(c).type &&
+          (*parsed)->row_count() == rows) {
+        seg = parsed.MoveValueOrDie();
+        // Exclusively owned here (just parsed); stamp the verified
+        // frame CRC so the scrub pass can re-check it later.
+        const_cast<Segment*>(seg.get())->crc = crc;
+      }
+    }
+    if (seg == nullptr) {
+      *corrupt = true;
+      seg = MakePlaceholderSegment(schema.field(c).type, rows);
+    }
+    group.push_back(std::move(seg));
+  }
+  return group;
+}
+
 void WriteTable(const Table& table, BinaryWriter* w) {
   w->Str(table.name());
   WriteSchema(table.schema(), w);
@@ -229,15 +272,8 @@ void WriteTable(const Table& table, BinaryWriter* w) {
     for (size_t g = 0; g < num_groups; ++g) {
       w->U8(table.group_quarantined(g) ? 1 : 0);
     }
-    BinaryWriter sw;
     for (size_t g = 0; g < num_groups; ++g) {
-      for (size_t c = 0; c < table.num_columns(); ++c) {
-        sw = BinaryWriter();
-        WriteSegment(*table.group_segment(g, c), &sw);
-        w->U32(static_cast<uint32_t>(sw.buffer().size()));
-        w->U32(Crc32(sw.buffer().data(), sw.buffer().size()));
-        w->Bytes(sw.buffer().data(), sw.buffer().size());
-      }
+      WriteRowGroup(table.row_group(g), w);
     }
     return;
   }
@@ -284,39 +320,15 @@ Result<TablePtr> ReadTable(BinaryReader* r) {
     if (num_groups > 0) {
       SODA_RETURN_NOT_OK(r->Bytes(quarantined.data(), num_groups));
     }
-    // Segments are length + CRC framed: a checksum failure costs exactly
-    // one row group — the group gets decode-safe all-NULL placeholders
-    // and a quarantine mark, and the read continues at the next frame.
-    std::vector<std::vector<SegmentPtr>> groups;
+    std::vector<RowGroup> groups;
     groups.reserve(num_groups);
     for (uint32_t g = 0; g < num_groups; ++g) {
-      const size_t group_rows = group_offsets[g + 1] - group_offsets[g];
-      std::vector<SegmentPtr> group;
-      group.reserve(schema.num_fields());
-      bool group_corrupt = false;
-      for (size_t c = 0; c < schema.num_fields(); ++c) {
-        SODA_ASSIGN_OR_RETURN(uint32_t payload_len, r->U32());
-        SODA_ASSIGN_OR_RETURN(uint32_t crc, r->U32());
-        SODA_ASSIGN_OR_RETURN(std::string_view payload, r->View(payload_len));
-        SegmentPtr seg;
-        if (Crc32(payload.data(), payload.size()) == crc) {
-          BinaryReader sr(payload);
-          auto parsed = ReadSegment(&sr);
-          if (parsed.ok() && (*parsed)->type == schema.field(c).type &&
-              (*parsed)->row_count() == group_rows) {
-            seg = parsed.MoveValueOrDie();
-            // Exclusively owned here (just parsed); stamp the verified
-            // frame CRC so the scrub pass can re-check it later.
-            const_cast<Segment*>(seg.get())->crc = crc;
-          }
-        }
-        if (seg == nullptr) {
-          group_corrupt = true;
-          seg = MakePlaceholderSegment(schema.field(c).type, group_rows);
-        }
-        group.push_back(std::move(seg));
-      }
-      if (group_corrupt) quarantined[g] = 1;
+      bool corrupt = false;
+      SODA_ASSIGN_OR_RETURN(
+          RowGroup group,
+          ReadRowGroup(r, schema, group_offsets[g + 1] - group_offsets[g],
+                       &corrupt));
+      if (corrupt) quarantined[g] = 1;
       groups.push_back(std::move(group));
     }
     SODA_RETURN_NOT_OK(

@@ -81,6 +81,14 @@ Result<Column> ReadColumn(BinaryReader* r);
 void WritePartitionSpec(const PartitionSpec& spec, BinaryWriter* w);
 Result<PartitionSpec> ReadPartitionSpec(BinaryReader* r);
 
+/// One row group, one `[u32 len][u32 crc32][segment]` frame per column:
+/// the checkpoint's and the WAL's format.
+void WriteRowGroup(const RowGroup& group, BinaryWriter* w);
+/// Reads a group of `rows` rows. A segment that fails its CRC or does not
+/// match `schema` and `rows` becomes a placeholder and sets `*corrupt`.
+Result<RowGroup> ReadRowGroup(BinaryReader* r, const Schema& schema,
+                              size_t rows, bool* corrupt);
+
 /// Name + schema + all columns.
 void WriteTable(const Table& table, BinaryWriter* w);
 Result<TablePtr> ReadTable(BinaryReader* r);

@@ -214,15 +214,7 @@ bool Table::ScanSliceFiltered(size_t offset, size_t count,
     const size_t take = std::min(count - done, group_rows(g) - in_group);
     done += take;
     const size_t group = g++;
-    // Zone maps first: skip the whole segment when a footer rules it out.
-    bool may_match = true;
-    for (const auto& p : preds) {
-      if (!SegmentMayMatch(*groups_[group][p.column], p)) {
-        may_match = false;
-        break;
-      }
-    }
-    if (!may_match) continue;
+    if (!GroupMayMatch(group, preds)) continue;
     // Row selection on the encoded payloads, intersecting predicates.
     sel.clear();
     SegmentMatchRows(*groups_[group][preds[0].column], in_group, take,
@@ -250,6 +242,14 @@ bool Table::ScanSliceFiltered(size_t offset, size_t count,
                             &out->column(c));
       }
     }
+  }
+  return true;
+}
+
+bool Table::GroupMayMatch(size_t g,
+                          const std::vector<ScanPredicate>& preds) const {
+  for (const auto& p : preds) {
+    if (!SegmentMayMatch(*groups_[g][p.column], p)) return false;
   }
   return true;
 }
@@ -374,81 +374,24 @@ std::string Table::ToString(size_t max_rows) const {
 
 Status Table::Seal() {
   if (sealed_) return Status::OK();
-  const size_t n = num_rows();
-  if (n > UINT32_MAX) {
-    return Status::ExecutionError("Seal: table too large to reorder");
-  }
-
-  // Partitioned tables cluster rows by partition id first (stable within a
-  // partition, so unpartitioned DML ordering semantics are unchanged —
-  // only PARTITION BY tables ever reorder).
-  std::vector<Column> gathered;
-  std::vector<const Column*> src(columns_.size());
-  for (size_t c = 0; c < columns_.size(); ++c) src[c] = &columns_[c];
-  std::vector<size_t> part_offsets;
-  if (spec_.partitioned() && spec_.num_partitions > 0) {
-    if (spec_.column_index >= columns_.size()) {
-      return Status::ExecutionError("Seal: partition column out of range");
-    }
-    const Column& pcol = columns_[spec_.column_index];
-    const size_t P = spec_.num_partitions;
-    std::vector<uint32_t> part(n);
-    std::vector<size_t> counts(P, 0);
-    for (size_t i = 0; i < n; ++i) {
-      part[i] = static_cast<uint32_t>(PartitionOfRow(spec_, pcol, i));
-      ++counts[part[i]];
-    }
-    part_offsets.assign(P + 1, 0);
-    for (size_t p = 0; p < P; ++p) {
-      part_offsets[p + 1] = part_offsets[p] + counts[p];
-    }
-    std::vector<size_t> cursor(part_offsets.begin(), part_offsets.end() - 1);
-    std::vector<uint32_t> perm(n);
-    for (size_t i = 0; i < n; ++i) {
-      perm[cursor[part[i]]++] = static_cast<uint32_t>(i);
-    }
-    gathered.reserve(columns_.size());
-    for (size_t c = 0; c < columns_.size(); ++c) {
-      Column col(columns_[c].type());
-      col.Reserve(n);
-      col.AppendGather(columns_[c], perm.data(), n);
-      gathered.push_back(std::move(col));
-    }
-    for (size_t c = 0; c < columns_.size(); ++c) src[c] = &gathered[c];
-  } else {
-    part_offsets = {0, n};
-  }
-
-  // Encode kSegmentRows-row groups, never crossing a partition boundary.
-  std::vector<std::vector<SegmentPtr>> groups;
-  std::vector<size_t> group_offsets{0};
-  for (size_t p = 0; p + 1 < part_offsets.size(); ++p) {
-    for (size_t off = part_offsets[p]; off < part_offsets[p + 1];
-         off += kSegmentRows) {
-      const size_t take = std::min(kSegmentRows, part_offsets[p + 1] - off);
-      std::vector<SegmentPtr> group;
-      group.reserve(src.size());
-      for (const Column* col : src) {
-        SODA_ASSIGN_OR_RETURN(SegmentPtr seg,
-                              EncodeSegment(*col, off, take));
-        group.push_back(std::move(seg));
-      }
-      groups.push_back(std::move(group));
-      group_offsets.push_back(off + take);
-    }
-  }
-
-  groups_ = std::move(groups);
-  group_offsets_ = std::move(group_offsets);
-  partition_offsets_ = std::move(part_offsets);
-  for (size_t c = 0; c < columns_.size(); ++c) {
-    columns_[c] = Column(schema_.field(c).type);
-  }
-  sealed_ = true;
+  // The rows appended to an empty sealed table, the way ApplyDelta appends
+  // rows: clustered by partition (stable within a partition), in row
+  // groups of kSegmentRows rows that never cross a partition boundary.
+  const size_t P =
+      spec_.partitioned() ? std::max<size_t>(spec_.num_partitions, 1) : 1;
+  Table shell(name_, schema_);
+  shell.set_partition_spec(spec_);
+  SODA_RETURN_NOT_OK(shell.AdoptSealed({}, std::vector<size_t>(P + 1, 0)));
+  TableDelta delta = DeltaFor(shell);
+  delta.appended = std::move(columns_);
+  Result<TablePtr> sealed = ApplyDelta(&shell, delta);
+  columns_ = std::move(delta.appended);
+  SODA_RETURN_NOT_OK(sealed.status());
+  *this = std::move(**sealed);
   return Status::OK();
 }
 
-Status Table::AdoptSealed(std::vector<std::vector<SegmentPtr>> groups,
+Status Table::AdoptSealed(std::vector<RowGroup> groups,
                           std::vector<size_t> partition_offsets) {
   std::vector<size_t> offsets{0};
   for (const auto& group : groups) {
@@ -497,25 +440,20 @@ Status Table::AdoptSealed(std::vector<std::vector<SegmentPtr>> groups,
 
 // --- Table versions --------------------------------------------------------
 
-Result<TablePtr> NewTable(std::string name, Schema schema,
-                          PartitionSpec spec) {
-  auto table = std::make_shared<Table>(std::move(name), std::move(schema));
-  const bool partitioned = spec.partitioned();
-  table->set_partition_spec(std::move(spec));
-  if (partitioned) SODA_RETURN_NOT_OK(table->Seal());
-  return table;
+TableDelta DeltaFor(const Table& prev) {
+  TableDelta delta;
+  delta.table = prev.name();
+  delta.schema = prev.schema();
+  delta.prev_rows = prev.num_rows();
+  delta.prev_groups = prev.sealed() ? prev.num_row_groups() : 1;
+  return delta;
 }
 
-namespace {
-
-/// Appends the rows of `columns` to `groups` as row groups of at most
-/// kSegmentRows rows.
-Status EncodeGroups(const std::vector<Column>& columns,
-                    std::vector<std::vector<SegmentPtr>>* groups) {
-  const size_t n = columns.empty() ? 0 : columns[0].size();
-  for (size_t off = 0; off < n; off += kSegmentRows) {
-    const size_t take = std::min(kSegmentRows, n - off);
-    std::vector<SegmentPtr> group;
+Status EncodeGroups(const std::vector<Column>& columns, size_t begin,
+                    size_t end, std::vector<RowGroup>* groups) {
+  for (size_t off = begin; off < end; off += kSegmentRows) {
+    const size_t take = std::min(kSegmentRows, end - off);
+    RowGroup group;
     group.reserve(columns.size());
     for (const Column& col : columns) {
       SODA_ASSIGN_OR_RETURN(SegmentPtr seg, EncodeSegment(col, off, take));
@@ -526,25 +464,27 @@ Status EncodeGroups(const std::vector<Column>& columns,
   return Status::OK();
 }
 
-/// The flat case of BuildNextVersion: `prev` is one range.
-Result<TablePtr> BuildFlatVersion(const Table& prev, const GroupEdit& edit,
-                                  const Table* staged, const char* site) {
+namespace {
+
+/// The flat case of ApplyDelta: `prev`'s rows, unless the delta drops its
+/// one group, followed by the appended rows.
+Result<TablePtr> ApplyFlat(const Table& prev, const TableDelta& delta) {
+  const bool keep = delta.replaced.empty();
+  const size_t appended = delta.appended.empty() ? 0 : delta.appended[0].size();
   size_t bytes = 0;
   for (size_t c = 0; c < prev.num_columns(); ++c) {
-    bytes += SliceBytes(prev.column(c), 0, prev.num_rows());
-    if (staged) bytes += SliceBytes(staged->column(c), 0, staged->num_rows());
+    if (keep) bytes += SliceBytes(prev.column(c), 0, prev.num_rows());
+    if (appended) bytes += SliceBytes(delta.appended[c], 0, appended);
   }
-  SODA_RETURN_NOT_OK(GuardReserve(QueryGuard::Current(), bytes, site));
-  DataChunk rows;
-  prev.ScanSlice(0, prev.num_rows(), &rows);
-  if (edit) SODA_RETURN_NOT_OK(edit(&rows).status());
+  SODA_RETURN_NOT_OK(ChargeAppend(bytes));
   auto next = std::make_shared<Table>(prev.name(), prev.schema());
   next->set_partition_spec(prev.partition_spec());
   for (size_t c = 0; c < prev.num_columns(); ++c) {
-    if (staged) {
-      rows.column(c).AppendSlice(staged->column(c), 0, staged->num_rows());
-    }
-    SODA_RETURN_NOT_OK(next->SetColumn(c, std::move(rows.column(c))));
+    Column col(prev.schema().field(c).type);
+    col.Reserve((keep ? prev.num_rows() : 0) + appended);
+    if (keep) col.AppendSlice(prev.column(c), 0, prev.num_rows());
+    if (appended) col.AppendSlice(delta.appended[c], 0, appended);
+    SODA_RETURN_NOT_OK(next->SetColumn(c, std::move(col)));
   }
   if (next->partition_spec().partitioned() ||
       next->num_rows() >= kSealMinRows) {
@@ -555,77 +495,86 @@ Result<TablePtr> BuildFlatVersion(const Table& prev, const GroupEdit& edit,
 
 }  // namespace
 
-Result<TablePtr> BuildNextVersion(const Table& prev, const GroupEdit& edit,
-                                  const Table* staged, const char* site) {
-  if (staged) {
-    if (staged->sealed() || staged->num_columns() != prev.num_columns()) {
-      return Status::ExecutionError("append to '" + prev.name() +
-                                    "': staged rows must be flat and match "
-                                    "the table's arity");
-    }
-    for (size_t c = 0; c < prev.num_columns(); ++c) {
-      if (staged->schema().field(c).type != prev.schema().field(c).type) {
-        return Status::ExecutionError("append to '" + prev.name() +
-                                      "': type mismatch at column " +
-                                      std::to_string(c));
-      }
-    }
+Result<TablePtr> ApplyDelta(const Table* prev, const TableDelta& delta) {
+  TablePtr created;
+  if (delta.create) {
+    created = std::make_shared<Table>(delta.table, delta.schema);
+    created->set_partition_spec(delta.spec);
+    if (delta.spec.partitioned()) SODA_RETURN_NOT_OK(created->Seal());
+    prev = created.get();
   }
-  if (!prev.sealed()) return BuildFlatVersion(prev, edit, staged, site);
+  const TableDelta expect = DeltaFor(*prev);
+  bool fits = delta.create || (expect.schema == delta.schema &&
+                               expect.prev_rows == delta.prev_rows &&
+                               expect.prev_groups == delta.prev_groups);
+  for (size_t i = 0; fits && i < delta.replaced.size(); ++i) {
+    const size_t g = delta.replaced[i].first;
+    fits = g < expect.prev_groups &&
+           (i == 0 || g > delta.replaced[i - 1].first) &&
+           (prev->sealed() || delta.replaced[i].second.empty());
+  }
+  fits &= delta.appended.empty() ||
+          delta.appended.size() == prev->num_columns();
+  fits &= !prev->partition_spec().partitioned() ||
+          prev->partition_spec().column_index < prev->num_columns();
+  for (size_t c = 0; fits && c < delta.appended.size(); ++c) {
+    fits = delta.appended[c].type() == prev->schema().field(c).type &&
+           delta.appended[c].size() == delta.appended[0].size();
+  }
+  if (!fits) {
+    return Status::DataLoss("write to '" + delta.table + "' (against " +
+                            std::to_string(delta.prev_rows) + " rows in " +
+                            std::to_string(delta.prev_groups) +
+                            " groups) does not fit the table");
+  }
+  if (!prev->sealed()) return ApplyFlat(*prev, delta);
 
-  // Bucket the staged rows by partition (one bucket when unpartitioned).
-  const PartitionSpec& spec = prev.partition_spec();
-  const std::vector<size_t>& prev_offsets = prev.partition_offsets();
+  // Bucket the appended rows by partition (one bucket when unpartitioned).
+  const PartitionSpec& spec = prev->partition_spec();
+  const std::vector<size_t>& prev_offsets = prev->partition_offsets();
   const size_t P = prev_offsets.size() - 1;
+  const size_t appended = delta.appended.empty() ? 0 : delta.appended[0].size();
   std::vector<std::vector<uint32_t>> buckets(P);
-  const size_t staged_rows = staged ? staged->num_rows() : 0;
-  for (size_t r = 0; r < staged_rows; ++r) {
+  for (size_t r = 0; r < appended; ++r) {
     const size_t p =
         spec.partitioned() && spec.num_partitions == P
-            ? PartitionOfRow(spec, staged->column(spec.column_index), r)
+            ? PartitionOfRow(spec, delta.appended[spec.column_index], r)
             : 0;
     buckets[p].push_back(static_cast<uint32_t>(r));
   }
 
-  std::vector<std::vector<SegmentPtr>> groups;
+  std::vector<RowGroup> groups;
   std::vector<size_t> offsets{0};
-  size_t total = 0;
-  auto add = [&](const std::vector<Column>& columns) {
-    total += columns.empty() ? 0 : columns[0].size();
-    return EncodeGroups(columns, &groups);
-  };
-  DataChunk rows;
+  size_t counted = 0;  // groups whose rows offsets already sum
+  size_t next_replaced = 0;
   size_t g = 0;
   for (size_t p = 0; p < P; ++p) {
-    for (; g < prev.num_row_groups() &&
-           prev.group_offset(g) < prev_offsets[p + 1];
+    for (; g < prev->num_row_groups() &&
+           prev->group_offset(g) < prev_offsets[p + 1];
          ++g) {
-      if (edit) {
-        prev.ScanSlice(prev.group_offset(g), prev.group_rows(g), &rows);
-        SODA_ASSIGN_OR_RETURN(bool replaced, edit(&rows));
-        if (replaced) {
-          SODA_RETURN_NOT_OK(add(rows.columns()));
-          continue;
-        }
+      if (next_replaced < delta.replaced.size() &&
+          delta.replaced[next_replaced].first == g) {
+        const auto& replacement = delta.replaced[next_replaced++].second;
+        groups.insert(groups.end(), replacement.begin(), replacement.end());
+      } else {
+        groups.push_back(prev->row_group(g));
       }
-      std::vector<SegmentPtr> group;
-      group.reserve(prev.num_columns());
-      for (size_t c = 0; c < prev.num_columns(); ++c) {
-        group.push_back(prev.group_segment(g, c));
-      }
-      groups.push_back(std::move(group));
-      total += prev.group_rows(g);
     }
-    if (buckets[p].size() == staged_rows && staged_rows > 0) {
-      SODA_RETURN_NOT_OK(add(staged->columns()));
+    if (buckets[p].size() == appended) {
+      SODA_RETURN_NOT_OK(EncodeGroups(delta.appended, 0, appended, &groups));
     } else if (!buckets[p].empty()) {
       SODA_RETURN_NOT_OK(
-          add(GatherRows(staged->columns(), buckets[p]).columns()));
+          EncodeGroups(GatherRows(delta.appended, buckets[p]).columns(), 0,
+                       buckets[p].size(), &groups));
+    }
+    size_t total = offsets.back();
+    for (; counted < groups.size(); ++counted) {
+      total += groups[counted][0]->row_count();
     }
     offsets.push_back(total);
   }
 
-  auto next = std::make_shared<Table>(prev.name(), prev.schema());
+  auto next = std::make_shared<Table>(prev->name(), prev->schema());
   next->set_partition_spec(spec);
   SODA_RETURN_NOT_OK(next->AdoptSealed(std::move(groups), std::move(offsets)));
   return next;
@@ -647,13 +596,6 @@ bool Table::quarantined() const {
     if (q) return true;
   }
   return false;
-}
-
-size_t Table::num_quarantined_groups() const {
-  if (table_quarantined_) return groups_.empty() ? 1 : groups_.size();
-  size_t n = 0;
-  for (uint8_t q : group_quarantined_) n += q != 0;
-  return n;
 }
 
 Status Table::CheckReadable(size_t offset, size_t count) const {

@@ -23,7 +23,6 @@
 #ifndef SODA_STORAGE_TABLE_H_
 #define SODA_STORAGE_TABLE_H_
 
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -40,7 +39,10 @@ namespace soda {
 
 class QueryGuard;
 
-/// A flat next version (BuildNextVersion) below this row count stays flat
+/// One row group of a sealed table: one segment per column.
+using RowGroup = std::vector<SegmentPtr>;
+
+/// A flat next version (ApplyDelta) below this row count stays flat
 /// — encoding tiny tables costs more than it saves. Partitioned tables
 /// always seal regardless (pruning needs the clustered layout).
 inline constexpr size_t kSealMinRows = 4096;
@@ -120,6 +122,10 @@ class Table {
                          DataChunk* out,
                          const std::vector<size_t>* cols = nullptr) const;
 
+  /// Zone-map check for a sealed table: false when the stats footers of
+  /// row group `g` prove that some predicate of `preds` matches no row.
+  bool GroupMayMatch(size_t g, const std::vector<ScanPredicate>& preds) const;
+
   /// Decodes columns `cols` (every column when null, in that order) of the
   /// whole table into `out`, a fresh flat table with one column of the
   /// matching type per entry, with one ScanSlice. Fails with kDataLoss on
@@ -173,13 +179,14 @@ class Table {
   const SegmentPtr& group_segment(size_t g, size_t c) const {
     return groups_[g][c];
   }
+  const RowGroup& row_group(size_t g) const { return groups_[g]; }
 
   /// Installs an already-encoded representation wholesale (deserialization
-  /// and BuildNextVersion). `groups` is outer=group,
+  /// and ApplyDelta). `groups` is outer=group,
   /// inner=column; `partition_offsets` must be group-aligned and span
   /// [0, total rows]. Replaces any existing payload (and clears any
   /// quarantine flags — callers re-mark after adopting).
-  Status AdoptSealed(std::vector<std::vector<SegmentPtr>> groups,
+  Status AdoptSealed(std::vector<RowGroup> groups,
                      std::vector<size_t> partition_offsets);
 
   // --- Quarantine (self-healing storage, DESIGN.md §10) --------------------
@@ -206,10 +213,6 @@ class Table {
   /// quarantine does not survive a checkpoint rewrite (the stub has no
   /// rows), so heal paths must check this before rewriting.
   bool table_level_quarantined() const { return table_quarantined_; }
-
-  /// Number of quarantined row groups (a fully-quarantined table counts
-  /// every group, or 1 when it has none).
-  size_t num_quarantined_groups() const;
 
   bool group_quarantined(size_t g) const {
     return table_quarantined_ ||
@@ -248,7 +251,7 @@ class Table {
   std::vector<Column> columns_;
 
   bool sealed_ = false;
-  std::vector<std::vector<SegmentPtr>> groups_;  // [group][column]
+  std::vector<RowGroup> groups_;                 // [group][column]
   std::vector<size_t> group_offsets_;            // groups_.size() + 1
   std::vector<size_t> partition_offsets_;        // group-aligned
 
@@ -270,32 +273,46 @@ Result<TablePtr> FlatView(TablePtr table, QueryGuard* guard);
 
 // --- Table versions (DESIGN.md §9) -----------------------------------------
 //
-// Published tables are immutable: every write builds the table's next
-// version with BuildNextVersion and swaps it into the catalog. INSERT, CTAS,
-// UPDATE, DELETE and WAL replay all go through it, so a recovered table has
-// exactly the row groups the live engine built.
+// Published tables are immutable. Every write (CREATE TABLE, CTAS, INSERT,
+// UPDATE, DELETE) is one TableDelta: ApplyDelta builds the next version
+// from it, the WAL logs it as one record, and replay applies that record
+// with the same ApplyDelta, so a recovered table has exactly the row groups
+// the live engine built.
 
-/// A new, empty table for CREATE TABLE and its WAL replay. Partitioned
-/// tables are sealed from birth, so every later version appends to the
-/// clustered layout.
-Result<TablePtr> NewTable(std::string name, Schema schema, PartitionSpec spec);
+/// One write to one table. A delta counts a flat table as one group, 0;
+/// replacing that group drops all its rows, so a flat table's edited rows
+/// travel in `appended`.
+struct TableDelta {
+  std::string table;   ///< lower-cased name
+  Schema schema;       ///< the table's schema
+  bool create = false; ///< the write creates the table (with `spec`)
+  PartitionSpec spec;  ///< create only
+  size_t prev_rows = 0;    ///< row count of the version the write edits
+  size_t prev_groups = 0;  ///< ... and its group count
+  /// Replaced groups of that version, ascending, each with its encoded
+  /// replacement groups; an empty replacement drops the group.
+  std::vector<std::pair<size_t, std::vector<RowGroup>>> replaced;
+  /// Flat rows appended at the end of their partition (empty = none).
+  std::vector<Column> appended;
+};
 
-/// One row group's edit in BuildNextVersion. `rows` holds the group's rows
-/// (all of a flat table's rows form one group). Returns false to keep the
-/// group as it is, or true after replacing `*rows` with the group's new
-/// rows; a group left with no rows is dropped.
-using GroupEdit = std::function<Result<bool>(DataChunk* rows)>;
+/// A delta against `prev` that replaces and appends nothing yet.
+TableDelta DeltaFor(const Table& prev);
 
-/// Builds the next version of `prev`, row group by row group and partition
-/// by partition. `edit` (may be empty) sees each group: kept groups are
-/// shared with `prev` by pointer, replacement rows are encoded in
-/// kSegmentRows pieces. The rows of `staged` (flat, same column types; may
-/// be null) are appended at the end of their partition. A flat `prev`
-/// yields a flat copy, sealed when the table is partitioned or holds at
-/// least kSealMinRows rows. The flat copy is charged to the thread's
-/// QueryGuard under `site`; decoded groups are transient and uncharged.
-Result<TablePtr> BuildNextVersion(const Table& prev, const GroupEdit& edit,
-                                  const Table* staged, const char* site);
+/// Appends rows [begin, end) of `columns` to `groups` as row groups of at
+/// most kSegmentRows rows. Fault site: "storage.segment_encode".
+Status EncodeGroups(const std::vector<Column>& columns, size_t begin,
+                    size_t end, std::vector<RowGroup>* groups);
+
+/// Builds the next version of `prev` (null when the delta creates the
+/// table; partitioned tables are sealed from birth). Kept groups are
+/// shared with `prev` by pointer, replacement groups are adopted as they
+/// are, and appended rows are bucketed by partition and encoded. A flat
+/// `prev` yields a flat copy, charged to the thread's QueryGuard under
+/// "storage.append" and sealed when the table is partitioned or holds at
+/// least kSealMinRows rows. kDataLoss when the delta's prev counts or group
+/// indices do not match `prev`.
+Result<TablePtr> ApplyDelta(const Table* prev, const TableDelta& delta);
 
 }  // namespace soda
 

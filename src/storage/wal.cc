@@ -25,36 +25,84 @@ Status IoError(const std::string& what, const std::string& path) {
                                 ": " + std::strerror(errno));
 }
 
-/// Decodes one payload into a WalRecord; failure means the scan stops (the
-/// record counts as part of the torn tail).
+void WriteDelta(const TableDelta& delta, BinaryWriter* w) {
+  w->Str(delta.table);
+  WriteSchema(delta.schema, w);
+  w->U8(delta.create ? 1 : 0);
+  if (delta.create) WritePartitionSpec(delta.spec, w);
+  w->U64(delta.prev_rows);
+  w->U64(delta.prev_groups);
+  w->U32(static_cast<uint32_t>(delta.replaced.size()));
+  for (const auto& [g, groups] : delta.replaced) {
+    w->U64(g);
+    w->U32(static_cast<uint32_t>(groups.size()));
+    for (const RowGroup& group : groups) {
+      w->U64(group[0]->row_count());
+      WriteRowGroup(group, w);
+    }
+  }
+  w->U32(static_cast<uint32_t>(delta.appended.size()));
+  for (const Column& col : delta.appended) WriteColumn(col, w);
+}
+
+Result<TableDelta> ReadDelta(BinaryReader* r) {
+  TableDelta delta;
+  SODA_ASSIGN_OR_RETURN(delta.table, r->Str());
+  SODA_ASSIGN_OR_RETURN(delta.schema, ReadSchema(r));
+  SODA_ASSIGN_OR_RETURN(uint8_t create, r->U8());
+  delta.create = create != 0;
+  if (delta.create) {
+    SODA_ASSIGN_OR_RETURN(delta.spec, ReadPartitionSpec(r));
+  }
+  SODA_ASSIGN_OR_RETURN(delta.prev_rows, r->U64());
+  SODA_ASSIGN_OR_RETURN(delta.prev_groups, r->U64());
+  SODA_ASSIGN_OR_RETURN(uint32_t num_replaced, r->U32());
+  for (uint32_t i = 0; i < num_replaced; ++i) {
+    SODA_ASSIGN_OR_RETURN(uint64_t g, r->U64());
+    SODA_ASSIGN_OR_RETURN(uint32_t num_groups, r->U32());
+    delta.replaced.emplace_back(g, std::vector<RowGroup>());
+    for (uint32_t k = 0; k < num_groups; ++k) {
+      SODA_ASSIGN_OR_RETURN(uint64_t rows, r->U64());
+      // EncodeGroups' bounds; a larger count must not size a placeholder.
+      bool corrupt = rows == 0 || rows > kSegmentRows;
+      if (!corrupt) {
+        SODA_ASSIGN_OR_RETURN(RowGroup group,
+                              ReadRowGroup(r, delta.schema, rows, &corrupt));
+        delta.replaced.back().second.push_back(std::move(group));
+      }
+      if (corrupt) return Status::ExecutionError("wal: corrupt row group");
+    }
+  }
+  SODA_ASSIGN_OR_RETURN(uint32_t num_appended, r->U32());
+  for (uint32_t c = 0; c < num_appended; ++c) {
+    SODA_ASSIGN_OR_RETURN(Column col, ReadColumn(r));
+    delta.appended.push_back(std::move(col));
+  }
+  return delta;
+}
+
+/// Decodes one payload into a WalRecord; failure fails recovery.
 Result<WalRecord> DecodePayload(std::string_view payload) {
   BinaryReader r(payload);
   WalRecord rec;
   SODA_ASSIGN_OR_RETURN(rec.lsn, r.U64());
   SODA_ASSIGN_OR_RETURN(uint8_t type, r.U8());
   switch (type) {
-    case static_cast<uint8_t>(WalRecordType::kCreateTable): {
-      rec.type = WalRecordType::kCreateTable;
-      SODA_ASSIGN_OR_RETURN(rec.table, r.Str());
-      SODA_ASSIGN_OR_RETURN(rec.schema, ReadSchema(&r));
-      SODA_ASSIGN_OR_RETURN(rec.spec, ReadPartitionSpec(&r));
-      break;
-    }
     case static_cast<uint8_t>(WalRecordType::kDropTable): {
       rec.type = WalRecordType::kDropTable;
-      SODA_ASSIGN_OR_RETURN(rec.table, r.Str());
+      SODA_ASSIGN_OR_RETURN(rec.delta.table, r.Str());
       break;
     }
-    case static_cast<uint8_t>(WalRecordType::kAppendRows):
-    case static_cast<uint8_t>(WalRecordType::kTableImage): {
-      rec.type = static_cast<WalRecordType>(type);
-      SODA_ASSIGN_OR_RETURN(rec.rows, ReadTable(&r));
-      rec.table = rec.rows->name();
+    case static_cast<uint8_t>(WalRecordType::kTableWrite): {
+      rec.type = WalRecordType::kTableWrite;
+      SODA_ASSIGN_OR_RETURN(rec.delta, ReadDelta(&r));
       break;
     }
     default:
-      return Status::ExecutionError("wal: unknown record type");
+      return Status::ExecutionError("unknown record type " +
+                                    std::to_string(type));
   }
+  if (!r.AtEnd()) return Status::ExecutionError("trailing bytes");
   return rec;
 }
 
@@ -111,7 +159,17 @@ Result<std::unique_ptr<Wal>> Wal::Open(std::string path,
     std::string_view payload(data.data() + pos + kFrameHeaderBytes, len);
     if (Crc32(payload.data(), payload.size()) != crc) break;
     auto rec = DecodePayload(payload);
-    if (!rec.ok()) break;
+    if (!rec.ok()) {
+      // The frame is whole and its CRC matches, so this is no torn write:
+      // it is a record this build cannot read (e.g. written by an older
+      // format). Truncating would drop it and every commit after it.
+      ::close(fd);
+      return Status::DataLoss(
+          "wal: record at offset " + std::to_string(pos) + " of " + path +
+          " cannot be decoded (" + rec.status().message() +
+          "); the log was left untouched — replay it with the build that "
+          "wrote it and run CHECKPOINT there");
+    }
     last_lsn = rec->lsn;
     ++record_count;
     if (recovered) recovered->push_back(std::move(rec.ValueOrDie()));
@@ -238,16 +296,6 @@ Status Wal::Commit(WalRecordType type, const std::string& body) {
   return Status::OK();
 }
 
-Status Wal::AppendCreateTable(const std::string& table, const Schema& schema,
-                              const PartitionSpec& spec) {
-  BinaryWriter body;
-  body.Str(table);
-  WriteSchema(schema, &body);
-  WritePartitionSpec(spec, &body);
-  MutexLock lock(&mu_);
-  return Commit(WalRecordType::kCreateTable, body.buffer());
-}
-
 Status Wal::AppendDropTable(const std::string& table) {
   BinaryWriter body;
   body.Str(table);
@@ -255,18 +303,11 @@ Status Wal::AppendDropTable(const std::string& table) {
   return Commit(WalRecordType::kDropTable, body.buffer());
 }
 
-Status Wal::AppendRows(const Table& rows) {
+Status Wal::AppendTableWrite(const TableDelta& delta) {
   BinaryWriter body;
-  WriteTable(rows, &body);
+  WriteDelta(delta, &body);
   MutexLock lock(&mu_);
-  return Commit(WalRecordType::kAppendRows, body.buffer());
-}
-
-Status Wal::AppendTableImage(const Table& image) {
-  BinaryWriter body;
-  WriteTable(image, &body);
-  MutexLock lock(&mu_);
-  return Commit(WalRecordType::kTableImage, body.buffer());
+  return Commit(WalRecordType::kTableWrite, body.buffer());
 }
 
 Status Wal::Sync() {

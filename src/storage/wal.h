@@ -50,22 +50,18 @@ enum class WalFsyncMode {
 Result<WalFsyncMode> WalFsyncModeFromString(const std::string& name);
 const char* WalFsyncModeToString(WalFsyncMode mode);
 
+/// Record types. Numbers are never reused: a log holding a type this build
+/// does not know fails startup instead of being read as a torn tail.
 enum class WalRecordType : uint8_t {
-  kCreateTable = 1,  ///< body: name + schema (empty table)
-  kDropTable = 2,    ///< body: name
-  kAppendRows = 3,   ///< body: staged-rows table image (INSERT)
-  kTableImage = 4,   ///< body: full table image (UPDATE/DELETE swap,
-                     ///<       CREATE TABLE AS SELECT)
+  kDropTable = 2,   ///< body: name
+  kTableWrite = 5,  ///< body: one TableDelta (storage/table.h)
 };
 
 /// One decoded log record (recovery path).
 struct WalRecord {
   uint64_t lsn = 0;
-  WalRecordType type = WalRecordType::kCreateTable;
-  std::string table;   ///< target table name (lower-cased)
-  Schema schema;       ///< kCreateTable only
-  PartitionSpec spec;  ///< kCreateTable only (PARTITION BY clause)
-  TablePtr rows;       ///< kAppendRows / kTableImage payload
+  WalRecordType type = WalRecordType::kTableWrite;
+  TableDelta delta;  ///< a kDropTable record sets only `delta.table`
 };
 
 /// Thread-safe: one internal mutex `mu_` guards the file descriptor, file
@@ -80,7 +76,8 @@ class Wal {
   /// Opens (creating if absent) the log at `path` and scans existing
   /// records into `recovered`. A torn or CRC-failing tail is discarded —
   /// the file is truncated to the last valid record so new appends start
-  /// on a clean boundary.
+  /// on a clean boundary. A whole, CRC-valid record that does not decode
+  /// fails with kDataLoss and leaves the file untouched.
   static Result<std::unique_ptr<Wal>> Open(std::string path,
                                            std::vector<WalRecord>* recovered);
 
@@ -125,13 +122,8 @@ class Wal {
   }
 
   // --- One call per statement; each is a self-contained commit. ----------
-  Status AppendCreateTable(const std::string& table, const Schema& schema,
-                           const PartitionSpec& spec) SODA_EXCLUDES(mu_);
   Status AppendDropTable(const std::string& table) SODA_EXCLUDES(mu_);
-  /// `rows` holds only the newly inserted rows (the staged side table).
-  Status AppendRows(const Table& rows) SODA_EXCLUDES(mu_);
-  /// `image` is the complete post-statement table.
-  Status AppendTableImage(const Table& image) SODA_EXCLUDES(mu_);
+  Status AppendTableWrite(const TableDelta& delta) SODA_EXCLUDES(mu_);
 
   /// Forces pending group-commit bytes to disk.
   Status Sync() SODA_EXCLUDES(mu_);

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include "storage/segment.h"
 #include "tests/test_util.h"
 #include "util/query_guard.h"
 
@@ -186,6 +187,27 @@ TEST_F(DmlTest, UpdateFaultMidStatementLeavesTableUnchanged) {
   FaultInjector::Global().Reset();
   auto r = RunQuery(engine_, "SELECT a FROM t ORDER BY a");
   EXPECT_EQ(IntColumn(r, 0), (std::vector<int64_t>{1, 2, 3, 4}));
+}
+
+TEST_F(DmlTest, UpdateSkipsRowGroupsTheZoneMapsRuleOut) {
+  testing::CreateSequenceTable(engine_, "big",
+                               5 * static_cast<int64_t>(kSegmentRows));
+  // skip=1: one exec.dml probe passes, the second fires. The zone maps of
+  // `k` rule out every group but the one holding k = 40000, so the UPDATE
+  // decodes, edits and probes that group alone.
+  FaultInjector::Global().Arm("exec.dml", FaultInjector::Kind::kError, 1);
+  ASSERT_OK(engine_.Execute("UPDATE big SET v = -1 WHERE k = 40000").status());
+  FaultInjector::Global().Reset();
+  EXPECT_EQ(
+      RunQuery(engine_, "SELECT v FROM big WHERE k = 40000").GetInt(0, 0), -1);
+  EXPECT_EQ(RunQuery(engine_, "SELECT count(*) FROM big WHERE v = -1")
+                .GetInt(0, 0),
+            1);
+  // Every group may hold v = 3, so this UPDATE reaches the second probe.
+  FaultInjector::Global().Arm("exec.dml", FaultInjector::Kind::kError, 1);
+  ExpectError(engine_, "UPDATE big SET v = -2 WHERE v = 3",
+              StatusCode::kInternal);
+  FaultInjector::Global().Reset();
 }
 
 TEST_F(DmlTest, AnalyticsSeeFreshDataAfterDml) {

@@ -22,8 +22,10 @@
 
 #include "storage/checkpoint.h"
 #include "storage/durability.h"
+#include "storage/serde.h"
 #include "storage/wal.h"
 #include "tests/test_util.h"
+#include "util/crc32.h"
 #include "util/query_guard.h"
 
 namespace soda {
@@ -31,6 +33,7 @@ namespace {
 
 namespace fs = std::filesystem;
 
+using testing::CreateSequenceTable;
 using testing::ExpectError;
 using testing::RunQuery;
 
@@ -214,15 +217,27 @@ TEST_P(CrashRecoveryTest, RecoversCommittedPrefix) {
   {
     Engine e(Opts(dir));
     ASSERT_OK(e.startup_status());
-    // The committed prefix: two tables, a few rows, one checkpoint midway
-    // so recovery exercises both the snapshot and the WAL tail.
+    // The committed prefix: three tables, a few rows, one checkpoint
+    // midway so recovery exercises both the snapshot and the WAL tail.
+    // `p` is sealed and partitioned with several row groups; its tail
+    // holds group-replacing UPDATEs and a DELETE.
     ASSERT_OK(e.ExecuteScript("CREATE TABLE t (a INTEGER, s TEXT);"
                               "INSERT INTO t VALUES (1, 'one'), (2, 'two');"
+                              "CREATE TABLE p (k BIGINT, v VARCHAR) "
+                              "PARTITION BY HASH(k) PARTITIONS 4;"
+                              "INSERT INTO p VALUES (1,'a'),(2,'b'),(3,'c'),"
+                              "(4,'d'),(5,'e'),(6,'f'),(7,'g'),(8,'h');"
                               "CHECKPOINT;"
                               "CREATE TABLE u (x FLOAT);"
                               "INSERT INTO u VALUES (0.5);"
-                              "UPDATE t SET s = 'TWO' WHERE a = 2")
+                              "UPDATE t SET s = 'TWO' WHERE a = 2;"
+                              "INSERT INTO p VALUES (9,'i'),(10,'j'),"
+                              "(11,'k'),(12,'l');"
+                              "UPDATE p SET v = 'B' WHERE k = 2;"
+                              "DELETE FROM p WHERE k = 3;"
+                              "UPDATE p SET k = k + 100 WHERE k = 4")
                   .status());
+    ASSERT_GE((*e.catalog().GetTable("p"))->num_row_groups(), 4u);
 
     FaultInjector::Global().Arm(c.site, FaultInjector::Kind::kError);
     auto result = e.Execute(c.op);
@@ -263,6 +278,12 @@ INSTANTIATE_TEST_SUITE_P(
                   "INSERT INTO t VALUES (9, 'nine')"},
         CrashCase{"fsync_update", "wal.fsync",
                   "UPDATE t SET s = 'boom' WHERE a = 1"},
+        CrashCase{"append_update_sealed", "wal.append",
+                  "UPDATE p SET v = 'boom' WHERE k = 9"},
+        CrashCase{"append_update_partition_key", "wal.append",
+                  "UPDATE p SET k = k + 1000 WHERE k < 3"},
+        CrashCase{"fsync_delete_sealed", "wal.fsync",
+                  "DELETE FROM p WHERE k > 5"},
         CrashCase{"ckpt_write", "checkpoint.write", "CHECKPOINT"},
         CrashCase{"ckpt_rename", "checkpoint.rename", "CHECKPOINT"}),
     [](const ::testing::TestParamInfo<CrashCase>& info) {
@@ -354,6 +375,61 @@ TEST_F(DurabilityTest, CrcFailureDropsOnlyTheCorruptedTail) {
   // The second INSERT's record was corrupted — only the first survives.
   EXPECT_EQ(RunQuery(e2, "SELECT count(*) FROM t").GetInt(0, 0), 1);
   EXPECT_EQ(RunQuery(e2, "SELECT a FROM t").GetInt(0, 0), 1);
+}
+
+TEST_F(DurabilityTest, UndecodableRecordFailsStartupAndLeavesLogUntouched) {
+  std::string dir = Dir("d");
+  {
+    Engine e(Opts(dir));
+    ASSERT_OK(e.ExecuteScript("CREATE TABLE t (a INTEGER);"
+                              "INSERT INTO t VALUES (1)")
+                  .status());
+  }
+  // A whole frame with a matching CRC whose record type this build does
+  // not read (3 was INSERT's record in an older format): no torn write,
+  // so recovery must refuse it rather than truncate it and what follows.
+  BinaryWriter payload;
+  payload.U64(3);  // lsn
+  payload.U8(3);   // record type
+  BinaryWriter frame;
+  frame.U32(0x4C574453);  // "SDWL"
+  frame.U32(Crc32(payload.buffer().data(), payload.buffer().size()));
+  frame.U32(static_cast<uint32_t>(payload.buffer().size()));
+  frame.Bytes(payload.buffer().data(), payload.buffer().size());
+  const std::string wal_path = dir + "/" + kWalFileName;
+  {
+    std::ofstream wal(wal_path, std::ios::binary | std::ios::app);
+    wal << frame.buffer();
+  }
+  const auto size = fs::file_size(wal_path);
+  {
+    Engine e(Opts(dir));
+    EXPECT_EQ(e.startup_status().code(), StatusCode::kDataLoss)
+        << e.startup_status().ToString();
+  }
+  EXPECT_EQ(fs::file_size(wal_path), size);
+}
+
+TEST_F(DurabilityTest, ReplayRefusesAWriteLoggedAgainstAnotherVersion) {
+  std::string dir = Dir("d");
+  {
+    Engine e(Opts(dir));
+    ASSERT_OK(e.ExecuteScript("CREATE TABLE t (a INTEGER);"
+                              "INSERT INTO t VALUES (1)")
+                  .status());
+  }
+  {
+    // Log the INSERT's delta a second time: it was recorded against the
+    // empty table, so replay meets a table with one row more than it says.
+    std::vector<WalRecord> records;
+    auto wal = Wal::Open(dir + "/" + kWalFileName, &records);
+    ASSERT_OK(wal.status());
+    ASSERT_EQ(records.size(), 2u);
+    ASSERT_OK((*wal)->AppendTableWrite(records[1].delta));
+  }
+  Engine e(Opts(dir));
+  EXPECT_EQ(e.startup_status().code(), StatusCode::kDataLoss)
+      << e.startup_status().ToString();
 }
 
 TEST_F(DurabilityTest, CorruptCheckpointPoisonsStartup) {
@@ -471,7 +547,7 @@ TEST_F(DurabilityTest, MillionRowCheckpointRoundTripIsBitIdentical) {
   EXPECT_TRUE(t.column(0).Validity().empty());
 }
 
-// --- recovery internals (ApplyWalRecord is exposed for this) --------------
+// --- recovery internals ----------------------------------------------------
 
 TEST_F(DurabilityTest, WalScanRecoversLsnSequence) {
   std::string dir = Dir("d");
@@ -486,12 +562,18 @@ TEST_F(DurabilityTest, WalScanRecoversLsnSequence) {
   auto wal = Wal::Open(dir + "/" + kWalFileName, &records);
   ASSERT_OK(wal.status());
   ASSERT_EQ(records.size(), 3u);
-  EXPECT_EQ(records[0].type, WalRecordType::kCreateTable);
-  EXPECT_EQ(records[1].type, WalRecordType::kAppendRows);
-  EXPECT_EQ(records[2].type, WalRecordType::kAppendRows);
   for (size_t i = 0; i < records.size(); ++i) {
+    EXPECT_EQ(records[i].type, WalRecordType::kTableWrite);
+    EXPECT_EQ(records[i].delta.table, "t");
     EXPECT_EQ(records[i].lsn, i + 1);  // LSNs are dense, starting at 1
   }
+  // The CREATE record carries the schema; each INSERT record only its
+  // own row, against the version before it.
+  EXPECT_TRUE(records[0].delta.create);
+  EXPECT_EQ(records[2].delta.prev_rows, 1u);
+  EXPECT_TRUE(records[2].delta.replaced.empty());
+  ASSERT_EQ(records[2].delta.appended.size(), 1u);
+  EXPECT_EQ(records[2].delta.appended[0].GetValue(0).AsBigInt(), 2);
   EXPECT_EQ((*wal)->last_lsn(), 3u);
 }
 
@@ -728,25 +810,28 @@ TEST_F(DurabilityTest, KillAndRecoverPartitionedSealedWithDecodeFaults) {
                    "INSERT INTO pt VALUES (1,'a'),(2,'b'),(3,'c'),(4,'d'),"
                    "(5,'e'),(6,'f'),(7,'g'),(8,'h');"
                    "CHECKPOINT;"
-                   "INSERT INTO pt VALUES (9,'i'), (10,'j')")
+                   "INSERT INTO pt VALUES (9,'i'), (10,'j');"
+                   "UPDATE pt SET v = 'C' WHERE k = 3;"
+                   "DELETE FROM pt WHERE k = 4")
                   .status());
     expected = DumpCatalog(e);
   }  // dropped without a shutdown checkpoint: the WAL tail must replay
-  // Replaying the tail appends row groups to the checkpointed sealed table
-  // without decoding it, so even a permanent decode fault cannot stop
-  // recovery.
+  // Replaying the tail appends and swaps in the logged row groups without
+  // decoding the checkpointed ones, so even a permanent decode fault
+  // cannot stop recovery.
   FaultInjector::Global().Arm("storage.segment_decode",
                               FaultInjector::Kind::kError);
   Engine e2(Opts(dir));
   ASSERT_OK(e2.startup_status());
   FaultInjector::Global().Reset();
   EXPECT_EQ(DumpCatalog(e2), expected);
-  EXPECT_EQ(RunQuery(e2, "SELECT count(*) FROM pt").GetInt(0, 0), 10);
+  EXPECT_EQ(RunQuery(e2, "SELECT count(*) FROM pt").GetInt(0, 0), 9);
   EXPECT_EQ(RunQuery(e2, "SELECT count(*) FROM pt WHERE k = 7").GetInt(0, 0),
             1);
+  EXPECT_EQ(RunQuery(e2, "SELECT v FROM pt WHERE k = 3").GetString(0, 0), "C");
   // And the recovered engine keeps taking writes.
   ASSERT_OK(e2.Execute("INSERT INTO pt VALUES (11, 'k')").status());
-  EXPECT_EQ(RunQuery(e2, "SELECT count(*) FROM pt").GetInt(0, 0), 11);
+  EXPECT_EQ(RunQuery(e2, "SELECT count(*) FROM pt").GetInt(0, 0), 10);
 }
 
 /// Row-group layout of table `name`: sealed flag, group count and
@@ -763,8 +848,16 @@ std::string Layout(Engine& engine, const std::string& name) {
   return out;
 }
 
-/// Three 2,000-row INSERTs into a fresh `t`, then a reopen without a
-/// checkpoint: returns the live and the recovered layout of `t`.
+/// Layout and contents of `t` and `c`.
+std::string LayoutAndContents(Engine& engine) {
+  return Layout(engine, "t") + "\n" + Layout(engine, "c") + "\n" +
+         DumpCatalog(engine);
+}
+
+/// Three 2,000-row INSERTs into a fresh `t`, a one-row UPDATE, a DELETE,
+/// an UPDATE of `k` (the partition column when `t` is partitioned) and a
+/// CTAS `c`, then a reopen without a checkpoint: returns the live and the
+/// recovered LayoutAndContents.
 std::pair<std::string, std::string> LiveAndRecoveredLayout(
     const EngineOptions& opts, const std::string& partition_clause) {
   std::string live;
@@ -782,28 +875,66 @@ std::pair<std::string, std::string> LiveAndRecoveredLayout(
       }
       EXPECT_OK(e.Execute(insert).status());
     }
-    live = Layout(e, "t");
+    EXPECT_OK(e.ExecuteScript("UPDATE t SET v = 100 WHERE k = 5;"
+                              "DELETE FROM t WHERE k >= 5990;"
+                              "UPDATE t SET k = k + 10000 WHERE k < 3;"
+                              "CREATE TABLE c AS SELECT * FROM t "
+                              "WHERE k < 5000")
+                  .status());
+    live = LayoutAndContents(e);
   }
   Engine recovered(opts);
   EXPECT_OK(recovered.startup_status());
-  return {live, Layout(recovered, "t")};
+  return {live, LayoutAndContents(recovered)};
 }
 
 TEST_F(DurabilityTest, RecoveredLayoutMatchesLiveUnpartitioned) {
   // 6,000 rows cross kSealMinRows on the third INSERT: one sealed group,
-  // live and after WAL replay alike.
+  // which each UPDATE and the DELETE replace in place; the CTAS seals its
+  // 4,997 rows. Live and after WAL replay alike.
   auto [live, recovered] = LiveAndRecoveredLayout(Opts(Dir("d")), "");
-  EXPECT_EQ(live, "sealed=1 groups=1 partitions=0,6000,");
+  EXPECT_EQ(live.substr(0, live.find("\ntable")),
+            "sealed=1 groups=1 partitions=0,5990,\n"
+            "sealed=1 groups=1 partitions=0,4997,");
   EXPECT_EQ(recovered, live);
 }
 
 TEST_F(DurabilityTest, RecoveredLayoutMatchesLivePartitioned) {
-  // Each INSERT appends one group to each of the four partitions; replay
-  // appends the same twelve groups.
+  // Each INSERT appends one group to each of the four partitions (12);
+  // the one-row UPDATE and the DELETE replace groups in place, and the
+  // three rows whose partition key changes leave their groups for two new
+  // groups at the end of their partitions. Replay builds the same groups.
   auto [live, recovered] = LiveAndRecoveredLayout(
       Opts(Dir("d")), " PARTITION BY HASH(k) PARTITIONS 4");
-  EXPECT_NE(live.find("sealed=1 groups=12 "), std::string::npos) << live;
+  EXPECT_NE(live.find("sealed=1 groups=14 "), std::string::npos) << live;
   EXPECT_EQ(recovered, live);
+}
+
+TEST_F(DurabilityTest, OneRowUpdateLogsOnlyItsGroup) {
+  Engine e(Opts(Dir("d")));
+  ASSERT_OK(e.startup_status());
+  CreateSequenceTable(e, "big", 5 * static_cast<int64_t>(kSegmentRows));
+  TablePtr before = *e.catalog().GetTable("big");
+  ASSERT_GE(before->num_row_groups(), 4u);
+  BinaryWriter group;
+  WriteRowGroup(before->row_group(1), &group);
+  const int64_t wal_before =
+      Metric(RunQuery(e, "SELECT * FROM soda_status()"), "wal_bytes");
+  const int64_t k = static_cast<int64_t>(kSegmentRows) + 5;  // in group 1
+  ASSERT_OK(e.Execute("UPDATE big SET v = -1 WHERE k = " + std::to_string(k))
+                .status());
+  const int64_t wal_after =
+      Metric(RunQuery(e, "SELECT * FROM soda_status()"), "wal_bytes");
+  // The record carries the one replaced group, not the table.
+  EXPECT_LT(wal_after - wal_before,
+            2 * static_cast<int64_t>(group.buffer().size()));
+  TablePtr after = *e.catalog().GetTable("big");
+  ASSERT_EQ(after->num_row_groups(), before->num_row_groups());
+  for (size_t g = 0; g < after->num_row_groups(); ++g) {
+    EXPECT_EQ(after->group_segment(g, 1) == before->group_segment(g, 1),
+              g != 1)
+        << "group " << g;
+  }
 }
 
 TEST_F(DurabilityTest, CheckpointRefusedWhileTableQuarantined) {

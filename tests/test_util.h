@@ -60,6 +60,28 @@ inline std::vector<int64_t> IntColumn(const QueryResult& r, size_t col) {
   return out;
 }
 
+/// Creates `name (k BIGINT, v BIGINT)` with k = 0..rows-1 and v = k % 7
+/// through SQL, so a durable engine logs it: one INSERT .. SELECT from an
+/// unlogged sequence table that is dropped again. From kSealMinRows rows on
+/// the table is sealed, kSegmentRows rows per group and partition.
+inline void CreateSequenceTable(Engine& engine, const std::string& name,
+                                int64_t rows,
+                                const std::string& partition_clause = "") {
+  auto seq = std::make_shared<Table>(
+      "seq_source", Schema({Field("k", DataType::kBigInt)}));
+  Column k(DataType::kBigInt);
+  for (int64_t i = 0; i < rows; ++i) k.AppendBigInt(i);
+  ASSERT_OK(seq->SetColumn(0, std::move(k)));
+  ASSERT_OK(engine.catalog().RegisterTable(std::move(seq)));
+  ASSERT_OK(engine
+                .ExecuteScript("CREATE TABLE " + name +
+                               " (k BIGINT, v BIGINT)" + partition_clause +
+                               "; INSERT INTO " + name +
+                               " SELECT k, k % 7 FROM seq_source")
+                .status());
+  ASSERT_OK(engine.catalog().DropTable("seq_source"));
+}
+
 }  // namespace soda::testing
 
 #endif  // SODA_TESTS_TEST_UTIL_H_

@@ -11,11 +11,13 @@
 ///      (some cycles additionally arm transient fault injection via
 ///      SODA_FAULT_INJECT — the engine's retry layer must absorb it);
 ///   2. run N writer threads inserting globally unique keys into a
-///      hash-partitioned table, recording each key the server ACKed;
+///      hash-partitioned table and updating each ACKed key once, recording
+///      each INSERT and UPDATE the server ACKed;
 ///   3. after a random 100–400 ms, SIGKILL the server mid-flight;
 ///   4. restart it, SELECT the table back, and assert the recovered key
-///      set is a superset of every ACK ever issued (unACKed keys may or
-///      may not have made it — both are correct);
+///      set is a superset of every ACKed INSERT and every ACKed UPDATE is
+///      visible (unACKed statements may or may not have made it — both
+///      are correct);
 ///   5. periodically run SCRUB and soda_status() on the recovered server
 ///      to verify the self-healing surface stays usable under chaos.
 ///
@@ -41,7 +43,7 @@
 #include <random>
 #include <string>
 #include <thread>
-#include <unordered_set>
+#include <unordered_map>
 #include <vector>
 
 #include "server/protocol.h"
@@ -187,27 +189,43 @@ bool MustRun(const soda::Socket& sock, const std::string& sql) {
 
 std::atomic<int64_t> g_next_key{1};
 
-/// Writer thread body: INSERT unique keys until the connection dies,
-/// appending every ACKed key to `acked` (guarded by `mu`).
+/// The statements a server ACKed: inserted keys, and keys whose UPDATE
+/// (v = 'u<k>') committed.
+struct Acked {
+  std::vector<int64_t> inserted;
+  std::vector<int64_t> updated;
+};
+
+/// Writer thread body: INSERT a unique key, then UPDATE it once if the
+/// INSERT was ACKed, until the connection dies; merges what was ACKed into
+/// `acked` (guarded by `mu`).
 void WriterLoop(uint16_t port, std::atomic<bool>* stop, soda::Mutex* mu,
-                std::vector<int64_t>* acked) {
+                Acked* acked) {
   auto sock = ConnectClient(port);
   if (!sock.ok()) return;  // server already gone: nothing ACKed, nothing owed
-  std::vector<int64_t> local;
+  Acked local;
   while (!stop->load(std::memory_order_relaxed)) {
     const int64_t k = g_next_key.fetch_add(1);
-    const std::string sql = "INSERT INTO chaos_kv VALUES (" +
-                            std::to_string(k) + ", 'v" + std::to_string(k) +
-                            "')";
-    auto reply = RunQuery(*sock, sql);
+    const std::string key = std::to_string(k);
+    auto reply =
+        RunQuery(*sock, "INSERT INTO chaos_kv VALUES (" + key + ", 'v" +
+                            key + "')");
     if (!reply.ok()) break;  // connection torn mid-statement: k not ACKed
-    if (reply->type == soda::MsgType::kResult) local.push_back(k);
     // Statement-level errors (shed budget, injected fault that exhausted
     // its retries) mean k was not ACKed; correctness-wise it may land in
     // the table or not — the harness only tracks ACKs.
+    if (reply->type != soda::MsgType::kResult) continue;
+    local.inserted.push_back(k);
+    reply = RunQuery(*sock, "UPDATE chaos_kv SET v = 'u" + key +
+                                "' WHERE k = " + key);
+    if (!reply.ok()) break;
+    if (reply->type == soda::MsgType::kResult) local.updated.push_back(k);
   }
   soda::MutexLock lock(mu);
-  acked->insert(acked->end(), local.begin(), local.end());
+  acked->inserted.insert(acked->inserted.end(), local.inserted.begin(),
+                         local.inserted.end());
+  acked->updated.insert(acked->updated.end(), local.updated.begin(),
+                        local.updated.end());
 }
 
 }  // namespace
@@ -268,7 +286,7 @@ int main(int argc, char** argv) {
   std::uniform_int_distribution<int> pick_fault(
       0, static_cast<int>(sizeof(kFaultSpecs) / sizeof(kFaultSpecs[0])) - 1);
 
-  std::vector<int64_t> acked;
+  Acked acked;
   soda::Mutex acked_mu;
   int64_t verified_rows = 0;
 
@@ -316,7 +334,7 @@ int main(int argc, char** argv) {
       KillServer(&proc, SIGKILL);
       return 1;
     }
-    auto rows = RunQuery(*verify, "SELECT k FROM chaos_kv");
+    auto rows = RunQuery(*verify, "SELECT k, v FROM chaos_kv");
     if (!rows.ok() || rows->type != soda::MsgType::kResult) {
       std::fprintf(stderr, "chaos: post-recovery SELECT failed: %s\n",
                    rows.ok() ? rows->status.ToString().c_str()
@@ -324,21 +342,28 @@ int main(int argc, char** argv) {
       KillServer(&proc, SIGKILL);
       return 1;
     }
-    std::unordered_set<int64_t> recovered;
+    std::unordered_map<int64_t, std::string> recovered;
     if (rows->table) {
-      const soda::Column& col = rows->table->column(0);
       for (size_t i = 0; i < rows->table->num_rows(); ++i) {
-        recovered.insert(col.GetValue(i).AsBigInt());
+        recovered[rows->table->column(0).GetValue(i).AsBigInt()] =
+            rows->table->column(1).GetValue(i).varchar_value();
       }
     }
     std::vector<int64_t> lost;
-    for (int64_t k : acked) {
+    for (int64_t k : acked.inserted) {
       if (recovered.find(k) == recovered.end()) lost.push_back(k);
+    }
+    for (int64_t k : acked.updated) {
+      auto it = recovered.find(k);
+      if (it != recovered.end() && it->second != "u" + std::to_string(k)) {
+        lost.push_back(k);
+      }
     }
     if (!lost.empty()) {
       std::fprintf(stderr,
                    "chaos: cycle %d LOST %zu ACKED COMMIT(S) of %zu:\n",
-                   cycle, lost.size(), acked.size());
+                   cycle, lost.size(),
+                   acked.inserted.size() + acked.updated.size());
       for (size_t i = 0; i < lost.size() && i < 20; ++i) {
         std::fprintf(stderr, "  key %lld\n",
                      static_cast<long long>(lost[i]));
@@ -357,14 +382,17 @@ int main(int argc, char** argv) {
       }
     }
     KillServer(&proc, SIGKILL);
-    std::printf("chaos: cycle %d/%d ok (%zu acked, %lld recovered%s%s)\n",
-                cycle, cycles, acked.size(),
-                static_cast<long long>(verified_rows),
-                fault_spec.empty() ? "" : ", faults ",
-                fault_spec.c_str());
+    std::printf(
+        "chaos: cycle %d/%d ok (%zu acked inserts, %zu acked updates, %lld "
+        "recovered%s%s)\n",
+        cycle, cycles, acked.inserted.size(), acked.updated.size(),
+        static_cast<long long>(verified_rows),
+        fault_spec.empty() ? "" : ", faults ", fault_spec.c_str());
     std::fflush(stdout);
   }
-  std::printf("chaos: %d cycles, %zu acked commits, zero lost — PASS\n",
-              cycles, acked.size());
+  std::printf(
+      "chaos: %d cycles, %zu acked inserts, %zu acked updates, zero lost — "
+      "PASS\n",
+      cycles, acked.inserted.size(), acked.updated.size());
   return 0;
 }
