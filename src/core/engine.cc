@@ -223,9 +223,16 @@ Result<PartitionSpec> BuildPartitionSpec(const CreateTableStmt& stmt,
 
 /// Applies `delta` to `prev` (null when the delta creates the table), then
 /// commits it: log the delta, then publish the next version, so readers
-/// holding the old TablePtr keep a consistent snapshot.
+/// holding the old TablePtr keep a consistent snapshot. A delta that
+/// creates no table, replaces no group and appends no row commits nothing:
+/// the table keeps its version, so plans and join builds over it stay
+/// fresh.
 Result<QueryResult> CommitWrite(Catalog* catalog, DurabilityManager* dur,
                                 const Table* prev, const TableDelta& delta) {
+  if (!delta.create && delta.replaced.empty() &&
+      (delta.appended.empty() || delta.appended[0].size() == 0)) {
+    return QueryResult();
+  }
   SODA_ASSIGN_OR_RETURN(TablePtr next, ApplyDelta(prev, delta));
   SODA_RETURN_NOT_OK(CommitDurable(
       dur, [&] { return dur->wal()->AppendTableWrite(delta); },

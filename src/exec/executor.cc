@@ -9,7 +9,8 @@
 
 namespace soda {
 
-MaterializeSink::MaterializeSink(Schema schema) : schema_(std::move(schema)) {
+MaterializeSink::MaterializeSink(Schema schema, size_t offset, size_t limit)
+    : schema_(std::move(schema)), offset_(offset), limit_(limit) {
   partials_.resize(NumWorkers());
 }
 
@@ -45,18 +46,25 @@ Status MaterializeSink::Finalize() {
   std::vector<Ref> refs;
   Partial* only = nullptr;
   size_t populated = 0;
+  size_t rows = 0;
   for (size_t w = 0; w < partials_.size(); ++w) {
     if (partials_[w].pieces.empty()) continue;
     ++populated;
     only = &partials_[w];
-    for (const Run& r : partials_[w].runs) refs.push_back({&r, w});
+    for (const Run& r : partials_[w].runs) {
+      refs.push_back({&r, w});
+      rows += r.rows;
+    }
   }
+  // The window [first, last) of the concatenation.
+  const size_t first = std::min(offset_, rows);
+  const size_t last = first + std::min(limit_, rows - first);
   auto before = [](const Ref& a, const Ref& b) {
     return a.run->branch != b.run->branch ? a.run->branch < b.run->branch
                                           : a.run->sequence < b.run->sequence;
   };
-  if (populated == 1 && only->pieces.size() == 1 &&
-      std::is_sorted(refs.begin(), refs.end(), before)) {
+  if (populated == 1 && only->pieces.size() == 1 && first == 0 &&
+      last == rows && std::is_sorted(refs.begin(), refs.end(), before)) {
     result_ = std::move(only->pieces[0]);
     partials_.clear();
     return Status::OK();
@@ -66,30 +74,34 @@ Status MaterializeSink::Finalize() {
   // the copy runs at most one piece per partial is partly copied: that
   // overlap is what the copy adds on top of the charged partials.
   size_t overlap = 0;
-  size_t rows = 0;
   std::vector<std::vector<size_t>> rows_left(partials_.size());
   for (size_t w = 0; w < partials_.size(); ++w) {
     size_t largest = 0;
     for (const auto& piece : partials_[w].pieces) {
       largest = std::max(largest, piece->MemoryUsage());
       rows_left[w].push_back(piece->num_rows());
-      rows += piece->num_rows();
     }
     overlap += largest;
   }
   SODA_RETURN_NOT_OK(
       GuardReserve(QueryGuard::Current(), overlap, "storage.append"));
   auto out = std::make_shared<Table>("result", schema_);
-  out->Reserve(rows);
+  out->Reserve(last - first);
+  size_t at = 0;  // concatenation position of the run's first row
   for (const Ref& ref : refs) {
-    if (ref.run->rows == 0) continue;
-    auto& piece = partials_[ref.worker].pieces[ref.run->piece];
-    for (size_t c = 0; c < out->num_columns(); ++c) {
-      out->column(c).AppendSlice(piece->column(c), ref.run->begin,
-                                 ref.run->rows);
+    const Run& run = *ref.run;
+    auto& piece = partials_[ref.worker].pieces[run.piece];
+    const size_t lo = std::clamp(at, first, last);
+    const size_t hi = std::clamp(at + run.rows, first, last);
+    if (lo < hi) {
+      for (size_t c = 0; c < out->num_columns(); ++c) {
+        out->column(c).AppendSlice(piece->column(c), run.begin + (lo - at),
+                                   hi - lo);
+      }
     }
-    size_t& left = rows_left[ref.worker][ref.run->piece];
-    left -= ref.run->rows;
+    at += run.rows;
+    size_t& left = rows_left[ref.worker][run.piece];
+    left -= run.rows;
     if (left == 0) piece.reset();
   }
   partials_.clear();

@@ -3,7 +3,7 @@
 ///
 /// Pipeline model (paper §3): a pipeline is a source relation plus a chain
 /// of streaming transforms (filter, project, join probe) ending in a
-/// pipeline-breaking sink (materialize, aggregate build, sort, limit).
+/// pipeline-breaking sink (materialize, aggregate build, Top-N, limit).
 /// Workers pull morsels from the source and push chunks through the chain
 /// into thread-local sink state, which is merged once at the end — the
 /// same structure HyPer generates code for; soda interprets it with
@@ -13,13 +13,14 @@
 /// DAG of such pipelines lives in exec/physical_plan.{h,cc}; this header
 /// holds the unified operator interface every pipeline stage implements:
 /// `Transform` for streaming operators and `Sink` / `TableSink` for
-/// pipeline breakers.
+/// pipeline breakers, plus the whole-relation ORDER BY core (`SortTable`).
 
 #ifndef SODA_EXEC_EXECUTOR_H_
 #define SODA_EXEC_EXECUTOR_H_
 
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -97,13 +98,18 @@ class TableSink : public Sink {
 /// to its own partial and records one run `(branch, sequence, piece,
 /// begin, rows)` per consumed source chunk; Finalize concatenates the runs
 /// of all workers ordered by `(branch, sequence)`, so the result is the
-/// serial result at every thread count. When one worker produced every run
-/// in that order already (every pipeline at one thread), its partial is
-/// adopted without a copy. Otherwise the copy frees each piece of a
-/// partial once its runs are copied, and charges the overlap.
+/// serial result at every thread count. A row window keeps only rows
+/// [offset, offset+limit) of that concatenation (LIMIT), cut while
+/// concatenating. When one worker produced every run in that order already
+/// (every pipeline at one thread) and the window keeps every row, its
+/// partial is adopted without a copy. Otherwise the copy frees each piece
+/// of a partial once its runs are copied, and charges the overlap.
 class MaterializeSink : public TableSink {
  public:
-  explicit MaterializeSink(Schema schema);
+  static constexpr size_t kAllRows = std::numeric_limits<size_t>::max();
+
+  explicit MaterializeSink(Schema schema, size_t offset = 0,
+                           size_t limit = kAllRows);
   Status Consume(DataChunk& chunk, const SinkContext& sctx) override;
   Status Finalize() override;
   std::string name() const override { return "Materialize"; }
@@ -127,6 +133,8 @@ class MaterializeSink : public TableSink {
     std::vector<Run> runs;  ///< in arrival order
   };
   Schema schema_;
+  const size_t offset_;  ///< row window kept by Finalize
+  const size_t limit_;
   std::vector<Partial> partials_;
   TablePtr result_;
 };
@@ -139,12 +147,6 @@ class MaterializeSink : public TableSink {
 /// Hash aggregation sink for a kAggregate node (aggregate.cc).
 std::shared_ptr<TableSink> MakeAggregateSink(const PlanNode& plan);
 
-/// ORDER BY sink for a kSort node (operators.cc): materializes its input
-/// plus the evaluated keys through a MaterializeSink (source order), then
-/// stable-sorts with a typed (unboxed) comparator at Finalize. Key ties
-/// keep source order, so the result does not depend on the worker count.
-std::shared_ptr<TableSink> MakeSortSink(const PlanNode& plan);
-
 /// Top-N sink for `Limit(Sort(x))` with limit >= 0 (operators.cc): fed
 /// with x's rows, keeps the best offset+limit candidates per worker plus
 /// a bounded buffer and emits rows [offset, offset+limit) of the stable
@@ -155,17 +157,23 @@ std::shared_ptr<TableSink> MakeTopNSink(const PlanNode& limit,
                                         const PlanNode& sort,
                                         std::vector<size_t> columns);
 
-/// LIMIT/OFFSET sink for a kLimit node (operators.cc): buffers
-/// sequence-tagged chunks; once the chunks up to some sequence hold
-/// offset+limit rows, `done()` stops the scan past that sequence
-/// (cross-worker early exit) and the result is the serial one.
+/// LIMIT/OFFSET sink for a kLimit node (operators.cc): stores its rows
+/// through a MaterializeSink windowed to [offset, offset+limit); once the
+/// chunks up to some sequence hold offset+limit rows, `done()` stops the
+/// scan past that sequence (cross-worker early exit) and the result is the
+/// serial one.
 std::shared_ptr<TableSink> MakeLimitSink(const PlanNode& plan);
 
-/// Sorts `input` by `plan.sort_keys` (stable, NULLs first) into a fresh
-/// table — the shared core of MakeSortSink and the transform-free ORDER BY
-/// fast path (operators.cc).
+/// The ORDER BY operator for a kSort node (operators.cc): sorts the
+/// materialized `input` by `plan.sort_keys` (stable, NULLs first) into a
+/// fresh table. Column-ref keys are read in place; computed keys are
+/// evaluated morsel-parallel. The computed keys, the permutation and the
+/// output are charged at "exec.sort".
 Result<TablePtr> SortTable(const Table& input, const PlanNode& plan,
                            ExecContext& ctx);
+
+/// EXPLAIN name of a kSort node, e.g. "Sort [b#1 DESC, a#0]".
+std::string SortName(const PlanNode& plan);
 
 // --- operator-style executors (implemented in sibling .cc files) ---------
 

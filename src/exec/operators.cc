@@ -1,14 +1,15 @@
 /// \file operators.cc
-/// Pipeline-breaking relational operators: ORDER BY, ORDER BY ... LIMIT
-/// (Top-N) and LIMIT sinks.
+/// ORDER BY, ORDER BY ... LIMIT (Top-N) and LIMIT.
 ///
-/// Sort keys are decoded into typed vectors and compared through raw
-/// payload arrays (no per-element Value boxing). Key ties keep the rows'
-/// position in the input stream: ORDER BY materializes in source order
-/// before its stable sort, Top-N breaks ties on (source chunk sequence,
-/// row), so parallel results equal the serial stable sort. LIMIT collects
-/// sequence-tagged chunks and stops the scan past the first sequence whose
-/// prefix holds offset+limit rows.
+/// ORDER BY is one operator over its input's materialized relation
+/// (`SortTable`): column-ref keys are read in place, computed keys are
+/// evaluated morsel-parallel, a stable sort of the row positions keeps key
+/// ties in the relation's order (source order, see MaterializeSink), and
+/// the output is gathered column by column. Keys are compared through raw
+/// payload arrays (no per-element Value boxing). Top-N streams its input
+/// and breaks ties on (source chunk sequence, row), so it equals the full
+/// sort sliced. LIMIT stores rows through a MaterializeSink and stops the
+/// scan past the first sequence whose prefix holds offset+limit rows.
 
 #include <algorithm>
 #include <atomic>
@@ -18,6 +19,7 @@
 
 #include "exec/executor.h"
 #include "expr/evaluator.h"
+#include "util/first_error.h"
 #include "util/mutex.h"
 #include "util/parallel.h"
 
@@ -116,26 +118,6 @@ std::vector<uint32_t> SortOrder(const KeyViews& views, size_t n) {
   return order;
 }
 
-/// Rebuilds the leading `schema` columns of `input` in `order`. The
-/// row-wise rebuild bypasses Table::AppendChunk, so the output (same
-/// footprint as those columns) is charged to the memory budget up front.
-Result<TablePtr> RebuildSorted(const Table& input,
-                               const std::vector<uint32_t>& order,
-                               const Schema& schema, QueryGuard* guard) {
-  const size_t width = schema.num_fields();
-  size_t bytes = 0;
-  for (size_t c = 0; c < width; ++c) bytes += input.column(c).MemoryUsage();
-  SODA_RETURN_NOT_OK(GuardReserve(guard, bytes, kSortSite));
-  auto out = std::make_shared<Table>("sorted", schema);
-  out->Reserve(order.size());
-  for (uint32_t r : order) {
-    for (size_t c = 0; c < width; ++c) {
-      out->column(c).AppendFrom(input.column(c), r);
-    }
-  }
-  return out;
-}
-
 /// Evaluates every sort key over `chunk`.
 Status EvaluateKeys(const std::vector<SortKey>& keys, DataChunk& chunk,
                     std::vector<Column>* out) {
@@ -145,76 +127,6 @@ Status EvaluateKeys(const std::vector<SortKey>& keys, DataChunk& chunk,
   }
   return Status::OK();
 }
-
-std::string SortName(const PlanNode& plan) {
-  std::string s = "Sort [";
-  for (size_t i = 0; i < plan.sort_keys.size(); ++i) {
-    if (i) s += ", ";
-    s += plan.sort_keys[i].expr->ToString();
-    if (plan.sort_keys[i].descending) s += " DESC";
-  }
-  return s + "]";
-}
-
-// --- ORDER BY sink --------------------------------------------------------
-
-/// Materializes the input rows with their evaluated keys appended as
-/// trailing columns through a MaterializeSink, so Finalize sees them in
-/// source order at every thread count; the stable sort then keeps key
-/// ties in that order.
-class SortSink : public TableSink {
- public:
-  explicit SortSink(const PlanNode& plan)
-      : plan_(plan),
-        rows_(std::make_unique<MaterializeSink>(RowSchema(plan))) {}
-
-  Status Consume(DataChunk& chunk, const SinkContext& sctx) override {
-    std::vector<Column> keys;
-    SODA_RETURN_NOT_OK(EvaluateKeys(plan_.sort_keys, chunk, &keys));
-    std::vector<Column>& cols = chunk.columns();
-    const size_t width = cols.size();
-    for (Column& k : keys) cols.push_back(std::move(k));
-    Status st = rows_->Consume(chunk, sctx);
-    cols.resize(width);
-    return st;
-  }
-
-  Status Finalize() override {
-    SODA_RETURN_NOT_OK(rows_->Finalize());
-    const TablePtr rows = rows_->result();
-    rows_.reset();
-    const size_t width = plan_.schema.num_fields();
-    KeyViews views;
-    views.reserve(plan_.sort_keys.size());
-    for (size_t k = 0; k < plan_.sort_keys.size(); ++k) {
-      views.push_back(MakeKeyView(rows->column(width + k),
-                                  plan_.sort_keys[k].descending));
-    }
-    std::vector<uint32_t> order = SortOrder(views, rows->num_rows());
-    SODA_ASSIGN_OR_RETURN(
-        result_,
-        RebuildSorted(*rows, order, plan_.schema, QueryGuard::Current()));
-    return Status::OK();
-  }
-
-  std::string name() const override { return SortName(plan_); }
-  TablePtr result() const override { return result_; }
-
- private:
-  /// The sort's schema plus one trailing column per key.
-  static Schema RowSchema(const PlanNode& plan) {
-    Schema schema = plan.schema;
-    for (size_t k = 0; k < plan.sort_keys.size(); ++k) {
-      schema.AddField(Field("sort_key" + std::to_string(k),
-                            plan.sort_keys[k].expr->type));
-    }
-    return schema;
-  }
-
-  const PlanNode& plan_;
-  std::unique_ptr<MaterializeSink> rows_;
-  TablePtr result_;
-};
 
 // --- ORDER BY ... LIMIT sink ----------------------------------------------
 
@@ -291,18 +203,16 @@ class TopNSink : public TableSink {
     cand.next_row += n;
 
     // Rows losing to the cutoff (the worker's target-th best so far) can
-    // never make the result: select survivors before copying anything.
+    // never make the result: select survivors before copying anything. A
+    // key tie loses too: this worker kept every candidate from an earlier
+    // position (DESIGN.md §3a, per-worker order).
     std::vector<uint32_t> sel;
     if (cand.sorted) {
       const KeyViews mine = MakeKeyViews(keys, sort_.sort_keys);
       const KeyViews kept = MakeKeyViews(cand.keys, sort_.sort_keys);
       const size_t cut = target_ - 1;
       for (uint32_t r = 0; r < n; ++r) {
-        const int c = CompareRows(mine, r, kept, cut);
-        if (c < 0 || (c == 0 && StreamPos{sctx.sequence, base + r} <
-                                    cand.pos[cut])) {
-          sel.push_back(r);
-        }
+        if (CompareRows(mine, r, kept, cut) < 0) sel.push_back(r);
       }
     } else {
       sel.resize(n);
@@ -446,31 +356,27 @@ class TopNSink : public TableSink {
 
 // --- LIMIT sink -----------------------------------------------------------
 
-/// Buffers sequence-tagged chunks. Once the chunks up to some sequence S
-/// hold offset+limit rows, rows past S can never reach the result, however
-/// the remaining chunks before S turn out: later chunks are dropped and
-/// done() stops workers from scanning them. Finalize reassembles source
-/// order by sequence and slices out [offset, offset+limit), so the result
-/// is the serial one at every thread count.
+/// Stores its rows through a MaterializeSink that keeps the row window
+/// [offset, offset+limit) of the source-order concatenation. Once the
+/// chunks up to some sequence S hold offset+limit rows, rows past S can
+/// never reach the window, however the remaining chunks before S turn out:
+/// later chunks are dropped and done() stops workers from scanning them.
+/// The result is the serial one at every thread count.
 class LimitSink : public TableSink {
  public:
   explicit LimitSink(const PlanNode& plan)
       : plan_(plan),
         offset_(plan.offset > 0 ? static_cast<size_t>(plan.offset) : 0),
-        target_(plan.limit < 0
-                    ? kUnlimited
-                    : offset_ + static_cast<size_t>(plan.limit)) {
-    partials_.resize(NumWorkers());
+        limit_(plan.limit < 0 ? kUnlimited : static_cast<size_t>(plan.limit)),
+        target_(limit_ == kUnlimited ? kUnlimited : offset_ + limit_),
+        rows_(plan.schema, offset_, limit_) {
     if (target_ == 0) end_seq_.store(0);
   }
 
   Status Consume(DataChunk& chunk, const SinkContext& sctx) override {
     if (done(sctx.sequence)) return Status::OK();  // past the cutoff
     const size_t rows = chunk.num_rows();
-    // The buffered chunks bypass Table appends, so charge them explicitly.
-    SODA_RETURN_NOT_OK(GuardReserve(QueryGuard::Current(),
-                                    chunk.MemoryUsage(), "exec.limit"));
-    partials_[sctx.worker_id].push_back({sctx.sequence, std::move(chunk)});
+    SODA_RETURN_NOT_OK(rows_.Consume(chunk, sctx));
     if (target_ != kUnlimited) Count(sctx.sequence, rows);
     return Status::OK();
   }
@@ -479,45 +385,7 @@ class LimitSink : public TableSink {
     return sequence >= end_seq_.load(std::memory_order_acquire);
   }
 
-  Status Finalize() override {
-    std::vector<SeqChunk*> all;
-    for (auto& w : partials_) {
-      for (auto& e : w) all.push_back(&e);
-    }
-    std::stable_sort(all.begin(), all.end(),
-                     [](const SeqChunk* a, const SeqChunk* b) {
-                       return a->seq < b->seq;
-                     });
-    result_ = std::make_shared<Table>("limit", plan_.schema);
-    size_t skip = offset_;
-    size_t want =
-        plan_.limit < 0 ? kUnlimited : static_cast<size_t>(plan_.limit);
-    for (SeqChunk* e : all) {
-      if (want == 0) break;
-      const size_t n = e->chunk.num_rows();
-      if (skip >= n) {
-        skip -= n;
-        continue;
-      }
-      const size_t start = skip;
-      skip = 0;
-      const size_t take = std::min(n - start, want);
-      if (want != kUnlimited) want -= take;
-      if (start == 0 && take == n) {
-        SODA_RETURN_NOT_OK(result_->AppendChunk(e->chunk));
-      } else {
-        DataChunk sliced;
-        for (size_t c = 0; c < e->chunk.num_columns(); ++c) {
-          Column col(e->chunk.column(c).type());
-          col.AppendSlice(e->chunk.column(c), start, take);
-          sliced.AddColumn(std::move(col));
-        }
-        SODA_RETURN_NOT_OK(result_->AppendChunk(sliced));
-      }
-    }
-    partials_.clear();
-    return Status::OK();
-  }
+  Status Finalize() override { return rows_.Finalize(); }
 
   std::string name() const override {
     std::string s = "Limit " + (plan_.limit < 0
@@ -527,14 +395,9 @@ class LimitSink : public TableSink {
     return s;
   }
 
-  TablePtr result() const override { return result_; }
+  TablePtr result() const override { return rows_.result(); }
 
  private:
-  struct SeqChunk {
-    uint64_t seq;
-    DataChunk chunk;
-  };
-
   /// Records `rows` kept at `seq` and lowers the cutoff to the smallest
   /// sequence whose prefix holds target_ rows.
   void Count(uint64_t seq, size_t rows) SODA_EXCLUDES(mu_) {
@@ -555,43 +418,105 @@ class LimitSink : public TableSink {
 
   const PlanNode& plan_;
   const size_t offset_;
+  const size_t limit_;   ///< kUnlimited when LIMIT ALL
   const size_t target_;  ///< offset + limit; kUnlimited when LIMIT ALL
-  std::vector<std::vector<SeqChunk>> partials_;
+  MaterializeSink rows_;
   /// Sequences at or past this one cannot reach the result.
   std::atomic<uint64_t> end_seq_{std::numeric_limits<uint64_t>::max()};
   Mutex mu_;
   std::map<uint64_t, size_t> rows_by_seq_ SODA_GUARDED_BY(mu_);
   size_t kept_ SODA_GUARDED_BY(mu_) = 0;  ///< rows in rows_by_seq_
-  TablePtr result_;
 };
 
 }  // namespace
 
+std::string SortName(const PlanNode& plan) {
+  std::string s = "Sort [";
+  for (size_t i = 0; i < plan.sort_keys.size(); ++i) {
+    if (i) s += ", ";
+    s += plan.sort_keys[i].expr->ToString();
+    if (plan.sort_keys[i].descending) s += " DESC";
+  }
+  return s + "]";
+}
+
 Result<TablePtr> SortTable(const Table& input, const PlanNode& plan,
                            ExecContext& ctx) {
   const size_t n = input.num_rows();
+  const std::vector<SortKey>& specs = plan.sort_keys;
 
-  // Evaluate the sort keys over the full input (chunk-wise).
-  std::vector<Column> keys;
-  for (const auto& k : plan.sort_keys) keys.emplace_back(k.expr->type);
-  DataChunk chunk;
-  std::vector<Column> parts;
-  for (size_t offset = 0; offset < n; offset += kChunkCapacity) {
-    SODA_RETURN_NOT_OK(ctx.Probe(kSortSite));
-    input.ScanSlice(offset, std::min(kChunkCapacity, n - offset), &chunk);
-    SODA_RETURN_NOT_OK(EvaluateKeys(plan.sort_keys, chunk, &parts));
-    for (size_t k = 0; k < parts.size(); ++k) {
-      keys[k].AppendSlice(parts[k], 0, parts[k].size());
+  // Computed keys, morsel-parallel: each chunk's key values go to their
+  // own slot of `parts`, then the slots are concatenated in row order.
+  std::vector<size_t> computed;
+  for (size_t k = 0; k < specs.size(); ++k) {
+    if (specs[k].expr->kind != ExprKind::kColumnRef) computed.push_back(k);
+  }
+  std::vector<Column> keys(specs.size());
+  if (!computed.empty()) {
+    std::vector<std::vector<Column>> parts((n + kChunkCapacity - 1) /
+                                           kChunkCapacity);
+    FirstError first_error;
+    Status guard_status = ParallelFor(
+        ctx.guard, n,
+        [&](size_t begin, size_t end, size_t) {
+          DataChunk chunk;
+          for (size_t offset = begin; offset < end; offset += kChunkCapacity) {
+            if (first_error.failed()) return;
+            input.ScanSlice(offset, std::min(kChunkCapacity, end - offset),
+                            &chunk);
+            std::vector<Column>& part = parts[offset / kChunkCapacity];
+            part.resize(computed.size());
+            size_t bytes = 0;
+            Status st;
+            for (size_t i = 0; i < computed.size() && st.ok(); ++i) {
+              st = EvaluateExpression(*specs[computed[i]].expr, chunk,
+                                      &part[i]);
+              bytes += part[i].MemoryUsage();
+            }
+            if (st.ok()) st = GuardReserve(ctx.guard, bytes, kSortSite);
+            if (!st.ok()) {
+              first_error.Record(std::move(st));
+              return;
+            }
+          }
+        },
+        /*morsel_size=*/kChunkCapacity * 8);
+    SODA_RETURN_NOT_OK(first_error.Take());
+    SODA_RETURN_NOT_OK(guard_status);
+    for (size_t i = 0; i < computed.size(); ++i) {
+      Column& key = keys[computed[i]];
+      key = Column(specs[computed[i]].expr->type);
+      key.Reserve(n);
+      for (auto& part : parts) {
+        key.AppendSlice(part[i], 0, part[i].size());
+        part[i] = Column();
+      }
     }
   }
+  KeyViews views;
+  views.reserve(specs.size());
+  for (size_t k = 0; k < specs.size(); ++k) {
+    const Column& key = specs[k].expr->kind == ExprKind::kColumnRef
+                            ? input.column(specs[k].expr->column_index)
+                            : keys[k];
+    views.push_back(MakeKeyView(key, specs[k].descending));
+  }
 
-  std::vector<uint32_t> order =
-      SortOrder(MakeKeyViews(keys, plan.sort_keys), n);
-  return RebuildSorted(input, order, plan.schema, ctx.guard);
-}
+  SODA_RETURN_NOT_OK(GuardReserve(ctx.guard, n * sizeof(uint32_t), kSortSite));
+  const std::vector<uint32_t> order = SortOrder(views, n);
+  keys.clear();
 
-std::shared_ptr<TableSink> MakeSortSink(const PlanNode& plan) {
-  return std::make_shared<SortSink>(plan);
+  // The output is a permutation of the input columns: same footprint.
+  size_t bytes = 0;
+  for (size_t c = 0; c < plan.schema.num_fields(); ++c) {
+    bytes += input.column(c).MemoryUsage();
+  }
+  SODA_RETURN_NOT_OK(GuardReserve(ctx.guard, bytes, kSortSite));
+  auto out = std::make_shared<Table>("sorted", plan.schema);
+  for (size_t c = 0; c < plan.schema.num_fields(); ++c) {
+    out->column(c).AppendGather(input.column(c), order.data(), n);
+  }
+  return out;
 }
 
 std::shared_ptr<TableSink> MakeTopNSink(const PlanNode& limit,

@@ -465,33 +465,19 @@ class PhysicalPlanBuilder {
         return Push(std::move(p));
       }
       case PlanKind::kSort: {
-        SODA_ASSIGN_OR_RETURN(PhysicalPipeline p, Stream(*node.children[0]));
-        if (p.transforms.empty() && p.prepares.empty() &&
-            p.scan_columns.empty()) {
-          // Transform-free ORDER BY: sort the source relation directly
-          // instead of copying it through a sink first.
-          PhysicalPipeline q;
-          q.inputs = p.inputs;
-          auto src = p.table_source;
-          const size_t in = p.input_pipeline;
-          auto sink_for_name = MakeSortSink(node);
-          q.op = Op(sink_for_name->name());
-          q.op_fn = [&node, src, in](PhysicalPlan& pp,
-                                     ExecContext& ctx) -> Result<TablePtr> {
-            TablePtr t;
-            if (src) {
-              SODA_ASSIGN_OR_RETURN(t, src(ctx));
-              SODA_ASSIGN_OR_RETURN(t, FlatView(std::move(t), ctx.guard));
-            } else {
-              t = pp.pipeline(in).result;
-              if (!t) return Status::Internal("sort input not materialized");
-            }
-            return SortTable(*t, node, ctx);
-          };
-          return Push(std::move(q));
-        }
-        p.sink = MakeSortSink(node);
-        p.sink_op = Op(p.sink->name());
+        // The one ORDER BY path: materialize the input once (a base
+        // relation by reference, a finished pipeline's result, or the
+        // input's stream into a MaterializeSink), then sort that relation.
+        SODA_ASSIGN_OR_RETURN(size_t in, Complete(*node.children[0]));
+        PhysicalPipeline p;
+        p.inputs.push_back(in);
+        p.op = Op(SortName(node));
+        p.op_fn = [&node, in](PhysicalPlan& pp,
+                              ExecContext& ctx) -> Result<TablePtr> {
+          const TablePtr& t = pp.pipeline(in).result;
+          if (!t) return Status::Internal("sort input not materialized");
+          return SortTable(*t, node, ctx);
+        };
         return Push(std::move(p));
       }
       case PlanKind::kLimit: {

@@ -7,8 +7,9 @@
 /// `Transform`s, and a pipeline-breaking `Sink` — executed in dependency
 /// order by `PhysicalPlan::Execute`. This replaces the old recursive
 /// `ExecutePlan -> TablePtr` interpreter that materialized a full relation
-/// at every plan-node boundary: aggregates, sorts, limits and UNION ALL now
-/// consume their input pipeline directly, and the analytics table functions
+/// at every plan-node boundary: aggregates, Top-N, limits and UNION ALL now
+/// consume their input pipeline directly, ORDER BY sorts its input's one
+/// materialized relation, and the analytics table functions
 /// (paper §6) are physical operators whose relation inputs are pipelines of
 /// the same plan — the paper's Fig. 3 property made literal in the engine.
 ///
@@ -76,7 +77,7 @@ class PhysicalPlan;
 ///    earlier pipelines, e.g. UNION ALL);
 ///  - operator: `op_fn` computes the result relation directly (scans
 ///    returned by reference, VALUES, ITERATE, recursive CTEs, analytics
-///    table functions).
+///    table functions, ORDER BY).
 struct PhysicalPipeline {
   static constexpr size_t kNoInput = std::numeric_limits<size_t>::max();
   static constexpr size_t kUnbounded = std::numeric_limits<size_t>::max();

@@ -457,7 +457,7 @@ Status VerifyPhysicalPlan(const PhysicalPlan& plan) {
 
   // Second pass: sink contract. Every sink is finalized exactly once, a
   // sink shared by several pipelines must be a MaterializeSink (aggregate
-  // / sort / limit sinks are fed only by their own declared pipeline), and
+  // / Top-N / limit sinks are fed only by their own declared pipeline), and
   // the finalizing pipeline must come after every feeder.
   std::unordered_map<const Sink*, std::vector<size_t>> users;
   std::unordered_map<const Sink*, size_t> finalizers;

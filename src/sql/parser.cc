@@ -432,7 +432,7 @@ class Parser {
         stmt->order_by.push_back(std::move(item));
       } while (Match(TokenType::kComma));
     }
-    if (MatchKeyword("limit")) {
+    if (MatchKeyword("limit") && !MatchKeyword("all")) {  // ALL: no limit
       if (Peek().type != TokenType::kInteger) return Unexpected("an integer");
       stmt->limit = Advance().int_value;
     }

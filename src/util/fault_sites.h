@@ -62,11 +62,10 @@ inline constexpr FaultSiteInfo kFaultSites[] = {
     {"exec.dml",
      "engine DML: INSERT rows, UPDATE/DELETE row groups, the rebuild charge"},
     {"exec.join_build", "hash join: morsel-parallel build"},
-    {"exec.limit", "LIMIT sink: buffered chunk charge"},
     {"exec.morsel", "ParallelFor morsel boundary"},
     {"exec.pipeline", "pipeline scheduler: per-pipeline start"},
     {"exec.project", "projection transform materialization charge"},
-    {"exec.sort", "sort operator: input materialization / merge"},
+    {"exec.sort", "sort operator: computed keys, permutation and output"},
     {"exec.statement", "Engine::Execute pre-execution probe"},
     {"exec.union", "UNION ALL branch scheduling"},
     {"exec.verify_plan", "static plan verifier invocation"},

@@ -6,7 +6,8 @@
 /// functions can be checked at compile time. `soda::MutexLock` is the
 /// scoped RAII guard; `soda::CondVar` wraps a condition variable that
 /// waits on the annotated mutex. All locking in the engine goes through
-/// these types — tools/lint.sh rejects raw `std::mutex` elsewhere.
+/// these types — soda-analyze's raw-sync check rejects raw `std::mutex`
+/// elsewhere.
 
 #ifndef SODA_UTIL_MUTEX_H_
 #define SODA_UTIL_MUTEX_H_

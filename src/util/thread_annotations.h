@@ -9,7 +9,7 @@
 /// proves every access consistent at build time. The analysis only
 /// understands types annotated as capabilities — use `soda::Mutex` /
 /// `soda::MutexLock` (util/mutex.h), never raw `std::mutex`
-/// (tools/lint.sh enforces this repo-wide).
+/// (soda-analyze's raw-sync check enforces this repo-wide).
 ///
 /// Builds with Clang enable `-Werror=thread-safety` (see the top-level
 /// CMakeLists.txt); GCC builds compile the annotations away.

@@ -33,12 +33,13 @@ AnalyzerConfig FixtureConfig() {
 }
 
 std::vector<Finding> RunOn(const std::vector<std::string>& files,
-                           const std::set<std::string>& only) {
+                           const std::set<std::string>& only,
+                           const AnalyzerConfig& cfg = FixtureConfig()) {
   auto streams = LoadAnalysisSet(SODA_ANALYZE_FIXTURE_DIR, files);
   EXPECT_TRUE(streams.ok()) << streams.status().ToString();
   SourceModel model;
   model.Build(streams.MoveValueOrDie());
-  return RunChecks(model, FixtureConfig(), only);
+  return RunChecks(model, cfg, only);
 }
 
 bool HasFinding(const std::vector<Finding>& findings,
@@ -162,6 +163,27 @@ TEST(AnalyzeFsync, DetectsDiscardedSyncResults) {
 
 TEST(AnalyzeFsync, CheckedAndAnnotatedTwinPasses) {
   auto findings = RunOn({"fsync_ok.cc"}, {"fsync-discard"});
+  EXPECT_TRUE(findings.empty()) << Describe(findings);
+}
+
+TEST(AnalyzeRawSync, DetectsStdSyncTypesOutsideMutexHeader) {
+  AnalyzerConfig cfg = FixtureConfig();
+  cfg.raw_sync_prefixes = {"raw_sync_"};
+  auto findings = RunOn({"raw_sync_bad.cc"}, {"raw-sync"}, cfg);
+  EXPECT_EQ(findings.size(), 4u) << Describe(findings);
+  for (int line : {8, 9, 10}) {
+    EXPECT_TRUE(HasFinding(findings, "raw-sync", "raw_sync_bad.cc", line))
+        << Describe(findings);
+  }
+  // The owning header is exempt.
+  cfg.raw_sync_owner = "raw_sync_bad.cc";
+  EXPECT_TRUE(RunOn({"raw_sync_bad.cc"}, {"raw-sync"}, cfg).empty());
+}
+
+TEST(AnalyzeRawSync, CommentsStringsAndAnnotatedTwinPass) {
+  AnalyzerConfig cfg = FixtureConfig();
+  cfg.raw_sync_prefixes = {"raw_sync_"};
+  auto findings = RunOn({"raw_sync_ok.cc"}, {"raw-sync"}, cfg);
   EXPECT_TRUE(findings.empty()) << Describe(findings);
 }
 

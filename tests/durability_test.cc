@@ -937,6 +937,41 @@ TEST_F(DurabilityTest, OneRowUpdateLogsOnlyItsGroup) {
   }
 }
 
+TEST_F(DurabilityTest, NoOpWritesCommitNothing) {
+  const std::string dir = Dir("d");
+  std::string expected;
+  {
+    Engine e(Opts(dir));
+    ASSERT_OK(e.startup_status());
+    ASSERT_OK(e.ExecuteScript("CREATE TABLE kv (k BIGINT, v VARCHAR);"
+                              "INSERT INTO kv VALUES (1, 'a'), (2, 'b')")
+                  .status());
+    const TablePtr before = *e.catalog().GetTable("kv");
+    const int64_t records =
+        Metric(RunQuery(e, "SELECT * FROM soda_status()"), "wal_records");
+    for (const char* sql :
+         {"UPDATE kv SET v = 'y' WHERE k = 100000",
+          "DELETE FROM kv WHERE k = 100000",
+          "INSERT INTO kv SELECT k, v FROM kv WHERE k > 100000"}) {
+      SCOPED_TRACE(sql);
+      ASSERT_OK(e.Execute(sql).status());
+      EXPECT_EQ(Metric(RunQuery(e, "SELECT * FROM soda_status()"),
+                       "wal_records"),
+                records);
+      EXPECT_EQ(*e.catalog().GetTable("kv"), before);
+    }
+    // CREATE TABLE with no rows still commits.
+    ASSERT_OK(e.Execute("CREATE TABLE empty (x BIGINT)").status());
+    EXPECT_EQ(
+        Metric(RunQuery(e, "SELECT * FROM soda_status()"), "wal_records"),
+        records + 1);
+    expected = DumpCatalog(e);
+  }
+  Engine e2(Opts(dir));
+  ASSERT_OK(e2.startup_status());
+  EXPECT_EQ(DumpCatalog(e2), expected);
+}
+
 TEST_F(DurabilityTest, CheckpointRefusedWhileTableQuarantined) {
   std::string dir = Dir("d");
   {

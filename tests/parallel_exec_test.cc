@@ -506,6 +506,61 @@ TEST_F(ParallelExecOrderTest, OrderByTiesKeepSourceOrderAcrossWorkerCounts) {
   SameOnOneAndFourWorkers("SELECT id, g FROM ts WHERE id >= 0 ORDER BY g");
 }
 
+TEST_F(ParallelExecOrderTest, SortOverEveryInputShapeAcrossWorkerCounts) {
+  for (const std::string t : {"tf", "ts"}) {
+    SCOPED_TRACE(t);
+    // A bare scan (the sealed one through its column copy).
+    SameOnOneAndFourWorkers("SELECT * FROM " + t + " ORDER BY g DESC, s");
+    SameOnOneAndFourWorkers("SELECT id, d FROM " + t + " ORDER BY d");
+    // An output-expression key.
+    SameOnOneAndFourWorkers("SELECT id, g FROM " + t +
+                            " ORDER BY id % 7 + g DESC");
+    // A GROUP BY result, ordered totally (group output order is the
+    // schedule's).
+    SameOnOneAndFourWorkers("SELECT s, count(*) c, sum(id) FROM " + t +
+                            " GROUP BY s ORDER BY c DESC, s");
+    // LIMIT ALL OFFSET n, over the sort and over a filtered stream.
+    const QueryResult full = SameOnOneAndFourWorkers(
+        "SELECT id, s FROM " + t + " ORDER BY s, d");
+    const QueryResult rest = SameOnOneAndFourWorkers(
+        "SELECT id, s FROM " + t + " ORDER BY s, d LIMIT ALL OFFSET 1234");
+    ASSERT_EQ(rest.num_rows(), static_cast<size_t>(kRows - 1234));
+    EXPECT_TRUE(SameRows(full, 1234, rest, 0, rest.num_rows()));
+    const QueryResult filtered = SameOnOneAndFourWorkers(
+        "SELECT id FROM " + t + " WHERE g = 1 LIMIT ALL OFFSET 50");
+    const QueryResult all_g1 =
+        SameOnOneAndFourWorkers("SELECT id FROM " + t + " WHERE g = 1");
+    ASSERT_EQ(filtered.num_rows() + 50, all_g1.num_rows());
+    EXPECT_TRUE(SameRows(all_g1, 50, filtered, 0, filtered.num_rows()));
+    // An OFFSET at or past the row count.
+    for (const int64_t offset : {kRows, kRows + 9}) {
+      const std::string off = " OFFSET " + std::to_string(offset);
+      EXPECT_EQ(SameOnOneAndFourWorkers("SELECT id FROM " + t +
+                                        " ORDER BY d" + off)
+                    .num_rows(),
+                0u);
+      EXPECT_EQ(SameOnOneAndFourWorkers("SELECT id FROM " + t +
+                                        " WHERE id >= 0" + off)
+                    .num_rows(),
+                0u);
+    }
+  }
+  // A total order returns the same rows over flat and sealed storage.
+  const QueryResult flat =
+      SameOnOneAndFourWorkers("SELECT * FROM tf ORDER BY s DESC, id");
+  const QueryResult sealed =
+      SameOnOneAndFourWorkers("SELECT * FROM ts ORDER BY s DESC, id");
+  ASSERT_EQ(flat.num_rows(), sealed.num_rows());
+  EXPECT_TRUE(SameRows(flat, 0, sealed, 0, flat.num_rows()));
+  // A UNION ALL of the flat and the sealed table: key ties keep branch
+  // order, then each branch's source order.
+  SameOnOneAndFourWorkers(
+      "SELECT id, g FROM tf UNION ALL SELECT id, g FROM ts ORDER BY g");
+  SameOnOneAndFourWorkers(
+      "SELECT id, d FROM ts UNION ALL SELECT id, d FROM tf WHERE g = 2 "
+      "ORDER BY d * 2 DESC");
+}
+
 TEST_F(ParallelExecOrderTest, TopNEqualsSlicedSortAcrossKeyTypes) {
   const std::vector<std::pair<int64_t, int64_t>> windows = {
       {10, 0}, {7, 5}, {0, 0}, {3000, 1000}};
@@ -697,11 +752,12 @@ TEST_F(ParallelExecTwinTest, UniqueKeyJoinHiddenSortColumnLimitAndIterate) {
       "WHERE b.x > 20",
       "HashJoinProbe");
   // The select list drops the sort key: a column-ref Project over the
-  // Sort, streamed through the ordered sink. Three keys tie 400k rows.
+  // Sort operator (P1, over its materialized input P0), streamed through
+  // the ordered sink. Three keys tie 400k rows.
   ExpectTwins("SELECT id FROM big WHERE x > 10 ORDER BY g % 3",
-              "P0 -> Project [id#0] -> Materialize");
+              "P1 -> Project [id#0] -> Materialize");
   ExpectTwins("SELECT id, x FROM bigs ORDER BY g DESC",
-              "P0 -> Project [id#0, x#1] -> Materialize");
+              "P1 -> Project [id#0, x#1] -> Materialize");
   ExpectTwins("SELECT id, x FROM big WHERE x > 50 LIMIT 1000 OFFSET 5000",
               "Limit 1000 OFFSET 5000");
   ExpectTwins("SELECT id FROM bigs WHERE g = 2 LIMIT 30000", "Limit 30000");

@@ -1,8 +1,8 @@
 /// \file physical_plan_test.cc
 /// Pipeline-scheduler behavior that only shows up at scale: LIMIT early
-/// exit over a million-row scan, the typed sort comparator, the Top-N
-/// sink's one-pipeline shape and memory bound, streaming
-/// UNION ALL accounting, and mid-pipeline fault teardown.
+/// exit over a million-row scan, the typed sort comparator and the sort's
+/// memory charge, the Top-N sink's one-pipeline shape and memory bound,
+/// streaming UNION ALL accounting, and mid-pipeline fault teardown.
 
 #include <gtest/gtest.h>
 
@@ -179,10 +179,10 @@ TEST_F(PhysicalPlanTest, SortIsStableOnEqualKeys) {
   EXPECT_EQ(seq, want);
 }
 
-TEST_F(PhysicalPlanTest, StreamingSortAgreesWithFastPathSort) {
-  // ORDER BY over a filter runs the streaming SortSink (per-worker
-  // partials merged at finalize); ORDER BY over a bare scan takes the
-  // single-operator fast path. Both must produce identical orderings.
+TEST_F(PhysicalPlanTest, SortOverFilterAgreesWithSortOverBareTable) {
+  // ORDER BY over a filter sorts the filter's materialized stream (worker
+  // partials reassembled in source order); ORDER BY over a bare table
+  // sorts its column copy. Both must produce identical orderings.
   RunQuery(*engine_, "CREATE TABLE sorted_src (a BIGINT, b BIGINT)");
   RunQuery(*engine_,
            "INSERT INTO sorted_src SELECT a, b FROM big WHERE a >= 14");
@@ -199,6 +199,25 @@ TEST_F(PhysicalPlanTest, StreamingSortAgreesWithFastPathSort) {
   }
   EXPECT_EQ(streaming.GetInt(0, 0), 15);
   EXPECT_EQ(streaming.GetInt(streaming.num_rows() - 1, 0), 14);
+}
+
+TEST_F(PhysicalPlanTest, SortChargesItsComputedKeys) {
+  // A computed key over a UNION ALL: the Sort operator holds the union's
+  // rows, one evaluated key per row, the permutation and the output, and
+  // charges all of them.
+  const std::string text = AnalyzeText(
+      *engine_, "SELECT a FROM big UNION ALL SELECT a FROM big ORDER BY a + 1");
+  const int64_t column_bytes = 2 * kBigRows * 8;
+  EXPECT_GE(TotalBytesReserved(text), 3 * column_bytes) << text;
+  const size_t sort = text.find("\n  Sort [(a#0 + 1)]");
+  ASSERT_NE(sort, std::string::npos) << text;
+  EXPECT_GE(TotalBytesReserved(text.substr(sort)), 2 * column_bytes) << text;
+  auto r = RunQuery(*engine_,
+                    "SELECT a FROM big UNION ALL SELECT a FROM big "
+                    "ORDER BY a + 1");
+  ASSERT_EQ(r.num_rows(), static_cast<size_t>(2 * kBigRows));
+  EXPECT_EQ(r.GetInt(0, 0), 0);
+  EXPECT_EQ(r.GetInt(r.num_rows() - 1, 0), 15);
 }
 
 TEST_F(PhysicalPlanTest, TopNIsOnePipelineWithBoundedMemory) {
@@ -260,7 +279,8 @@ TEST_F(PhysicalPlanTest, MidPipelineFaultTearsDownCleanly) {
 }
 
 TEST_F(PhysicalPlanTest, FaultDuringLimitEarlyExitLeavesEngineUsable) {
-  FaultInjector::Global().Arm("exec.limit", FaultInjector::Kind::kOom);
+  // The LIMIT sink stores its rows through storage appends.
+  FaultInjector::Global().Arm("storage.append", FaultInjector::Kind::kOom);
   auto failed =
       engine_->Execute("SELECT a FROM big WHERE a >= 0 LIMIT 10");
   ASSERT_FALSE(failed.ok());

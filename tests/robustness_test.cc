@@ -248,7 +248,8 @@ const FaultCase kFaultMatrix[] = {
      StatusCode::kResourceExhausted},
     {"exec.sort", FaultInjector::Kind::kOom,
      "SELECT a FROM t ORDER BY a", StatusCode::kResourceExhausted},
-    {"exec.limit", FaultInjector::Kind::kOom,
+    // LIMIT stores its rows through a MaterializeSink: storage appends.
+    {"storage.append", FaultInjector::Kind::kOom,
      "SELECT a FROM t WHERE a > 0 LIMIT 1", StatusCode::kResourceExhausted},
     {"exec.union", FaultInjector::Kind::kError,
      "SELECT a FROM t UNION ALL SELECT a FROM t", StatusCode::kInternal},

@@ -764,6 +764,40 @@ void CheckFsyncDiscard(const SourceModel& model, const AnalyzerConfig& cfg,
   }
 }
 
+// =========================================================================
+// raw std synchronization types (token-exact successor of lint.sh rule 2)
+// =========================================================================
+
+void CheckRawSync(const SourceModel& model, const AnalyzerConfig& cfg,
+                  std::vector<Finding>* findings) {
+  static const std::set<std::string> kBanned = {
+      "mutex",      "recursive_mutex", "shared_mutex", "condition_variable",
+      "lock_guard", "unique_lock",     "scoped_lock"};
+  for (const TokenStream& file : model.files()) {
+    if (file.path == cfg.raw_sync_owner) continue;
+    bool in_scope = false;
+    for (const std::string& p : cfg.raw_sync_prefixes) {
+      if (HasPrefix(file.path, p)) in_scope = true;
+    }
+    if (!in_scope) continue;
+    const std::vector<Token>& toks = file.tokens;
+    for (size_t i = 0; i + 2 < toks.size(); ++i) {
+      if (!IsIdent(toks[i], "std") || !IsPunct(toks[i + 1], "::") ||
+          !IsIdent(toks[i + 2]) || kBanned.count(toks[i + 2].text) == 0) {
+        continue;
+      }
+      if (file.HasAllowAnnotation(toks[i].line, "raw-sync")) continue;
+      findings->push_back(
+          {"raw-sync", file.path, toks[i].line,
+           "std::" + toks[i + 2].text +
+               " outside " + cfg.raw_sync_owner +
+               " is invisible to the thread-safety analysis — use "
+               "soda::Mutex / MutexLock / CondVar, or annotate "
+               "analyze:allow(raw-sync: reason)"});
+    }
+  }
+}
+
 }  // namespace
 
 std::vector<Finding> RunChecks(const SourceModel& model,
@@ -789,6 +823,7 @@ std::vector<Finding> RunChecks(const SourceModel& model,
   if (enabled("fault-site")) CheckFaultSites(model, config, &findings);
   if (enabled("serde-bounds")) CheckSerdeBounds(model, config, &findings);
   if (enabled("fsync-discard")) CheckFsyncDiscard(model, config, &findings);
+  if (enabled("raw-sync")) CheckRawSync(model, config, &findings);
   std::sort(findings.begin(), findings.end());
   findings.erase(std::unique(findings.begin(), findings.end(),
                              [](const Finding& a, const Finding& b) {

@@ -31,10 +31,15 @@
 ///   fsync-discard     fsync/fdatasync/ftruncate result discarded in
 ///                     statement position (token-exact replacement for
 ///                     the old lint.sh grep rule).
+///   raw-sync          std::mutex / recursive_mutex / shared_mutex /
+///                     condition_variable / lock_guard / unique_lock /
+///                     scoped_lock outside src/util/mutex.h: soda::Mutex
+///                     carries the thread-safety capability annotations,
+///                     the std types silently opt out of the analysis.
 ///
 /// Suppression: `// analyze:allow(<key>: <reason>)` on the finding's
 /// line or the line above, with keys lock-order / status / guard-probe /
-/// fault-site / serde-bounds / fsync. The reason is mandatory.
+/// fault-site / serde-bounds / fsync / raw-sync. The reason is mandatory.
 
 #ifndef SODA_TOOLS_ANALYZE_CHECKS_H_
 #define SODA_TOOLS_ANALYZE_CHECKS_H_
@@ -103,6 +108,12 @@ struct AnalyzerConfig {
   /// Identifiers treated as raw payload buffers when subscripted.
   std::set<std::string> payload_idents = {"body", "payload", "data_", "buf",
                                           "wire"};
+
+  /// raw-sync: files (prefix match) where the std synchronization types
+  /// are banned, and the one wrapper header that owns them.
+  std::vector<std::string> raw_sync_prefixes = {"src/", "tests/", "bench/",
+                                                "examples/", "tools/"};
+  std::string raw_sync_owner = "src/util/mutex.h";
 
   /// status-provenance: code constructor -> path prefixes allowed to
   /// construct it.

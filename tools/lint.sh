@@ -3,11 +3,6 @@
 # concurrency and durability idioms, then clang-tidy (when available)
 # over the compilation database.
 #
-# The grep rules exist because the thread-safety annotations
-# (src/util/thread_annotations.h) only see code that goes through
-# soda::Mutex — a naked std::mutex is invisible to the analysis, so the
-# lint refuses it outright.
-#
 # Usage:
 #   tools/lint.sh             # grep rules + clang-tidy if installed
 #   tools/lint.sh --strict    # missing clang-tidy is a failure, not a skip
@@ -58,17 +53,12 @@ if [[ -n "${hits}" ]]; then
   fail "std::thread outside src/util/thread_pool.*" "${hits}"
 fi
 
-# --- Rule 2: no raw mutex/condvar primitives outside util/mutex.h. ------
-# soda::Mutex carries the Clang capability annotations; std::mutex does
-# not, so locking through it silently opts out of the static analysis.
-# Comment lines are excluded — docs may (and do) name the banned types.
-hits="$(src_files | grep -v '^src/util/mutex\.h$' \
-        | xargs grep -nE \
-          'std::(mutex|recursive_mutex|shared_mutex|condition_variable)\b|std::(lock_guard|unique_lock|scoped_lock)\b' \
-          2>/dev/null | grep -vE '^[^:]+:[0-9]+:\s*//' || true)"
-if [[ -n "${hits}" ]]; then
-  fail "raw std synchronization primitive outside src/util/mutex.h (use soda::Mutex / MutexLock / CondVar)" "${hits}"
-fi
+# --- Rule 2: moved into soda-analyze (raw-sync). -----------------------
+# tools/analyze/checks.cc bans std::mutex, recursive_mutex, shared_mutex,
+# condition_variable, lock_guard, unique_lock and scoped_lock outside
+# src/util/mutex.h token-exactly (comments and strings never match), in
+# src/, tests/, bench/, examples/ and tools/. Annotate a deliberate
+# exception with `// analyze:allow(raw-sync: reason)`.
 
 # --- Rule 3: moved into soda-analyze (fsync-discard). -------------------
 # The old grep ('^\s*(::)?(fsync|fdatasync|ftruncate)\(') only saw calls
