@@ -2,7 +2,6 @@
 
 #include <cmath>
 
-#include "util/parallel.h"
 #include "util/rng.h"
 
 namespace soda::workloads {
@@ -81,14 +80,12 @@ Result<TablePtr> GenerateVectorTable(Catalog* catalog,
   std::vector<int64_t> ids(n);
   for (size_t i = 0; i < n; ++i) ids[i] = static_cast<int64_t>(i);
   SODA_RETURN_NOT_OK(table->SetColumn(0, Column::FromBigInts(std::move(ids))));
+  // One RNG per column, filled serially: the same data at every thread
+  // count.
   for (size_t j = 0; j < d; ++j) {
     std::vector<double> col(n);
-    ParallelFor(n, [&](size_t begin, size_t end, size_t) {
-      // Seed per (column, morsel) so generation parallelizes
-      // deterministically.
-      Rng rng(seed * 1315423911u + j * 2654435761u + begin);
-      for (size_t i = begin; i < end; ++i) col[i] = rng.Uniform(0, 100);
-    });
+    Rng rng(seed * 1315423911u + j * 2654435761u);
+    for (double& x : col) x = rng.Uniform(0, 100);
     SODA_RETURN_NOT_OK(
         table->SetColumn(j + 1, Column::FromDoubles(std::move(col))));
   }
@@ -102,21 +99,15 @@ Result<TablePtr> GenerateLabeledTable(Catalog* catalog,
       TablePtr table,
       catalog->CreateTable(name, VectorSchema(d, true, "label")));
   std::vector<int64_t> labels(n);
-  ParallelFor(n, [&](size_t begin, size_t end, size_t) {
-    Rng rng(seed * 104729 + begin);
-    for (size_t i = begin; i < end; ++i) {
-      labels[i] = static_cast<int64_t>(rng.Below(2));
-    }
-  });
+  Rng label_rng(seed * 104729);
+  for (int64_t& l : labels) l = static_cast<int64_t>(label_rng.Below(2));
   for (size_t j = 0; j < d; ++j) {
     std::vector<double> col(n);
-    ParallelFor(n, [&](size_t begin, size_t end, size_t) {
-      Rng rng(seed * 7368787 + j * 104651 + begin);
-      for (size_t i = begin; i < end; ++i) {
-        // Class-shifted uniform: separable but overlapping (§8.1.2).
-        col[i] = rng.Uniform(0, 100) + 30.0 * static_cast<double>(labels[i]);
-      }
-    });
+    Rng rng(seed * 7368787 + j * 104651);
+    for (size_t i = 0; i < n; ++i) {
+      // Class-shifted uniform: separable but overlapping (§8.1.2).
+      col[i] = rng.Uniform(0, 100) + 30.0 * static_cast<double>(labels[i]);
+    }
     SODA_RETURN_NOT_OK(
         table->SetColumn(j + 1, Column::FromDoubles(std::move(col))));
   }

@@ -5,6 +5,7 @@
 #define SODA_CORE_QUERY_RESULT_H_
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "exec/exec_context.h"
@@ -31,22 +32,20 @@ class QueryResult {
 
   /// Cell access (boxed; intended for result consumption, not hot loops).
   Value GetValue(size_t row, size_t col) const {
-    return table_->column(col).GetValue(row);
+    return cells(col).GetValue(row);
   }
 
   /// Typed convenience accessors.
   int64_t GetInt(size_t row, size_t col) const {
-    return table_->column(col).GetBigInt(row);
+    return cells(col).GetBigInt(row);
   }
   double GetDouble(size_t row, size_t col) const {
-    return table_->column(col).GetNumeric(row);
+    return cells(col).GetNumeric(row);
   }
   const std::string& GetString(size_t row, size_t col) const {
-    return table_->column(col).GetString(row);
+    return cells(col).GetString(row);
   }
-  bool IsNull(size_t row, size_t col) const {
-    return table_->column(col).IsNull(row);
-  }
+  bool IsNull(size_t row, size_t col) const { return cells(col).IsNull(row); }
 
   /// Underlying relation (null for DDL/DML).
   const TablePtr& table() const { return table_; }
@@ -58,6 +57,11 @@ class QueryResult {
   std::string ToString(size_t max_rows = 20) const;
 
  private:
+  /// Read-only: the result may share its columns with other tables.
+  const Column& cells(size_t c) const {
+    return std::as_const(*table_).column(c);
+  }
+
   TablePtr table_;
   ExecStats stats_;
 };

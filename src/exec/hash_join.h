@@ -72,7 +72,7 @@ class JoinHashTable {
   }
 
  private:
-  TablePtr build_;
+  std::shared_ptr<const Table> build_;
   std::vector<size_t> key_cols_;
   // Chaining layout: head_[hash & mask] -> first row + next_ chain.
   // head_ entries are published with std::atomic_ref CAS during Build and

@@ -8,15 +8,16 @@
 /// and a validity branch per cell; these kernels hoist the dispatch out of
 /// the loop and hash whole column ranges with typed inner loops, writing
 /// 64-bit hashes into a caller-provided array. Multi-column keys are
-/// combined with a mix-after-combine scheme (`h' = Mix(h ^ cell)`): unlike
-/// the old linear `h*31 + cell` combiner, constructed collisions in one
-/// column cannot cancel against another column's contribution (the
+/// combined with a mix-after-combine scheme (`h' = Mix(rotl(h, 1) ^ cell)`):
+/// unlike the old linear `h*31 + cell` combiner, constructed collisions in
+/// one column cannot cancel against another column's contribution (the
 /// combiner is re-randomized through the full-avalanche finalizer at every
 /// step).
 
 #ifndef SODA_EXEC_HASH_KERNELS_H_
 #define SODA_EXEC_HASH_KERNELS_H_
 
+#include <bit>
 #include <cstdint>
 #include <vector>
 
@@ -45,9 +46,10 @@ inline uint64_t MixHash(uint64_t x) {
 /// Folds one cell hash into a running row hash. Mix-after-combine: the
 /// result avalanches before the next column is folded in, so per-column
 /// collisions do not survive the combine (regression-tested against the
-/// old `h*31 + cell` scheme's constructible collisions).
+/// old `h*31 + cell` scheme's constructible collisions). The rotation makes
+/// the fold depend on column position, so `(a, b)` and `(b, a)` differ.
 inline uint64_t CombineHash(uint64_t h, uint64_t cell) {
-  return MixHash(h ^ cell);
+  return MixHash(std::rotl(h, 1) ^ cell);
 }
 
 /// Writes the cell hashes of rows [begin, end) of `col` to

@@ -506,10 +506,14 @@ Result<TablePtr> SortTable(const Table& input, const PlanNode& plan,
   const std::vector<uint32_t> order = SortOrder(views, n);
   keys.clear();
 
-  // The output is a permutation of the input columns: same footprint.
+  // The output is a permutation of the input columns: their bytes, not the
+  // spare capacity of an input it may share with a catalog table.
   size_t bytes = 0;
   for (size_t c = 0; c < plan.schema.num_fields(); ++c) {
-    bytes += input.column(c).MemoryUsage();
+    const Column& col = input.column(c);
+    bytes += col.type() == DataType::kVarchar
+                 ? col.MemoryUsage()
+                 : n * sizeof(int64_t) + (col.Validity().empty() ? 0 : n);
   }
   SODA_RETURN_NOT_OK(GuardReserve(ctx.guard, bytes, kSortSite));
   auto out = std::make_shared<Table>("sorted", plan.schema);

@@ -30,9 +30,6 @@ uint64_t NowNanos() {
 
 constexpr auto kRelaxed = std::memory_order_relaxed;
 
-/// Charge site of the bulk column-copy projection fast path.
-constexpr char kProjectSite[] = "exec.project";
-
 // --- streaming transforms -------------------------------------------------
 
 /// Streaming WHERE: evaluates the predicate and compacts the chunk.
@@ -393,24 +390,46 @@ class PhysicalPlanBuilder {
     }
   }
 
+  /// Pipeline handing `rel` to a random-access consumer through FlatView:
+  /// whole, or the columns a column-ref `project` over it selects, named as
+  /// `project` binds them. Flat: passed by reference or sharing the
+  /// selected columns. Sealed: decoded into a per-statement flat table.
+  /// `rel` is a base relation or a pipeline breaker, completed first.
+  Result<size_t> Select(const PlanNode& rel, const PlanNode* project) {
+    const bool base =
+        rel.kind == PlanKind::kScan || rel.kind == PlanKind::kBindingRef;
+    PhysicalPipeline p;
+    if (!base) {
+      SODA_ASSIGN_OR_RETURN(size_t in, Complete(rel));
+      p.inputs.push_back(in);
+    }
+    std::string name = base ? SourceName(rel) : "";
+    std::vector<size_t> cols;
+    if (project) {
+      for (const auto& e : project->exprs) cols.push_back(e->column_index);
+      name += base ? " project " : "Project ";
+      name += ExprListString(project->exprs);
+    }
+    p.op = Op(std::move(name));
+    p.op_fn = [resolve = base ? MakeSourceResolver(rel) : nullptr,
+               in = p.inputs, project,
+               cols](PhysicalPlan& pp, ExecContext& ctx) -> Result<TablePtr> {
+      SODA_ASSIGN_OR_RETURN(
+          TablePtr t, resolve ? resolve(ctx)
+                              : Result<TablePtr>(pp.pipeline(in[0]).result));
+      if (!t) return Status::Internal("selection input not materialized");
+      return FlatView(std::move(t), ctx.guard, project ? &cols : nullptr,
+                      project ? &project->schema : nullptr);
+    };
+    return Push(std::move(p));
+  }
+
   /// Pipeline producing the subtree's full relation; returns its index.
   Result<size_t> Complete(const PlanNode& node) {
     switch (node.kind) {
       case PlanKind::kScan:
-      case PlanKind::kBindingRef: {
-        // Flat base relations are returned by reference, never copied;
-        // a sealed one is decoded into a per-statement flat copy for the
-        // random-access consumer above (join build, analytics input).
-        PhysicalPipeline p;
-        auto resolve = MakeSourceResolver(node);
-        p.op = Op(SourceName(node));
-        p.op_fn = [resolve](PhysicalPlan&,
-                            ExecContext& ctx) -> Result<TablePtr> {
-          SODA_ASSIGN_OR_RETURN(TablePtr t, resolve(ctx));
-          return FlatView(std::move(t), ctx.guard);
-        };
-        return Push(std::move(p));
-      }
+      case PlanKind::kBindingRef:
+        return Select(node, nullptr);
       case PlanKind::kValues: {
         PhysicalPipeline p;
         p.op = Op("Values (" + std::to_string(node.rows.size()) + " rows)");
@@ -420,32 +439,13 @@ class PhysicalPlanBuilder {
         return Push(std::move(p));
       }
       case PlanKind::kProject: {
-        // Fast path for pure column selections over a base relation (e.g.
-        // the `(SELECT x1..xd FROM data)` inputs of analytics operators,
-        // which HyPer would fuse into the operator's own materialization):
-        // one bulk column copy instead of chunked pipeline copies. On a
-        // sealed source only the projected columns are decoded.
-        const PlanNode& child = *node.children[0];
-        if (AllColumnRefs(node.exprs) &&
-            (child.kind == PlanKind::kScan ||
-             child.kind == PlanKind::kBindingRef)) {
-          PhysicalPipeline p;
-          auto resolve = MakeSourceResolver(child);
-          p.op = Op("Project " + ExprListString(node.exprs) +
-                    " (column copy)");
-          p.op_fn = [&node, resolve](PhysicalPlan&,
-                                     ExecContext& ctx) -> Result<TablePtr> {
-            SODA_ASSIGN_OR_RETURN(TablePtr in, resolve(ctx));
-            auto out = std::make_shared<Table>("project", node.schema);
-            std::vector<size_t> cols;
-            cols.reserve(node.exprs.size());
-            for (const auto& e : node.exprs) cols.push_back(e->column_index);
-            SODA_RETURN_NOT_OK(
-                in->DecodeInto(out.get(), ctx.guard, kProjectSite, &cols));
-            ctx.stats.cumulative_materialized_tuples += out->num_rows();
-            return out;
-          };
-          return Push(std::move(p));
+        // A column-ref Project over a relation that is not streamed (a
+        // base relation or a pipeline breaker's result) selects columns of
+        // that whole relation; over a stream it streams into the sink.
+        const PlanKind child = node.children[0]->kind;
+        if (AllColumnRefs(node.exprs) && child != PlanKind::kFilter &&
+            child != PlanKind::kProject && child != PlanKind::kJoin) {
+          return Select(*node.children[0], &node);
         }
         [[fallthrough]];
       }
@@ -465,9 +465,9 @@ class PhysicalPlanBuilder {
         return Push(std::move(p));
       }
       case PlanKind::kSort: {
-        // The one ORDER BY path: materialize the input once (a base
-        // relation by reference, a finished pipeline's result, or the
-        // input's stream into a MaterializeSink), then sort that relation.
+        // The one ORDER BY path: materialize the input once (a selection
+        // of a base relation, a finished pipeline's result, or the input's
+        // stream into a MaterializeSink), then sort that relation.
         SODA_ASSIGN_OR_RETURN(size_t in, Complete(*node.children[0]));
         PhysicalPipeline p;
         p.inputs.push_back(in);

@@ -75,9 +75,9 @@ class PhysicalPlan;
 ///    through `transforms` into `sink`;
 ///  - finalize-only: `sink` set but no source (closes a sink shared by
 ///    earlier pipelines, e.g. UNION ALL);
-///  - operator: `op_fn` computes the result relation directly (scans
-///    returned by reference, VALUES, ITERATE, recursive CTEs, analytics
-///    table functions, ORDER BY).
+///  - operator: `op_fn` computes the result relation directly (column
+///    selections of a whole relation through FlatView, VALUES, ITERATE,
+///    recursive CTEs, analytics table functions, ORDER BY).
 struct PhysicalPipeline {
   static constexpr size_t kNoInput = std::numeric_limits<size_t>::max();
   static constexpr size_t kUnbounded = std::numeric_limits<size_t>::max();

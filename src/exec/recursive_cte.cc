@@ -6,6 +6,7 @@
 /// grows to n*i tuples over i iterations.
 
 #include <optional>
+#include <utility>
 
 #include "exec/executor.h"
 
@@ -16,7 +17,8 @@ Result<TablePtr> ExecuteRecursiveCte(const PlanNode& plan, ExecContext& ctx) {
 
   auto result = std::make_shared<Table>(plan.binding_name, plan.schema);
   for (size_t c = 0; c < init->num_columns(); ++c) {
-    result->column(c).AppendSlice(init->column(c), 0, init->num_rows());
+    result->column(c).AppendSlice(std::as_const(*init).column(c), 0,
+                                  init->num_rows());
   }
   ctx.stats.cumulative_materialized_tuples += init->num_rows();
 
@@ -60,7 +62,7 @@ Result<TablePtr> ExecuteRecursiveCte(const PlanNode& plan, ExecContext& ctx) {
       return st;
     }
     for (size_t c = 0; c < working->num_columns(); ++c) {
-      result->column(c).AppendSlice(working->column(c), 0,
+      result->column(c).AppendSlice(std::as_const(*working).column(c), 0,
                                     working->num_rows());
     }
     ctx.stats.cumulative_materialized_tuples += working->num_rows();

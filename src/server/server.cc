@@ -51,6 +51,7 @@ Status Server::Start() {
   port_ = listener_.port();
   stopping_.store(false, std::memory_order_release);
   running_.store(true, std::memory_order_release);
+  // analyze:allow(raw-thread: control plane, joined by Shutdown)
   accept_thread_ = std::thread([this] { AcceptLoop(); });
   return Status::OK();
 }
@@ -87,6 +88,7 @@ void Server::AcceptLoop() {
 
     auto shared_sock = std::make_shared<Socket>(std::move(*sock));
     uint64_t id = (*session)->id();
+    // analyze:allow(raw-thread: session handler, joined by Shutdown)
     std::thread handler([this, s = std::move(*session),
                          shared_sock]() mutable {
       SessionLoop(std::move(s), std::move(shared_sock));
@@ -243,7 +245,7 @@ bool Server::RunAdmitted(
     bool stop = false;
     std::atomic<bool> disconnected{false};
   } watch;
-  std::thread watcher([&] {
+  std::thread watcher([&] {  // analyze:allow(raw-thread: control plane)
     MutexLock lock(&watch.mu);
     while (!watch.stop) {
       if (watch.done_cv.WaitFor(&watch.mu, std::chrono::milliseconds(25),
@@ -327,7 +329,7 @@ void Server::NoteThreadFinished(uint64_t session_id) {
 }
 
 void Server::ReapFinishedThreads() {
-  std::vector<std::thread> done;
+  std::vector<std::thread> done;  // analyze:allow(raw-thread: control plane)
   {
     MutexLock lock(&threads_mu_);
     for (uint64_t id : finished_threads_) {
@@ -341,12 +343,13 @@ void Server::ReapFinishedThreads() {
   }
   // These threads have already run NoteThreadFinished, so the joins are
   // (near-)instant; still, join outside threads_mu_ on principle.
-  for (std::thread& t : done) {
+  for (std::thread& t : done) {  // analyze:allow(raw-thread: control plane)
     if (t.joinable()) t.join();
   }
 }
 
 void Server::JoinAllSessionThreads() {
+  // analyze:allow(raw-thread: control plane)
   std::map<uint64_t, std::thread> all;
   {
     MutexLock lock(&threads_mu_);

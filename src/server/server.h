@@ -155,8 +155,9 @@ class Server {
   SessionManager sessions_;
   ServerStats stats_;
 
-  std::thread accept_thread_;
+  std::thread accept_thread_;  // analyze:allow(raw-thread: control plane)
   Mutex threads_mu_;
+  // analyze:allow(raw-thread: control plane)
   std::map<uint64_t, std::thread> session_threads_
       SODA_GUARDED_BY(threads_mu_);
   std::vector<uint64_t> finished_threads_ SODA_GUARDED_BY(threads_mu_);

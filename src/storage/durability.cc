@@ -178,6 +178,7 @@ void DurabilityManager::StartMaintenance(const Catalog* catalog,
   }
   maint_catalog_ = catalog;
   maint_scrub_ = std::move(scrub);
+  // analyze:allow(raw-thread: maintenance, joined by StopMaintenance)
   maint_thread_ = std::thread([this] { MaintenanceLoop(); });
 }
 

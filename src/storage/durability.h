@@ -163,7 +163,7 @@ class DurabilityManager {
   bool maint_stop_ SODA_GUARDED_BY(maint_mu_) = false;
   const Catalog* maint_catalog_ = nullptr;   // set before the thread starts
   std::function<Status()> maint_scrub_;      // likewise
-  std::thread maint_thread_;
+  std::thread maint_thread_;  // analyze:allow(raw-thread: maintenance thread)
 };
 
 /// Statement commit helper for engines that may be volatile: without a

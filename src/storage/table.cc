@@ -1,6 +1,7 @@
 #include "storage/table.h"
 
 #include <algorithm>
+#include <numeric>
 
 #include "util/query_guard.h"
 #include "util/string_util.h"
@@ -81,7 +82,17 @@ bool PredicateEvaluable(const Schema& schema, const ScanPredicate& pred) {
 Table::Table(std::string name, Schema schema)
     : name_(ToLower(name)), schema_(std::move(schema)) {
   columns_.reserve(schema_.num_fields());
-  for (const auto& f : schema_.fields()) columns_.emplace_back(f.type);
+  for (const auto& f : schema_.fields()) {
+    columns_.push_back(std::make_shared<Column>(f.type));
+  }
+}
+
+Column& Table::column(size_t i) {
+  SODA_DCHECK(!sealed_);
+  if (columns_[i].use_count() > 1) {
+    columns_[i] = std::make_shared<Column>(*columns_[i]);
+  }
+  return *columns_[i];
 }
 
 Status Table::AppendRow(const std::vector<Value>& row) {
@@ -96,23 +107,21 @@ Status Table::AppendRow(const std::vector<Value>& row) {
   }
   for (size_t c = 0; c < columns_.size(); ++c) {
     const Value& v = row[c];
-    if (!v.is_null() && v.type() != columns_[c].type()) {
+    if (!v.is_null() && v.type() != columns_[c]->type()) {
       // Allow numeric coercion; reject anything else.
-      if (!(IsNumeric(v.type()) && IsNumeric(columns_[c].type()))) {
+      if (!(IsNumeric(v.type()) && IsNumeric(columns_[c]->type()))) {
         return Status::TypeError("cannot insert " +
                                  std::string(DataTypeToString(v.type())) +
                                  " into column '" + schema_.field(c).name +
                                  "' of type " +
-                                 DataTypeToString(columns_[c].type()));
+                                 DataTypeToString(columns_[c]->type()));
       }
     }
   }
   size_t bytes = 0;
   for (const Value& v : row) bytes += ValueBytes(v);
   SODA_RETURN_NOT_OK(ChargeAppend(bytes));
-  for (size_t c = 0; c < columns_.size(); ++c) {
-    columns_[c].AppendValue(row[c]);
-  }
+  for (size_t c = 0; c < columns_.size(); ++c) column(c).AppendValue(row[c]);
   return Status::OK();
 }
 
@@ -124,7 +133,7 @@ Status Table::AppendChunk(const DataChunk& chunk) {
     return Status::InvalidArgument("chunk arity mismatch");
   }
   for (size_t c = 0; c < columns_.size(); ++c) {
-    if (chunk.column(c).type() != columns_[c].type()) {
+    if (chunk.column(c).type() != columns_[c]->type()) {
       return Status::TypeError("chunk column type mismatch at position " +
                                std::to_string(c));
     }
@@ -135,7 +144,7 @@ Status Table::AppendChunk(const DataChunk& chunk) {
   }
   SODA_RETURN_NOT_OK(ChargeAppend(bytes));
   for (size_t c = 0; c < columns_.size(); ++c) {
-    columns_[c].AppendSlice(chunk.column(c), 0, chunk.column(c).size());
+    column(c).AppendSlice(chunk.column(c), 0, chunk.column(c).size());
   }
   return Status::OK();
 }
@@ -184,7 +193,7 @@ void Table::ScanSlice(size_t offset, size_t count, DataChunk* out,
   }
   for (size_t c = 0; c < out_cols; ++c) {
     const size_t phys = cols ? (*cols)[c] : c;
-    out->column(c).AppendSlice(columns_[phys], offset, count);
+    out->column(c).AppendSlice(*columns_[phys], offset, count);
   }
 }
 
@@ -254,57 +263,42 @@ bool Table::GroupMayMatch(size_t g,
   return true;
 }
 
-Status Table::DecodeInto(Table* out, QueryGuard* guard, const char* site,
-                         const std::vector<size_t>* cols) const {
-  SODA_RETURN_NOT_OK(CheckReadable(0, num_rows()));
-  const size_t n = num_rows();
-  const size_t out_cols = cols ? cols->size() : num_columns();
-  std::vector<Column> decoded;
+Result<TablePtr> FlatView(TablePtr table, QueryGuard* guard,
+                          const std::vector<size_t>* cols,
+                          const Schema* schema) {
+  const Table& in = *table;
+  const size_t n = in.num_rows();
+  SODA_RETURN_NOT_OK(in.CheckReadable(0, n));
+  if (cols == nullptr && !in.sealed()) return table;
+  std::vector<size_t> all(in.num_columns());
+  std::iota(all.begin(), all.end(), 0);
+  const std::vector<size_t>& sel = cols ? *cols : all;
+  auto out = std::make_shared<Table>(
+      in.name(), schema ? *schema : ProjectedSchema(in.schema(), sel));
   size_t bytes = 0;
-  for (size_t c = 0; c < out_cols; ++c) {
-    const size_t phys = cols ? (*cols)[c] : c;
-    if (sealed_) {
-      for (const auto& group : groups_) bytes += DecodedBytes(*group[phys]);
-    } else {
-      bytes += SliceBytes(columns_[phys], 0, n);
-    }
-    decoded.emplace_back(schema_.field(phys).type);
+  for (size_t c = 0; c < sel.size(); ++c) {
+    out->columns_[c] = in.columns_[sel[c]];  // a sealed table's are empty
+    for (const auto& group : in.groups_) bytes += DecodedBytes(*group[sel[c]]);
   }
-  SODA_RETURN_NOT_OK(GuardReserve(guard, bytes, site));
-  for (auto& col : decoded) col.Reserve(n);
-  DataChunk chunk(std::move(decoded));
-  ScanSlice(0, n, &chunk, cols);
-  for (size_t c = 0; c < out_cols; ++c) {
-    SODA_RETURN_NOT_OK(out->SetColumn(c, std::move(chunk.column(c))));
+  if (!in.sealed()) return out;
+  SODA_RETURN_NOT_OK(GuardReserve(guard, bytes, kDecodeSite));
+  DataChunk chunk(out->schema());
+  for (size_t c = 0; c < sel.size(); ++c) chunk.column(c).Reserve(n);
+  in.ScanSlice(0, n, &chunk, &sel);
+  for (size_t c = 0; c < sel.size(); ++c) {
+    out->columns_[c] = std::make_shared<Column>(std::move(chunk.column(c)));
   }
-  return Status::OK();
-}
-
-Result<TablePtr> FlatView(TablePtr table, QueryGuard* guard) {
-  if (!table->sealed()) return table;
-  auto flat = std::make_shared<Table>(table->name(), table->schema());
-  SODA_RETURN_NOT_OK(table->DecodeInto(flat.get(), guard, kDecodeSite));
-  return flat;
+  return out;
 }
 
 Status Table::SetColumn(size_t i, Column column) {
   if (sealed_) return Status::ExecutionError("SetColumn on sealed table");
   if (i >= columns_.size()) return Status::OutOfRange("column index");
-  if (column.type() != columns_[i].type()) {
+  if (column.type() != columns_[i]->type()) {
     return Status::TypeError("SetColumn type mismatch");
   }
-  columns_[i] = std::move(column);
+  columns_[i] = std::make_shared<Column>(std::move(column));
   return Status::OK();
-}
-
-void Table::Truncate() {
-  for (auto& c : columns_) c.Clear();
-  groups_.clear();
-  group_offsets_.clear();
-  partition_offsets_.clear();
-  group_quarantined_.clear();
-  table_quarantined_ = false;
-  sealed_ = false;
 }
 
 std::vector<Value> Table::GetRow(size_t row) const {
@@ -320,7 +314,7 @@ size_t Table::MemoryUsage() const {
       for (const auto& seg : group) bytes += seg->MemoryUsage();
     }
   }
-  for (const auto& c : columns_) bytes += c.MemoryUsage();
+  for (const auto& c : columns_) bytes += c->MemoryUsage();
   return bytes;
 }
 
@@ -383,9 +377,13 @@ Status Table::Seal() {
   shell.set_partition_spec(spec_);
   SODA_RETURN_NOT_OK(shell.AdoptSealed({}, std::vector<size_t>(P + 1, 0)));
   TableDelta delta = DeltaFor(shell);
-  delta.appended = std::move(columns_);
+  for (size_t c = 0; c < columns_.size(); ++c) {
+    delta.appended.push_back(std::move(column(c)));
+  }
   Result<TablePtr> sealed = ApplyDelta(&shell, delta);
-  columns_ = std::move(delta.appended);
+  for (size_t c = 0; c < columns_.size(); ++c) {
+    *columns_[c] = std::move(delta.appended[c]);
+  }
   SODA_RETURN_NOT_OK(sealed.status());
   *this = std::move(**sealed);
   return Status::OK();
@@ -432,7 +430,7 @@ Status Table::AdoptSealed(std::vector<RowGroup> groups,
   group_quarantined_.clear();
   table_quarantined_ = false;
   for (size_t c = 0; c < columns_.size(); ++c) {
-    columns_[c] = Column(schema_.field(c).type);
+    columns_[c] = std::make_shared<Column>(schema_.field(c).type);
   }
   sealed_ = true;
   return Status::OK();

@@ -8,17 +8,21 @@
 /// for the paper's layer-vs-layer comparisons to be apples-to-apples.
 ///
 /// Tables have two physical states (DESIGN.md §9):
-///  - **flat**: one decoded `Column` per field — the mutable build format
-///    every DML staging path and intermediate relation uses.
+///  - **flat**: one decoded `Column` per field — the build format every
+///    DML staging path and intermediate relation uses. Columns are held by
+///    `shared_ptr`, so tables can share them: a column selection of a
+///    flat table (`FlatView` with `cols`) shares its buffers instead of
+///    copying them. A write goes through the non-const `column(i)`, which
+///    first copies a column some other table still holds, so a write never
+///    reaches another table's buffer.
 ///  - **sealed**: rows live only in immutable encoded row groups (one
 ///    `Segment` per column per group, storage/segment.h), optionally
 ///    clustered into partitions (storage/partition.h). Scans stream
 ///    segments straight into DataChunks; a consumer that needs random
-///    access decodes the columns it touches into its own flat copy
-///    (`FlatView` / `DecodeInto`), charged to its statement's QueryGuard.
-///    A sealed table never holds decoded columns itself. Sealing is
-///    invisible to SQL semantics; it only changes footprint and scan
-///    mechanics.
+///    access decodes the columns it selects into its own flat copy
+///    (`FlatView`), charged to its statement's QueryGuard. A sealed table
+///    never holds decoded columns itself. Sealing is invisible to SQL
+///    semantics; it only changes footprint and scan mechanics.
 
 #ifndef SODA_STORAGE_TABLE_H_
 #define SODA_STORAGE_TABLE_H_
@@ -38,6 +42,8 @@
 namespace soda {
 
 class QueryGuard;
+class Table;
+using TablePtr = std::shared_ptr<Table>;
 
 /// One row group of a sealed table: one segment per column.
 using RowGroup = std::vector<SegmentPtr>;
@@ -62,29 +68,21 @@ class Table {
   const Schema& schema() const { return schema_; }
   size_t num_rows() const {
     if (sealed_) return group_offsets_.empty() ? 0 : group_offsets_.back();
-    return columns_.empty() ? 0 : columns_[0].size();
+    return columns_.empty() ? 0 : columns_[0]->size();
   }
   size_t num_columns() const { return columns_.size(); }
 
   /// Column access; flat tables only. Readers of a possibly-sealed table
-  /// go through ScanSlice or a FlatView copy.
-  Column& column(size_t i) {
-    SODA_DCHECK(!sealed_);
-    return columns_[i];
-  }
+  /// go through ScanSlice or FlatView. The non-const overload is the write
+  /// path: it first copies the column when another table shares it.
+  Column& column(size_t i);
   const Column& column(size_t i) const {
     SODA_DCHECK(!sealed_);
-    return columns_[i];
-  }
-
-  /// All columns; flat tables only.
-  const std::vector<Column>& columns() const {
-    SODA_DCHECK(!sealed_);
-    return columns_;
+    return *columns_[i];
   }
 
   void Reserve(size_t n) {
-    for (auto& c : columns_) c.Reserve(n);
+    for (size_t c = 0; c < columns_.size(); ++c) column(c).Reserve(n);
   }
 
   /// Appends one boxed row (types must be appendable to each column).
@@ -126,21 +124,9 @@ class Table {
   /// row group `g` prove that some predicate of `preds` matches no row.
   bool GroupMayMatch(size_t g, const std::vector<ScanPredicate>& preds) const;
 
-  /// Decodes columns `cols` (every column when null, in that order) of the
-  /// whole table into `out`, a fresh flat table with one column of the
-  /// matching type per entry, with one ScanSlice. Fails with kDataLoss on
-  /// quarantined data, and charges the decoded size to `guard` under the
-  /// probe site `site` before decoding anything.
-  Status DecodeInto(Table* out, QueryGuard* guard, const char* site,
-                    const std::vector<size_t>* cols = nullptr) const;
-
   /// Replaces the payload of column `i` wholesale (bulk loading; flat
   /// tables only).
   Status SetColumn(size_t i, Column column);
-
-  /// Deletes all rows (and any sealed representation), keeping the schema
-  /// and partition spec.
-  void Truncate();
 
   std::vector<Value> GetRow(size_t row) const;
 
@@ -247,8 +233,9 @@ class Table {
   Schema schema_;
   PartitionSpec spec_;
 
-  /// Flat payload; on a sealed table every column is empty.
-  std::vector<Column> columns_;
+  /// Flat payload, possibly shared with other tables (see column(i)); on a
+  /// sealed table every column is empty.
+  std::vector<std::shared_ptr<Column>> columns_;
 
   bool sealed_ = false;
   std::vector<RowGroup> groups_;                 // [group][column]
@@ -261,15 +248,22 @@ class Table {
   bool table_quarantined_ = false;
 
   uint64_t version_ = 0;  ///< catalog publication version (see version())
+
+  friend Result<TablePtr> FlatView(TablePtr, QueryGuard*,
+                                   const std::vector<size_t>*, const Schema*);
 };
 
-using TablePtr = std::shared_ptr<Table>;
-
-/// `table` itself when it is flat; otherwise a per-statement flat copy of
-/// all its columns (Table::DecodeInto, charged to `guard`). Consumers that
-/// index rows directly — hash-join builds, sorts, analytics inputs — read a
-/// possibly-sealed table through this.
-Result<TablePtr> FlatView(TablePtr table, QueryGuard* guard);
+/// The whole of `table` for a random-access consumer (hash-join builds,
+/// sorts, analytics inputs), or with `cols` set only those columns, in
+/// that order, named by `schema` (the selected fields when null). Flat:
+/// `table` itself, or a table sharing the selected columns; nothing is
+/// copied or charged. Sealed: the selected columns decoded into a
+/// per-statement flat table, charged to `guard` under
+/// "storage.segment_decode" before decoding anything. kDataLoss on
+/// quarantined data.
+Result<TablePtr> FlatView(TablePtr table, QueryGuard* guard,
+                          const std::vector<size_t>* cols = nullptr,
+                          const Schema* schema = nullptr);
 
 // --- Table versions (DESIGN.md §9) -----------------------------------------
 //

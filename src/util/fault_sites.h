@@ -64,7 +64,6 @@ inline constexpr FaultSiteInfo kFaultSites[] = {
     {"exec.join_build", "hash join: morsel-parallel build"},
     {"exec.morsel", "ParallelFor morsel boundary"},
     {"exec.pipeline", "pipeline scheduler: per-pipeline start"},
-    {"exec.project", "projection transform materialization charge"},
     {"exec.sort", "sort operator: computed keys, permutation and output"},
     {"exec.statement", "Engine::Execute pre-execution probe"},
     {"exec.union", "UNION ALL branch scheduling"},

@@ -187,6 +187,53 @@ TEST(AnalyzeRawSync, CommentsStringsAndAnnotatedTwinPass) {
   EXPECT_TRUE(findings.empty()) << Describe(findings);
 }
 
+TEST(AnalyzeRawThread, DetectsStdThreadOutsideThePool) {
+  AnalyzerConfig cfg = FixtureConfig();
+  cfg.raw_thread_prefixes = {"raw_thread_"};
+  auto findings = RunOn({"raw_thread_bad.cc"}, {"raw-thread"}, cfg);
+  EXPECT_EQ(findings.size(), 2u) << Describe(findings);
+  for (int line : {8, 9}) {
+    EXPECT_TRUE(HasFinding(findings, "raw-thread", "raw_thread_bad.cc", line))
+        << Describe(findings);
+  }
+  // The pool is exempt, and so is every file outside the prefixes (tests).
+  cfg.raw_thread_owner = "raw_thread_bad";
+  EXPECT_TRUE(RunOn({"raw_thread_bad.cc"}, {"raw-thread"}, cfg).empty());
+  cfg = FixtureConfig();
+  cfg.raw_thread_prefixes = {"src/"};
+  EXPECT_TRUE(RunOn({"raw_thread_bad.cc"}, {"raw-thread"}, cfg).empty());
+}
+
+TEST(AnalyzeRawThread, ThisThreadCommentsStringsAndAnnotatedTwinPass) {
+  AnalyzerConfig cfg = FixtureConfig();
+  cfg.raw_thread_prefixes = {"raw_thread_"};
+  auto findings = RunOn({"raw_thread_ok.cc"}, {"raw-thread"}, cfg);
+  EXPECT_TRUE(findings.empty()) << Describe(findings);
+}
+
+TEST(AnalyzeRawAnnotation, DetectsRawThreadSafetyAttributes) {
+  AnalyzerConfig cfg = FixtureConfig();
+  cfg.raw_sync_prefixes = {"raw_annotation_"};
+  auto findings = RunOn({"raw_annotation_bad.cc"}, {"raw-annotation"}, cfg);
+  EXPECT_EQ(findings.size(), 3u) << Describe(findings);
+  for (int line : {4, 5, 6}) {
+    EXPECT_TRUE(HasFinding(findings, "raw-annotation",
+                           "raw_annotation_bad.cc", line))
+        << Describe(findings);
+  }
+  // The macro header is exempt.
+  cfg.raw_annotation_owner = "raw_annotation_bad.cc";
+  EXPECT_TRUE(
+      RunOn({"raw_annotation_bad.cc"}, {"raw-annotation"}, cfg).empty());
+}
+
+TEST(AnalyzeRawAnnotation, MacrosCommentsStringsAndAnnotatedTwinPass) {
+  AnalyzerConfig cfg = FixtureConfig();
+  cfg.raw_sync_prefixes = {"raw_annotation_"};
+  auto findings = RunOn({"raw_annotation_ok.cc"}, {"raw-annotation"}, cfg);
+  EXPECT_TRUE(findings.empty()) << Describe(findings);
+}
+
 TEST(AnalyzeBaseline, RoundTripSuppressesKnownFindings) {
   auto findings = RunOn({"status_bad.cc"},
                         {"status-discard", "status-collapse"});

@@ -108,6 +108,24 @@ TEST_F(DmlTest, CreateTableAsSelect) {
   EXPECT_DOUBLE_EQ(r.GetDouble(1, 1), 8.0);
 }
 
+TEST_F(DmlTest, CreateTableAsColumnSelectionLeavesSourceIntact) {
+  // The SELECT is a column selection sharing t's buffers; CTAS takes the
+  // result's columns through the copy-on-write write path, so t keeps its
+  // rows.
+  ASSERT_OK(
+      engine_.Execute("CREATE TABLE c AS SELECT s label, a FROM t").status());
+  auto src = RunQuery(engine_, "SELECT a, s FROM t ORDER BY a");
+  ASSERT_EQ(src.num_rows(), 4u);
+  EXPECT_EQ(src.GetInt(3, 0), 4);
+  EXPECT_EQ(src.GetString(3, 1), "w");
+  auto copy = RunQuery(engine_, "SELECT * FROM c ORDER BY a");
+  ASSERT_EQ(copy.num_rows(), 4u);
+  EXPECT_EQ(copy.schema().field(0).name, "label");
+  EXPECT_EQ(copy.GetString(0, 0), "x");
+  ASSERT_OK(engine_.Execute("INSERT INTO c VALUES ('v', 5)").status());
+  EXPECT_EQ(RunQuery(engine_, "SELECT count(*) FROM t").GetInt(0, 0), 4);
+}
+
 TEST_F(DmlTest, CreateTableAsOperatorOutput) {
   // CTAS straight from an analytics operator: persist a model/result.
   ASSERT_OK(engine_.Execute("CREATE TABLE e (src INTEGER, dst INTEGER)")

@@ -206,8 +206,8 @@ TEST_F(ExplainTest, AnalyzeKmeansReportsOperatorAndInputRows) {
   // The operator consumes its input pipelines' relations and emits one
   // row per center.
   EXPECT_EQ(Metric(text, "TableFunction kmeans", "rows_out"), 2) << text;
-  // The data input pipeline materialized all 4 source rows.
-  EXPECT_EQ(Metric(text, "Project [a#0, b#1] (column copy)", "rows_out"), 4)
+  // The data input pipeline selected all 4 source rows.
+  EXPECT_EQ(Metric(text, "Scan t project [a#0, b#1]", "rows_out"), 4)
       << text;
   EXPECT_NE(text.find("time="), std::string::npos);
 }

@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "tests/test_util.h"
@@ -182,7 +183,8 @@ TEST_F(PhysicalPlanTest, SortIsStableOnEqualKeys) {
 TEST_F(PhysicalPlanTest, SortOverFilterAgreesWithSortOverBareTable) {
   // ORDER BY over a filter sorts the filter's materialized stream (worker
   // partials reassembled in source order); ORDER BY over a bare table
-  // sorts its column copy. Both must produce identical orderings.
+  // sorts a selection of its columns. Both must produce identical
+  // orderings.
   RunQuery(*engine_, "CREATE TABLE sorted_src (a BIGINT, b BIGINT)");
   RunQuery(*engine_,
            "INSERT INTO sorted_src SELECT a, b FROM big WHERE a >= 14");
@@ -218,6 +220,50 @@ TEST_F(PhysicalPlanTest, SortChargesItsComputedKeys) {
   ASSERT_EQ(r.num_rows(), static_cast<size_t>(2 * kBigRows));
   EXPECT_EQ(r.GetInt(0, 0), 0);
   EXPECT_EQ(r.GetInt(r.num_rows() - 1, 0), 15);
+}
+
+TEST_F(PhysicalPlanTest, HiddenSortColumnCostsOnlyTheSort) {
+  // `ORDER BY b` without b in the select list: the sort's input and the
+  // final Project are column selections. Over a flat table they share
+  // buffers, so only the sort reserves: a and b sorted plus the uint32
+  // permutation, 20 B a row. A sealed table adds the decode of a and b,
+  // 16 B a row.
+  auto sealed = engine_->catalog().GetTable("big");
+  ASSERT_OK(sealed.status());
+  ASSERT_TRUE((*sealed)->sealed());
+  auto decoded = FlatView(*sealed, nullptr);
+  ASSERT_OK(decoded.status());
+  // Its columns carry spare capacity, which the sort must not charge for
+  // its output.
+  const Table& rows = **decoded;
+  Column a(DataType::kBigInt), b(DataType::kBigInt);
+  a.Reserve(2 * rows.num_rows());
+  b.Reserve(2 * rows.num_rows());
+  for (size_t r = 0; r < rows.num_rows(); ++r) {
+    a.AppendBigInt(rows.column(0).GetBigInt(r));
+    b.AppendBigInt(rows.column(1).GetBigInt(r));
+  }
+  auto flat = std::make_shared<Table>("big_flat", rows.schema());
+  ASSERT_OK(flat->SetColumn(0, std::move(a)));
+  ASSERT_OK(flat->SetColumn(1, std::move(b)));
+  ASSERT_OK(engine_->catalog().RegisterTable(flat));
+  const std::string flat_sql = "SELECT a FROM big_flat ORDER BY b";
+  const std::string sealed_sql = "SELECT a FROM big ORDER BY b";
+  const std::string flat_text = AnalyzeText(*engine_, flat_sql);
+  const std::string sealed_text = AnalyzeText(*engine_, sealed_sql);
+  EXPECT_LE(TotalBytesReserved(flat_text), 20 * kBigRows) << flat_text;
+  EXPECT_LE(TotalBytesReserved(sealed_text), 36 * kBigRows) << sealed_text;
+  EXPECT_EQ(Metric(flat_text, "Project [a#0]", "rows_out"), kBigRows)
+      << flat_text;
+  const QueryResult flat_rows = RunQuery(*engine_, flat_sql);
+  const QueryResult sealed_rows = RunQuery(*engine_, sealed_sql);
+  ASSERT_EQ(flat_rows.num_rows(), static_cast<size_t>(kBigRows));
+  ASSERT_EQ(sealed_rows.num_rows(), flat_rows.num_rows());
+  for (size_t i = 0; i < flat_rows.num_rows(); ++i) {
+    ASSERT_EQ(flat_rows.GetInt(i, 0), sealed_rows.GetInt(i, 0)) << i;
+  }
+  EXPECT_EQ(flat_rows.GetInt(0, 0), 15);  // b = 85 is the smallest key
+  RunQuery(*engine_, "DROP TABLE big_flat");
 }
 
 TEST_F(PhysicalPlanTest, TopNIsOnePipelineWithBoundedMemory) {

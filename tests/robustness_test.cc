@@ -241,11 +241,6 @@ const FaultCase kFaultMatrix[] = {
      StatusCode::kCancelled},
     {"exec.morsel", FaultInjector::Kind::kError,
      "SELECT a FROM t WHERE a > 0", StatusCode::kInternal},
-    // exec.project guards the bulk column-copy fast path, which only fires
-    // for pure column selections feeding an analytics operator.
-    {"exec.project", FaultInjector::Kind::kOom,
-     "SELECT * FROM PAGERANK((SELECT a, a FROM t))",
-     StatusCode::kResourceExhausted},
     {"exec.sort", FaultInjector::Kind::kOom,
      "SELECT a FROM t ORDER BY a", StatusCode::kResourceExhausted},
     // LIMIT stores its rows through a MaterializeSink: storage appends.

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+
 #include "storage/catalog.h"
 #include "storage/data_chunk.h"
 #include "storage/table.h"
@@ -186,14 +188,75 @@ TEST(TableTest, SetColumnValidation) {
   EXPECT_FALSE(t.SetColumn(5, Column::FromDoubles({1})).ok());
 }
 
-TEST(TableTest, TruncateKeepsSchema) {
-  Table t("t", Schema({Field("a", DataType::kBigInt)}));
-  ASSERT_OK(t.AppendRow({Value::BigInt(1)}));
-  t.Truncate();
-  EXPECT_EQ(t.num_rows(), 0u);
-  EXPECT_EQ(t.schema().num_fields(), 1u);
-  ASSERT_OK(t.AppendRow({Value::BigInt(2)}));
-  EXPECT_EQ(t.num_rows(), 1u);
+/// Every cell of `t`, row by row.
+std::vector<std::vector<Value>> Rows(const Table& t) {
+  std::vector<std::vector<Value>> rows;
+  for (size_t r = 0; r < t.num_rows(); ++r) rows.push_back(t.GetRow(r));
+  return rows;
+}
+
+/// A column selection of a flat table shares the table's buffers, and each
+/// write path of a table built from it copies a shared column first: the
+/// source and an earlier selection keep their rows and their buffers.
+TEST(TableTest, WritesToASharedSelectionLeaveSourceAndViewsUnchanged) {
+  auto src = std::make_shared<Table>(
+      "t", Schema({Field("a", DataType::kBigInt),
+                   Field("s", DataType::kVarchar),
+                   Field("x", DataType::kDouble)}));
+  for (int64_t i = 0; i < 100; ++i) {
+    ASSERT_OK(src->AppendRow({Value::BigInt(i),
+                              Value::Varchar("v" + std::to_string(i)),
+                              Value::Double(0.5 * static_cast<double>(i))}));
+  }
+  const Table& source = *src;
+  const std::vector<size_t> cols{2, 0, 1};
+  const Schema renamed({Field("x2", DataType::kDouble),
+                        Field("a2", DataType::kBigInt),
+                        Field("s2", DataType::kVarchar)});
+  auto earlier = FlatView(src, nullptr, &cols, &renamed);
+  ASSERT_OK(earlier.status());
+  const Table& view = **earlier;
+  EXPECT_EQ(view.schema().field(1).name, "a2");
+  // Shared, not copied: the view reads the source's buffers.
+  EXPECT_EQ(view.column(0).F64Data(), source.column(2).F64Data());
+  EXPECT_EQ(view.column(1).I64Data(), source.column(0).I64Data());
+  EXPECT_EQ(&view.column(2).Strings(), &source.column(1).Strings());
+  const auto src_rows = Rows(source);
+  const auto view_rows = Rows(view);
+  const int64_t* src_a = source.column(0).I64Data();
+  const double* src_x = source.column(2).F64Data();
+  const std::vector<std::string>* src_s = &source.column(1).Strings();
+
+  DataChunk chunk(renamed);
+  chunk.column(0).AppendDouble(-1.0);
+  chunk.column(1).AppendBigInt(-1);
+  chunk.column(2).AppendString("new");
+  const std::vector<std::function<Status(Table&)>> writes = {
+      [](Table& t) {
+        return t.AppendRow(
+            {Value::Double(-1.0), Value::BigInt(-1), Value::Varchar("new")});
+      },
+      [&](Table& t) { return t.AppendChunk(chunk); },
+      [](Table& t) {
+        t.column(0).AppendDouble(-1.0);
+        t.column(1).AppendBigInt(-1);
+        t.column(2).AppendString("new");
+        return Status::OK();
+      },
+  };
+  for (size_t w = 0; w < writes.size(); ++w) {
+    auto sel = FlatView(src, nullptr, &cols, &renamed);
+    ASSERT_OK(sel.status());
+    ASSERT_OK(writes[w](**sel));
+    EXPECT_EQ((*sel)->num_rows(), 101u) << "write " << w;
+    EXPECT_EQ((*sel)->GetRow(100)[2], Value::Varchar("new")) << "write " << w;
+    EXPECT_EQ(Rows(source), src_rows) << "write " << w;
+    EXPECT_EQ(Rows(view), view_rows) << "write " << w;
+    EXPECT_EQ(source.column(0).I64Data(), src_a) << "write " << w;
+    EXPECT_EQ(source.column(2).F64Data(), src_x) << "write " << w;
+    EXPECT_EQ(&source.column(1).Strings(), src_s) << "write " << w;
+    EXPECT_EQ(view.column(1).I64Data(), src_a) << "write " << w;
+  }
 }
 
 TEST(TableTest, ToStringContainsHeaderAndRows) {

@@ -765,37 +765,93 @@ void CheckFsyncDiscard(const SourceModel& model, const AnalyzerConfig& cfg,
 }
 
 // =========================================================================
-// raw std synchronization types (token-exact successor of lint.sh rule 2)
+// banned token sequences (token-exact successors of lint.sh rules 1, 2, 4)
 // =========================================================================
+
+/// Reports, as `check`, every token position in files under `prefixes`
+/// where `match` names a banned spelling, except in files under `owner`
+/// and on lines annotated `analyze:allow(<check>: reason)`. Comments and
+/// strings never match: they are not tokens.
+void CheckBannedTokens(
+    const SourceModel& model, const std::string& check,
+    const std::vector<std::string>& prefixes, const std::string& owner,
+    const std::function<std::string(const std::vector<Token>&, size_t)>& match,
+    const std::string& why, std::vector<Finding>* findings) {
+  for (const TokenStream& file : model.files()) {
+    if (HasPrefix(file.path, owner)) continue;
+    bool in_scope = false;
+    for (const std::string& p : prefixes) {
+      if (HasPrefix(file.path, p)) in_scope = true;
+    }
+    if (!in_scope) continue;
+    for (size_t i = 0; i < file.tokens.size(); ++i) {
+      const std::string what = match(file.tokens, i);
+      if (what.empty() || file.HasAllowAnnotation(file.tokens[i].line, check)) {
+        continue;
+      }
+      findings->push_back({check, file.path, file.tokens[i].line,
+                           what + " outside " + owner + " " + why +
+                               ", or annotate analyze:allow(" + check +
+                               ": reason)"});
+    }
+  }
+}
+
+/// `std::<name>` at token i with `name` in `names`, else "".
+std::string StdName(const std::vector<Token>& toks, size_t i,
+                    const std::set<std::string>& names) {
+  if (i + 2 >= toks.size() || !IsIdent(toks[i], "std") ||
+      !IsPunct(toks[i + 1], "::") || !IsIdent(toks[i + 2]) ||
+      names.count(toks[i + 2].text) == 0) {
+    return "";
+  }
+  return "std::" + toks[i + 2].text;
+}
 
 void CheckRawSync(const SourceModel& model, const AnalyzerConfig& cfg,
                   std::vector<Finding>* findings) {
   static const std::set<std::string> kBanned = {
       "mutex",      "recursive_mutex", "shared_mutex", "condition_variable",
       "lock_guard", "unique_lock",     "scoped_lock"};
-  for (const TokenStream& file : model.files()) {
-    if (file.path == cfg.raw_sync_owner) continue;
-    bool in_scope = false;
-    for (const std::string& p : cfg.raw_sync_prefixes) {
-      if (HasPrefix(file.path, p)) in_scope = true;
-    }
-    if (!in_scope) continue;
-    const std::vector<Token>& toks = file.tokens;
-    for (size_t i = 0; i + 2 < toks.size(); ++i) {
-      if (!IsIdent(toks[i], "std") || !IsPunct(toks[i + 1], "::") ||
-          !IsIdent(toks[i + 2]) || kBanned.count(toks[i + 2].text) == 0) {
-        continue;
-      }
-      if (file.HasAllowAnnotation(toks[i].line, "raw-sync")) continue;
-      findings->push_back(
-          {"raw-sync", file.path, toks[i].line,
-           "std::" + toks[i + 2].text +
-               " outside " + cfg.raw_sync_owner +
-               " is invisible to the thread-safety analysis — use "
-               "soda::Mutex / MutexLock / CondVar, or annotate "
-               "analyze:allow(raw-sync: reason)"});
-    }
-  }
+  CheckBannedTokens(
+      model, "raw-sync", cfg.raw_sync_prefixes, cfg.raw_sync_owner,
+      [](const std::vector<Token>& toks, size_t i) {
+        return StdName(toks, i, kBanned);
+      },
+      "is invisible to the thread-safety analysis — use soda::Mutex / "
+      "MutexLock / CondVar",
+      findings);
+}
+
+void CheckRawThread(const SourceModel& model, const AnalyzerConfig& cfg,
+                    std::vector<Finding>* findings) {
+  CheckBannedTokens(
+      model, "raw-thread", cfg.raw_thread_prefixes, cfg.raw_thread_owner,
+      [](const std::vector<Token>& toks, size_t i) {
+        return StdName(toks, i, {"thread"});
+      },
+      "escapes cancellation, WaitIdle and the pool's worker accounting — "
+      "run query work through ParallelFor / the ThreadPool",
+      findings);
+}
+
+void CheckRawAnnotation(const SourceModel& model, const AnalyzerConfig& cfg,
+                        std::vector<Finding>* findings) {
+  static const std::set<std::string> kAttributes = {
+      "guarded_by", "exclusive_locks_required", "capability",
+      "acquire_capability"};
+  CheckBannedTokens(
+      model, "raw-annotation", cfg.raw_sync_prefixes,
+      cfg.raw_annotation_owner,
+      [](const std::vector<Token>& toks, size_t i) -> std::string {
+        if (i + 3 >= toks.size() || !IsIdent(toks[i], "__attribute__") ||
+            !IsPunct(toks[i + 1], "(") || !IsPunct(toks[i + 2], "(") ||
+            !IsIdent(toks[i + 3]) || kAttributes.count(toks[i + 3].text) == 0) {
+          return "";
+        }
+        return "__attribute__((" + toks[i + 3].text + "))";
+      },
+      "breaks the GCC no-op fallback — use the SODA_* macros", findings);
 }
 
 }  // namespace
@@ -824,6 +880,10 @@ std::vector<Finding> RunChecks(const SourceModel& model,
   if (enabled("serde-bounds")) CheckSerdeBounds(model, config, &findings);
   if (enabled("fsync-discard")) CheckFsyncDiscard(model, config, &findings);
   if (enabled("raw-sync")) CheckRawSync(model, config, &findings);
+  if (enabled("raw-thread")) CheckRawThread(model, config, &findings);
+  if (enabled("raw-annotation")) {
+    CheckRawAnnotation(model, config, &findings);
+  }
   std::sort(findings.begin(), findings.end());
   findings.erase(std::unique(findings.begin(), findings.end(),
                              [](const Finding& a, const Finding& b) {

@@ -36,10 +36,18 @@
 ///                     scoped_lock outside src/util/mutex.h: soda::Mutex
 ///                     carries the thread-safety capability annotations,
 ///                     the std types silently opt out of the analysis.
+///   raw-thread        std::thread outside src/util/thread_pool.* (tests
+///                     exempt): query work runs on the pool, where the
+///                     governor can cancel and bound it. Control-plane
+///                     threads carry an allow annotation at the site.
+///   raw-annotation    raw __attribute__((guarded_by / capability / ...))
+///                     outside src/util/thread_annotations.h: the SODA_*
+///                     macros keep the GCC no-op fallback working.
 ///
 /// Suppression: `// analyze:allow(<key>: <reason>)` on the finding's
 /// line or the line above, with keys lock-order / status / guard-probe /
-/// fault-site / serde-bounds / fsync / raw-sync. The reason is mandatory.
+/// fault-site / serde-bounds / fsync / raw-sync / raw-thread /
+/// raw-annotation. The reason is mandatory.
 
 #ifndef SODA_TOOLS_ANALYZE_CHECKS_H_
 #define SODA_TOOLS_ANALYZE_CHECKS_H_
@@ -114,6 +122,17 @@ struct AnalyzerConfig {
   std::vector<std::string> raw_sync_prefixes = {"src/", "tests/", "bench/",
                                                 "examples/", "tools/"};
   std::string raw_sync_owner = "src/util/mutex.h";
+
+  /// raw-thread: files (prefix match) where std::thread is banned — tests
+  /// are exempt, they race the engine from outside threads on purpose —
+  /// and the prefix of the pool that owns query threads.
+  std::vector<std::string> raw_thread_prefixes = {"src/", "bench/",
+                                                  "examples/", "tools/"};
+  std::string raw_thread_owner = "src/util/thread_pool";
+
+  /// raw-annotation: the one header that spells the raw attributes (the
+  /// check covers the raw_sync_prefixes files).
+  std::string raw_annotation_owner = "src/util/thread_annotations.h";
 
   /// status-provenance: code constructor -> path prefixes allowed to
   /// construct it.

@@ -26,7 +26,7 @@
 /// kernel scheduling deciding *which* statements get ACKed — the
 /// contract checked is schedule-independent).
 ///
-/// Raw std::thread is deliberate here (see the lint rule 1 exemption):
+/// Raw std::thread is deliberate here (see the raw-thread annotation):
 /// the writers must live outside the server process so SIGKILL cannot
 /// take the harness down with the system under test.
 
@@ -314,6 +314,7 @@ int main(int argc, char** argv) {
       }
     }
     std::atomic<bool> stop{false};
+    // analyze:allow(raw-thread: writers must outlive a SIGKILLed server)
     std::vector<std::thread> threads;
     threads.reserve(static_cast<size_t>(writers));
     for (int w = 0; w < writers; ++w) {

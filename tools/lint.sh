@@ -28,30 +28,14 @@ src_files() {
     'bench/*.h' 'examples/*.cc' 'tools/*.cc'
 }
 
-# --- Rule 1: no raw std::thread outside the thread pool. ----------------
-# All parallelism funnels through util/thread_pool.* so the governor can
-# observe and bound it; a stray std::thread escapes cancellation,
-# WaitIdle, and the TSan suite's worker accounting. Tests are exempt:
-# they legitimately race the engine from external threads (e.g. the
-# cross-thread canceller in robustness_test.cc), and the pool itself is
-# the system under test there. src/server/ is exempt too: its threads
-# are control plane (accept loop, per-session handlers, disconnect
-# watchers), not query work — they block on sockets, must outlive any
-# single statement, and are joined by Server::Shutdown's own drain
-# protocol rather than the pool's WaitIdle. src/storage/durability.* is
-# exempt for the same control-plane reason: the maintenance thread
-# (auto-checkpoint + periodic scrub) outlives every statement and is
-# joined by StopMaintenance. tools/chaos_driver.cc is exempt because its
-# writer threads must live outside the server process under test —
-# SIGKILLing the server cannot be allowed to take the harness down.
-hits="$(src_files | grep -v '^src/util/thread_pool' | grep -v '^tests/' \
-        | grep -v '^src/server/' \
-        | grep -v '^src/storage/durability' \
-        | grep -v '^tools/chaos_driver\.cc$' \
-        | xargs grep -n 'std::thread\b' 2>/dev/null || true)"
-if [[ -n "${hits}" ]]; then
-  fail "std::thread outside src/util/thread_pool.*" "${hits}"
-fi
+# --- Rule 1: moved into soda-analyze (raw-thread). ---------------------
+# tools/analyze/checks.cc bans std::thread outside src/util/thread_pool.*
+# token-exactly in src/, bench/, examples/ and tools/ (tests are exempt:
+# they race the engine from outside threads on purpose). The control-plane
+# threads — server accept loop and session handlers, the durability
+# maintenance thread, the chaos driver's writers — carry
+# `// analyze:allow(raw-thread: reason)` at each site instead of the old
+# path exemptions.
 
 # --- Rule 2: moved into soda-analyze (raw-sync). -----------------------
 # tools/analyze/checks.cc bans std::mutex, recursive_mutex, shared_mutex,
@@ -70,15 +54,11 @@ fi
 # `// analyze:allow(fsync-discard: reason)`. Run via tools/check.sh or
 #   build/tools/soda-analyze --compdb build/compile_commands.json
 
-# --- Rule 4: thread-safety annotations only via the SODA_ macros. -------
-# Raw __attribute__((guarded_by(...))) spellings break the GCC no-op
-# fallback in thread_annotations.h.
-hits="$(src_files | grep -v '^src/util/thread_annotations\.h$' \
-        | xargs grep -nE '__attribute__\(\((guarded_by|exclusive_locks_required|capability|acquire_capability)' \
-        2>/dev/null || true)"
-if [[ -n "${hits}" ]]; then
-  fail "raw thread-safety attribute (use the SODA_* macros from util/thread_annotations.h)" "${hits}"
-fi
+# --- Rule 4: moved into soda-analyze (raw-annotation). -----------------
+# Raw __attribute__((guarded_by / exclusive_locks_required / capability /
+# acquire_capability ...)) spellings break the GCC no-op fallback in
+# thread_annotations.h; the check flags them token-exactly everywhere but
+# that header.
 
 # --- Rule 5: subsumed by soda-analyze (fault-site). ---------------------
 # The old grep checked one direction only (probed site -> registry).
