@@ -1,12 +1,21 @@
 /// \file kmeans.h
 /// The physical k-Means operator (paper §6.1).
 ///
-/// Lloyd's algorithm with morsel-parallel assignment: each worker assigns
-/// its tuples to the nearest center and accumulates per-cluster sums in
-/// thread-local state; synchronization happens only for the final merge
-/// and center update, exactly as §6.1 describes. The distance metric is a
-/// variation point: a compiled SQL lambda (paper §7) or the built-in
-/// squared-L2 default.
+/// Lloyd's algorithm with morsel-parallel assignment: each morsel (a
+/// stripe of the input) assigns its tuples to the nearest center and
+/// accumulates per-cluster sums in its own state; synchronization happens
+/// only for the final merge, in stripe order, and the center update, as
+/// §6.1 describes. Stripes do not depend on the worker count, so neither do
+/// the centers.
+///
+/// The input columns are read in place, 256 rows at a time: distances are
+/// computed center-major over a block, one weighted squared (or absolute)
+/// difference per dimension, in loops with a fixed trip count. The
+/// distance metric is a variation point: the built-in squared L2 (unit
+/// weights), a compiled SQL lambda (paper §7) whose pattern form has one
+/// `a[j] - b[j]` term per dimension and so runs the same loops, or any
+/// other lambda, evaluated per (point, center) pair over a row-major copy
+/// of the block.
 
 #ifndef SODA_ANALYTICS_KMEANS_H_
 #define SODA_ANALYTICS_KMEANS_H_

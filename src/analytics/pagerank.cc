@@ -1,8 +1,6 @@
 #include "analytics/pagerank.h"
 
-#include <atomic>
 #include <cmath>
-#include <unordered_map>
 
 #include "graph/csr.h"
 #include "util/parallel.h"
@@ -30,13 +28,15 @@ Result<TablePtr> RunPageRank(const Table& edges,
   }
 
   const size_t e = edges.num_rows();
-  // The edge copies plus the CSR index are the operator's dominant
-  // allocations; charge them before building (the CSR holds offsets,
-  // targets and optionally weights, roughly 2x the edge list).
-  SODA_RETURN_NOT_OK(GuardReserve(options.guard,
-                                  4 * e * sizeof(int64_t), "pagerank.csr"));
-  std::vector<int64_t> src(src_col.I64Data(), src_col.I64Data() + e);
-  std::vector<int64_t> dst(dst_col.I64Data(), dst_col.I64Data() + e);
+  const size_t weight_bytes = options.edge_weight ? e * sizeof(double) : 0;
+  // The per-edge arrays are the operator's dominant allocations: the
+  // lambda's weights, the CSR's targets and weights, and the builder's two
+  // dense-id arrays. Charge them before building; the per-vertex arrays
+  // are charged once the vertex count is known.
+  const size_t csr_edge_bytes = e * sizeof(uint32_t) + weight_bytes;
+  SODA_RETURN_NOT_OK(GuardReserve(
+      options.guard, weight_bytes + csr_edge_bytes + 2 * e * sizeof(uint32_t),
+      "pagerank.csr"));
 
   // Optional per-edge weights via the lambda (single tuple parameter =
   // the whole edge row, densified to doubles).
@@ -63,11 +63,12 @@ Result<TablePtr> RunPageRank(const Table& edges,
   }
 
   // Temporary CSR over *incoming* edges (pull-based iteration: vertex v
-  // reads its in-neighbors' ranks), paper §6.3. Re-labeling to dense ids
-  // happens inside the builder.
+  // reads its in-neighbors' ranks), paper §6.3, built from the edge
+  // columns in place. Re-labeling to dense ids happens inside the builder.
   SODA_ASSIGN_OR_RETURN(
       CsrGraph in_csr,
-      CsrBuilder::Build(dst, src, weights.empty() ? nullptr : &weights));
+      CsrBuilder::Build({dst_col.I64Data(), e}, {src_col.I64Data(), e},
+                        weights));
   const size_t v = in_csr.num_vertices();
   if (stats) {
     stats->num_vertices = v;
@@ -78,28 +79,34 @@ Result<TablePtr> RunPageRank(const Table& edges,
       {Field("vertex", DataType::kBigInt), Field("rank", DataType::kDouble)});
   auto out = std::make_shared<Table>("pagerank", out_schema);
   if (v == 0) return out;
+  // The CSR's per-vertex arrays plus out_weight, inv_out, rank, next and
+  // contrib below.
+  SODA_RETURN_NOT_OK(GuardReserve(
+      options.guard,
+      in_csr.MemoryUsage() - csr_edge_bytes + 5 * v * sizeof(double),
+      "pagerank.csr"));
 
-  // Out-degree (or total outgoing weight) per dense vertex. The in-CSR's
-  // original-id mapping covers every vertex, so map src ids through it by
-  // rebuilding a dense lookup.
+  // Out-degree (or total outgoing weight) per dense vertex: the in-CSR's
+  // targets are the edges' sources.
   std::vector<double> out_weight(v, 0.0);
-  {
-    std::unordered_map<int64_t, uint32_t> to_dense;
-    to_dense.reserve(v * 2);
-    for (uint32_t i = 0; i < v; ++i) to_dense.emplace(in_csr.OriginalId(i), i);
-    for (size_t i = 0; i < e; ++i) {
-      out_weight[to_dense[src[i]]] += weights.empty() ? 1.0 : weights[i];
-    }
+  const std::vector<uint32_t>& sources = in_csr.targets();
+  if (in_csr.has_weights()) {
+    const std::vector<double>& w = in_csr.weights();
+    for (size_t i = 0; i < e; ++i) out_weight[sources[i]] += w[i];
+  } else {
+    for (size_t i = 0; i < e; ++i) out_weight[sources[i]] += 1.0;
   }
 
   std::vector<double> rank(v, 1.0 / static_cast<double>(v));
   std::vector<double> next(v, 0.0);
-  // Per-edge transition contribution rank[u] * w(u,v) / W_out(u); we
-  // precompute 1/W_out to keep the inner loop multiply-only.
+  // Per-edge transition contribution rank[u] * w(u,v) / W_out(u); 1/W_out
+  // is precomputed, and contrib[u] = rank[u] / W_out(u) is formed once per
+  // round, so the inner loop gathers one array.
   std::vector<double> inv_out(v, 0.0);
   for (size_t i = 0; i < v; ++i) {
     if (out_weight[i] > 0) inv_out[i] = 1.0 / out_weight[i];
   }
+  std::vector<double> contrib(v, 0.0);
 
   const double d = options.damping;
   const double base = (1.0 - d) / static_cast<double>(v);
@@ -114,29 +121,28 @@ Result<TablePtr> RunPageRank(const Table& edges,
     double dangling = 0;
     for (size_t i = 0; i < v; ++i) {
       if (out_weight[i] == 0) dangling += rank[i];
+      contrib[i] = rank[i] * inv_out[i];
     }
     const double redistribute = d * dangling / static_cast<double>(v);
 
     // New ranks, one vertex per slot — no synchronization inside the
-    // iteration (paper §6.3), since each v writes only next[v].
-    const bool weighted = in_csr.has_weights();
+    // iteration (paper §6.3), since each v writes only next[v]. Each sum
+    // runs over one neighbour list in CSR order, whatever the schedule.
     SODA_RETURN_NOT_OK(ParallelFor(
         options.guard, v, [&](size_t begin, size_t end, size_t) {
+          const uint32_t* targets = in_csr.targets().data();
+          const uint64_t* offsets = in_csr.offsets().data();
+          const double* w =
+              in_csr.has_weights() ? in_csr.weights().data() : nullptr;
           for (size_t vert = begin; vert < end; ++vert) {
             double acc = 0;
-            const uint32_t* nb =
-                in_csr.NeighborsBegin(static_cast<uint32_t>(vert));
-            const uint32_t* nbe =
-                in_csr.NeighborsEnd(static_cast<uint32_t>(vert));
-            if (weighted) {
-              const double* w = in_csr.weights().data() +
-                                (nb - in_csr.targets().data());
-              for (; nb != nbe; ++nb, ++w) {
-                acc += rank[*nb] * inv_out[*nb] * *w;
+            if (w) {
+              for (uint64_t j = offsets[vert]; j < offsets[vert + 1]; ++j) {
+                acc += contrib[targets[j]] * w[j];
               }
             } else {
-              for (; nb != nbe; ++nb) {
-                acc += rank[*nb] * inv_out[*nb];
+              for (uint64_t j = offsets[vert]; j < offsets[vert + 1]; ++j) {
+                acc += contrib[targets[j]];
               }
             }
             next[vert] = base + redistribute + d * acc;

@@ -45,11 +45,14 @@ Result<GroupedMoments> ComputeGroupedMoments(const Table& input,
     }
   }
 
+  // One state per morsel (whose boundaries do not depend on the worker
+  // count), merged in morsel order below: the moments are the same at
+  // every thread count.
   const size_t n = input.num_rows();
-  std::vector<LocalState> locals(NumWorkers());
+  std::vector<LocalState> locals(NumMorsels(n));
   SODA_RETURN_NOT_OK(ParallelFor(
-      guard, n, [&](size_t begin, size_t end, size_t worker) {
-        LocalState& local = locals[worker];
+      guard, n, [&](size_t begin, size_t end, size_t) {
+        LocalState& local = locals[MorselIndex(begin)];
         for (size_t i = begin; i < end; ++i) {
           int64_t label = label_col.GetBigInt(i);
           auto& cells = local.CellsFor(label, num_attrs);

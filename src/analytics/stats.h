@@ -63,8 +63,9 @@ struct GroupedMoments {
 
 /// Computes grouped moments over `input`, whose first column is an integer
 /// class label and whose remaining columns are numeric attributes.
-/// Parallel: thread-local accumulation, merged once (the paper's operator
-/// structure, §6.2). `guard` (nullable) is probed at every morsel.
+/// Parallel: per-morsel accumulation, merged once in morsel order (the
+/// paper's operator structure, §6.2), so the result does not depend on the
+/// thread count. `guard` (nullable) is probed at every morsel.
 Result<GroupedMoments> ComputeGroupedMoments(const Table& input,
                                              QueryGuard* guard = nullptr);
 

@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "storage/column.h"
+#include "util/mix_hash.h"
 
 namespace soda {
 
@@ -32,16 +33,6 @@ inline constexpr uint64_t kHashSeed = 0xCBF29CE484222325ULL;
 /// Hash of a NULL cell; any fixed tag works (NULLs never compare equal in
 /// joins, and group-equality re-checks the cells).
 inline constexpr uint64_t kNullHash = 0x9E3779B97F4A7C15ULL;
-
-/// SplitMix64 finalizer: a full-avalanche 64-bit bijection.
-inline uint64_t MixHash(uint64_t x) {
-  x ^= x >> 30;
-  x *= 0xBF58476D1CE4E5B9ULL;
-  x ^= x >> 27;
-  x *= 0x94D049BB133111EBULL;
-  x ^= x >> 31;
-  return x;
-}
 
 /// Folds one cell hash into a running row hash. Mix-after-combine: the
 /// result avalanches before the next column is folded in, so per-column

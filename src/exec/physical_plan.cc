@@ -94,13 +94,6 @@ PhysOpPtr Op(std::string name) {
   return std::make_shared<PhysicalOperator>(std::move(name));
 }
 
-bool AllColumnRefs(const std::vector<ExprPtr>& exprs) {
-  for (const auto& e : exprs) {
-    if (e->kind != ExprKind::kColumnRef) return false;
-  }
-  return true;
-}
-
 Result<TablePtr> ExecuteValues(const PlanNode& plan) {
   auto table = std::make_shared<Table>("values", plan.schema);
   // analyze:allow(guard-probe: statement-literal rows; AppendRow charges storage.append)

@@ -58,6 +58,13 @@ bool IsLogical(BinaryOp op) {
   return op == BinaryOp::kAnd || op == BinaryOp::kOr;
 }
 
+bool AllColumnRefs(const std::vector<ExprPtr>& exprs) {
+  for (const auto& e : exprs) {
+    if (e->kind != ExprKind::kColumnRef) return false;
+  }
+  return true;
+}
+
 ExprPtr Expression::ColumnRef(size_t index, DataType type, std::string name) {
   auto e = std::make_unique<Expression>();
   e->kind = ExprKind::kColumnRef;

@@ -102,6 +102,10 @@ struct Expression {
   bool IsConstant() const;
 };
 
+/// True when every expression is a bare column reference (a projection
+/// that only selects columns).
+bool AllColumnRefs(const std::vector<ExprPtr>& exprs);
+
 }  // namespace soda
 
 #endif  // SODA_EXPR_EXPRESSION_H_

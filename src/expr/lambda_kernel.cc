@@ -235,6 +235,24 @@ bool LambdaKernel::DetectDistanceForm(const Expression& body, size_t a_width,
   return true;
 }
 
+std::optional<LambdaKernel::DimensionForm> LambdaKernel::PerDimensionForm(
+    size_t d) const {
+  if (form_ == SpecialForm::kNone || terms_.size() != d) return std::nullopt;
+  DimensionForm out;
+  out.squared = form_ == SpecialForm::kSumSquaredDiffs;
+  out.weights.assign(d, 0.0);
+  std::vector<bool> seen(d, false);
+  for (const DiffTerm& t : terms_) {
+    const size_t j = t.x.index;
+    if (t.x.from_b == t.y.from_b || t.y.index != j || j >= d || seen[j]) {
+      return std::nullopt;
+    }
+    seen[j] = true;
+    out.weights[j] = t.weight;
+  }
+  return out;
+}
+
 void LambdaKernel::Peephole() {
   constexpr uint32_t kMaxIdx = (1u << 14) - 1;
   std::vector<Instr> out;

@@ -21,14 +21,18 @@
 /// absolute differences, which cover L2, L1/k-Medians, and per-coordinate
 /// weighted metrics — are *pattern-compiled* into a native term loop;
 /// everything else runs on the register VM with peephole-fused
-/// super-instructions (diff, square). The ablation benchmark
-/// bench_ablation_lambda_overhead measures both tiers against the
-/// hard-coded metric.
+/// super-instructions (diff, square). A pattern-compiled body with one
+/// `a[j] - b[j]` term per dimension also reports its per-dimension weights
+/// (`PerDimensionForm`), so an operator can run it in its own column-blocked
+/// loop — the k-Means operator does, with no call per (point, center)
+/// pair. The ablation benchmark bench_ablation_lambda_overhead measures
+/// both tiers against the hard-coded metric.
 
 #ifndef SODA_EXPR_LAMBDA_KERNEL_H_
 #define SODA_EXPR_LAMBDA_KERNEL_H_
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -54,6 +58,23 @@ class LambdaKernel {
   /// True when the body was pattern-compiled to a native distance loop
   /// (exposed for tests and the §7 ablation).
   bool is_pattern_compiled() const { return form_ != SpecialForm::kNone; }
+
+  /// A distance over d-wide tuples that sums one weighted term per
+  /// dimension: weights[j] * (a[j] - b[j])^2 when `squared`, else
+  /// weights[j] * |a[j] - b[j]|.
+  struct DimensionForm {
+    bool squared = true;
+    std::vector<double> weights;
+  };
+
+  /// The body's DimensionForm over d-wide tuples, when its pattern form has
+  /// exactly one `a[j] - b[j]` term (or `b[j] - a[j]`) for every j in
+  /// [0, d), in any term order. `(w * t) * t` and `w * |t|` give each
+  /// term Eval's bits; a caller summing in dimension order may differ from
+  /// Eval, which sums in term order, in the last bit.
+  /// Empty for every other body, including a cross index
+  /// (`a[0] - b[1]`), a missing or repeated dimension and mixed families.
+  std::optional<DimensionForm> PerDimensionForm(size_t d) const;
 
  private:
   enum class Op : uint8_t {

@@ -6,15 +6,19 @@
 /// representation that is optimized for the query at hand. We avoid
 /// storage overhead and an access indirection ... by re-labeling all
 /// vertices and doing a direct mapping." This module implements exactly
-/// that: a parallel builder that densifies arbitrary int64 vertex ids into
-/// [0, V), the CSR arrays, and the reverse mapping used to translate
-/// internal ids back to the original ids after the computation.
+/// that: a serial, stable builder that densifies arbitrary int64 vertex ids
+/// into [0, V) through one open-addressing table, the CSR arrays, and the
+/// reverse mapping used to translate internal ids back to the original ids
+/// after the computation. Dense ids follow first appearance in the edge
+/// list and each neighbour list keeps edge order, so the graph (and every
+/// sum an operator forms over a neighbour list) does not depend on the
+/// thread count.
 
 #ifndef SODA_GRAPH_CSR_H_
 #define SODA_GRAPH_CSR_H_
 
 #include <cstdint>
-#include <unordered_map>
+#include <span>
 #include <vector>
 
 #include "util/status.h"
@@ -69,13 +73,14 @@ class CsrGraph {
 /// Builds a CsrGraph from an edge list of original (src, dst) id pairs.
 class CsrBuilder {
  public:
-  /// Densifies ids, counts degrees, and fills adjacency using a two-pass
-  /// counting build (parallel counting + prefix sum + parallel scatter).
-  /// `src` and `dst` must have equal length. Optional `weights` must be
-  /// parallel to the edges.
-  static Result<CsrGraph> Build(const std::vector<int64_t>& src,
-                                const std::vector<int64_t>& dst,
-                                const std::vector<double>* weights = nullptr);
+  /// Relabels ids in first-appearance order (src before dst within an
+  /// edge), counts out-degrees, prefix-sums them and scatters the targets
+  /// in edge order (a stable counting sort). The edge arrays are read in
+  /// place (a table's columns or a vector). `src` and `dst` must have equal
+  /// length; `weights`, when not empty, must be parallel to the edges.
+  static Result<CsrGraph> Build(std::span<const int64_t> src,
+                                std::span<const int64_t> dst,
+                                std::span<const double> weights = {});
 
  private:
   CsrBuilder() = default;

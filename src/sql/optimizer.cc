@@ -444,6 +444,20 @@ PlanPtr OptimizeNode(PlanPtr plan, Catalog* catalog) {
       }
       return plan;
     }
+    case PlanKind::kProject: {
+      // A column-ref Project over another column-ref Project selects
+      // columns of the inner input directly: one selection, not two (over
+      // a pipeline breaker, one that copies nothing). The outer schema
+      // keeps the aliases.
+      PlanNode& inner = *plan->children[0];
+      if (inner.kind == PlanKind::kProject && AllColumnRefs(plan->exprs) &&
+          AllColumnRefs(inner.exprs)) {
+        for (auto& e : plan->exprs) e = inner.exprs[e->column_index]->Clone();
+        PlanPtr input = std::move(inner.children[0]);
+        plan->children[0] = std::move(input);
+      }
+      return plan;
+    }
     case PlanKind::kJoin:
       return RewriteJoin(std::move(plan), {}, catalog);
     case PlanKind::kScan:

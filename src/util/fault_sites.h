@@ -34,7 +34,7 @@ inline constexpr FaultSiteInfo kFaultSites[] = {
     // Analytics operators (§6/§7).
     {"cc.edges", "connected components: CSR edge-copy allocation charge"},
     {"cc.iteration", "connected components: per-iteration probe"},
-    {"kmeans.densify", "k-means: input densification allocation charge"},
+    {"kmeans.densify", "k-means: assignment-vector allocation charge"},
     {"kmeans.iteration", "k-means: per-iteration probe"},
     {"pagerank.csr", "PageRank: CSR build allocation charge"},
     {"pagerank.iteration", "PageRank: per-iteration probe"},

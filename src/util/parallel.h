@@ -4,8 +4,10 @@
 /// Work is split into fixed-size "morsels" that workers pull from a shared
 /// atomic cursor — the scheme HyPer uses for elastic intra-query
 /// parallelism. Operators express their loops as `ParallelFor` over tuple
-/// ranges; each worker owns thread-local state that is merged at the end
-/// (see e.g. the k-Means operator, paper §6.1).
+/// ranges and keep state per worker, or per morsel, merged at the end. A
+/// morsel's boundaries do not depend on the worker count, so per-morsel
+/// state merged in morsel order gives the same result at every thread
+/// count (see e.g. the k-Means operator, paper §6.1).
 
 #ifndef SODA_UTIL_PARALLEL_H_
 #define SODA_UTIL_PARALLEL_H_
@@ -49,10 +51,25 @@ void ParallelFor(size_t total,
 /// abandoned on all workers and the probe's Status is returned. A null
 /// guard still probes the global FaultInjector. Worker exceptions are
 /// rethrown on the calling thread, as in the plain overload.
+///
+/// Unlike the plain overload, `body` runs once per morsel on every path,
+/// the serial one included: `begin` is a multiple of `morsel_size` and
+/// `end - begin <= morsel_size`. At the default size, `MorselIndex(begin)`
+/// therefore names the morsel independently of the worker count.
 Status ParallelFor(QueryGuard* guard, size_t total,
                    const std::function<void(size_t begin, size_t end,
                                             size_t worker_id)>& body,
                    size_t morsel_size = kDefaultMorselSize);
+
+/// Number of default-size morsels the guarded `ParallelFor` splits
+/// `[0, total)` into.
+inline size_t NumMorsels(size_t total) {
+  return (total + kDefaultMorselSize - 1) / kDefaultMorselSize;
+}
+
+/// Index in `[0, NumMorsels(total))` of the default-size morsel starting at
+/// `begin`, as the guarded `ParallelFor` passes it to its body.
+inline size_t MorselIndex(size_t begin) { return begin / kDefaultMorselSize; }
 
 /// Number of worker slots `ParallelFor` may use (= global pool size).
 size_t NumWorkers();

@@ -259,6 +259,211 @@ TEST(KMeansTest, ParallelMatchesSerialExactly) {
   }
 }
 
+/// `rows` as a table of `type` columns x1..xd.
+TablePtr MakeTable(const std::vector<std::vector<double>>& rows,
+                   DataType type) {
+  Schema schema;
+  for (size_t j = 0; j < rows[0].size(); ++j) {
+    schema.AddField(Field("x" + std::to_string(j + 1), type));
+  }
+  auto t = std::make_shared<Table>("pts", schema);
+  for (size_t j = 0; j < rows[0].size(); ++j) {
+    Column col(type);
+    for (const auto& row : rows) {
+      if (type == DataType::kBigInt) {
+        col.AppendBigInt(static_cast<int64_t>(row[j]));
+      } else {
+        col.AppendDouble(row[j]);
+      }
+    }
+    EXPECT_OK(t->SetColumn(j, std::move(col)));
+  }
+  return t;
+}
+
+/// Nearest center per row, one row at a time: the sum over dimensions, in
+/// order, of w_j * (x_j - c_j)^2 (or w_j * |x_j - c_j|), and the first
+/// strictly smaller distance in center order.
+std::vector<uint32_t> ReferenceAssign(
+    const std::vector<std::vector<double>>& rows,
+    const std::vector<std::vector<double>>& centers, bool squared,
+    const std::vector<double>& w) {
+  std::vector<uint32_t> out;
+  for (const auto& row : rows) {
+    uint32_t best = 0;
+    double best_dist = INFINITY;
+    for (size_t c = 0; c < centers.size(); ++c) {
+      double dist = 0;
+      for (size_t j = 0; j < row.size(); ++j) {
+        const double t = row[j] - centers[c][j];
+        dist += squared ? w[j] * t * t : w[j] * std::fabs(t);
+      }
+      if (dist < best_dist) {
+        best_dist = dist;
+        best = static_cast<uint32_t>(c);
+      }
+    }
+    out.push_back(best);
+  }
+  return out;
+}
+
+/// abs(a1-b1) + 2.5 * abs(b2-a2) + 0.5 * abs(a3-b3) over 3 dimensions.
+LambdaKernel WeightedL1Kernel() {
+  const double weights[3] = {1.0, 2.5, 0.5};
+  ExprPtr sum;
+  for (size_t j = 0; j < 3; ++j) {
+    auto a = Expression::ColumnRef(j, DataType::kDouble, "a");
+    auto b = Expression::ColumnRef(3 + j, DataType::kDouble, "b");
+    std::vector<ExprPtr> args;
+    args.push_back(j == 1 ? Expression::Binary(BinaryOp::kSub, std::move(b),
+                                               std::move(a), DataType::kDouble)
+                          : Expression::Binary(BinaryOp::kSub, std::move(a),
+                                               std::move(b), DataType::kDouble));
+    ExprPtr term =
+        Expression::Function("abs", std::move(args), DataType::kDouble);
+    if (weights[j] != 1.0) {
+      term = Expression::Binary(BinaryOp::kMul,
+                                Expression::Literal(Value::Double(weights[j])),
+                                std::move(term), DataType::kDouble);
+    }
+    sum = sum ? Expression::Binary(BinaryOp::kAdd, std::move(sum),
+                                   std::move(term), DataType::kDouble)
+              : std::move(term);
+  }
+  return *LambdaKernel::Compile(*sum, 3);
+}
+
+TEST(KMeansTest, AssignmentsMatchReferenceAcrossBlockAndStripeEdges) {
+  // Row counts below one 256-row block, at one block, and past two 16,384-
+  // row stripes with a ragged tail; k above the block width too. The
+  // built-in L2, the L2 lambda and a weighted L1 lambda (one b - a term)
+  // all assign exactly as the row-at-a-time reference.
+  LambdaKernel l2 = L2Kernel(3);
+  LambdaKernel l1 = WeightedL1Kernel();
+  ASSERT_TRUE(l2.PerDimensionForm(3).has_value());
+  ASSERT_TRUE(l1.PerDimensionForm(3).has_value());
+  Rng rng(41);
+  for (const size_t n : {size_t{7}, size_t{256}, size_t{2 * 16384 + 300 + 7}}) {
+    std::vector<std::vector<double>> rows;
+    for (size_t i = 0; i < n; ++i) {
+      rows.push_back({rng.Uniform(0, 100), rng.Uniform(0, 100),
+                      rng.Uniform(-50, 50)});
+    }
+    for (const size_t k : {size_t{1}, size_t{5}, size_t{300}}) {
+      std::vector<std::vector<double>> ctrs;
+      for (size_t c = 0; c < k; ++c) {
+        ctrs.push_back({rng.Uniform(0, 100), rng.Uniform(0, 100),
+                        rng.Uniform(-50, 50)});
+      }
+      const auto data = MakeTable(rows, DataType::kDouble);
+      const auto centers = MakeTable(ctrs, DataType::kDouble);
+      const auto l2_ref = ReferenceAssign(rows, ctrs, true, {1, 1, 1});
+      const auto l1_ref = ReferenceAssign(rows, ctrs, false, {1, 2.5, 0.5});
+      auto builtin = AssignClusters(*data, *centers, nullptr);
+      auto with_l2 = AssignClusters(*data, *centers, &l2);
+      auto with_l1 = AssignClusters(*data, *centers, &l1);
+      ASSERT_OK(builtin.status());
+      ASSERT_OK(with_l2.status());
+      ASSERT_OK(with_l1.status());
+      EXPECT_EQ(*builtin, l2_ref) << "n=" << n << " k=" << k;
+      EXPECT_EQ(*with_l2, l2_ref) << "n=" << n << " k=" << k;
+      EXPECT_EQ(*with_l1, l1_ref) << "n=" << n << " k=" << k;
+
+      // One round moves every center to the mean of its reference members.
+      KMeansOptions one_round;
+      one_round.max_iterations = 1;
+      one_round.distance = &l1;
+      auto r = RunKMeans(*data, *centers, one_round);
+      ASSERT_OK(r.status());
+      std::vector<std::vector<double>> sums(k, std::vector<double>(3, 0.0));
+      std::vector<size_t> counts(k, 0);
+      for (size_t i = 0; i < n; ++i) {
+        counts[l1_ref[i]]++;
+        for (size_t j = 0; j < 3; ++j) sums[l1_ref[i]][j] += rows[i][j];
+      }
+      for (size_t c = 0; c < k; ++c) {
+        for (size_t j = 0; j < 3; ++j) {
+          const double expected =
+              counts[c] ? sums[c][j] / static_cast<double>(counts[c])
+                        : ctrs[c][j];
+          EXPECT_NEAR(r->centers->column(j + 1).GetDouble(c), expected,
+                      1e-9 * (1 + std::fabs(expected)))
+              << "n=" << n << " k=" << k << " center " << c;
+        }
+      }
+    }
+  }
+}
+
+TEST(KMeansTest, BigIntColumnsMatchDoubleColumns) {
+  // Integer values read from BIGINT columns give the same centers, bit for
+  // bit, as the same values in DOUBLE columns; d = 1 and k = 1 included.
+  Rng rng(43);
+  for (const size_t d : {size_t{1}, size_t{3}}) {
+    std::vector<std::vector<double>> rows;
+    for (size_t i = 0; i < 20000; ++i) {
+      std::vector<double> row;
+      for (size_t j = 0; j < d; ++j) {
+        row.push_back(static_cast<double>(rng.Below(1000)) - 300);
+      }
+      rows.push_back(std::move(row));
+    }
+    for (const size_t k : {size_t{1}, size_t{4}}) {
+      const std::vector<std::vector<double>> ctrs(rows.begin(),
+                                                  rows.begin() + k);
+      KMeansOptions opt;
+      opt.max_iterations = 4;
+      auto ints = RunKMeans(*MakeTable(rows, DataType::kBigInt),
+                            *MakeTable(ctrs, DataType::kBigInt), opt);
+      auto doubles = RunKMeans(*MakeTable(rows, DataType::kDouble),
+                               *MakeTable(ctrs, DataType::kDouble), opt);
+      ASSERT_OK(ints.status());
+      ASSERT_OK(doubles.status());
+      EXPECT_EQ(ints->iterations_run, doubles->iterations_run);
+      for (size_t c = 0; c < k; ++c) {
+        for (size_t j = 1; j <= d; ++j) {
+          EXPECT_EQ(ints->centers->column(j).GetDouble(c),
+                    doubles->centers->column(j).GetDouble(c))
+              << "d=" << d << " k=" << k << " center " << c;
+        }
+      }
+    }
+  }
+}
+
+TEST(KMeansTest, TiesGoToTheLowestCenter) {
+  // Centers 0 and 1 coincide: every tie goes to center 0, so in the first
+  // round center 1 attracts nothing and keeps its position, under every
+  // metric. The second center set repeats centers 0 and 2 after 16 far
+  // ones, so the ties also span the kernel's tiles of centers.
+  auto data = MakePoints({{0, 0, 0}, {1, 1, 1}, {2, 0, 1}, {9, 9, 9}});
+  std::vector<std::vector<double>> many = {{1, 1, 1}, {1, 1, 1}, {9, 9, 9}};
+  for (int c = 0; c < 16; ++c) many.push_back({100.0 + c, 100, 100});
+  many.push_back({1, 1, 1});
+  many.push_back({9, 9, 9});
+  LambdaKernel l1 = WeightedL1Kernel();
+  LambdaKernel l2 = L2Kernel(3);
+  const std::vector<const LambdaKernel*> distances = {nullptr, &l1, &l2};
+  for (const auto& centers :
+       {MakePoints({{1, 1, 1}, {1, 1, 1}, {9, 9, 9}}),
+        MakePoints(many)}) {
+    for (const LambdaKernel* distance : distances) {
+      auto assign = AssignClusters(*data, *centers, distance);
+      ASSERT_OK(assign.status());
+      EXPECT_EQ(*assign, (std::vector<uint32_t>{0, 0, 0, 2}));
+      KMeansOptions opt;
+      opt.max_iterations = 1;
+      opt.distance = distance;
+      auto r = RunKMeans(*data, *centers, opt);
+      ASSERT_OK(r.status());
+      for (size_t j = 1; j <= 3; ++j) {
+        EXPECT_EQ(r->centers->column(j).GetDouble(1), 1.0);
+      }
+    }
+  }
+}
+
 TEST(KMeansTest, AssignClustersConsistentWithTraining) {
   auto data = MakePoints({{0, 0}, {1, 1}, {10, 10}, {11, 11}});
   auto centers = MakePoints({{0.5, 0.5}, {10.5, 10.5}});

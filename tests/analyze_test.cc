@@ -234,6 +234,36 @@ TEST(AnalyzeRawAnnotation, MacrosCommentsStringsAndAnnotatedTwinPass) {
   EXPECT_TRUE(findings.empty()) << Describe(findings);
 }
 
+TEST(AnalyzeRawColumnBuffer, DetectsRawPayloadAccessOutsideStorage) {
+  AnalyzerConfig cfg = FixtureConfig();
+  cfg.raw_thread_prefixes = {"raw_column_buffer_"};
+  auto findings =
+      RunOn({"raw_column_buffer_bad.cc"}, {"raw-column-buffer"}, cfg);
+  EXPECT_EQ(findings.size(), 4u) << Describe(findings);
+  for (int line : {5, 6, 7, 8}) {
+    EXPECT_TRUE(HasFinding(findings, "raw-column-buffer",
+                           "raw_column_buffer_bad.cc", line))
+        << Describe(findings);
+  }
+  // Listed owners are exempt, and so is every file outside the prefixes
+  // (tests).
+  cfg.raw_column_buffer_owners = {"src/storage/", "raw_column_buffer_bad"};
+  EXPECT_TRUE(
+      RunOn({"raw_column_buffer_bad.cc"}, {"raw-column-buffer"}, cfg).empty());
+  cfg = FixtureConfig();
+  cfg.raw_thread_prefixes = {"src/"};
+  EXPECT_TRUE(
+      RunOn({"raw_column_buffer_bad.cc"}, {"raw-column-buffer"}, cfg).empty());
+}
+
+TEST(AnalyzeRawColumnBuffer, CellReadsCommentsStringsAndAnnotatedTwinPass) {
+  AnalyzerConfig cfg = FixtureConfig();
+  cfg.raw_thread_prefixes = {"raw_column_buffer_"};
+  auto findings =
+      RunOn({"raw_column_buffer_ok.cc"}, {"raw-column-buffer"}, cfg);
+  EXPECT_TRUE(findings.empty()) << Describe(findings);
+}
+
 TEST(AnalyzeBaseline, RoundTripSuppressesKnownFindings) {
   auto findings = RunOn({"status_bad.cc"},
                         {"status-discard", "status-collapse"});

@@ -5,8 +5,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <map>
 #include <set>
+#include <utility>
+#include <vector>
 
 #include "graph/csr.h"
 #include "graph/ldbc_generator.h"
@@ -24,9 +27,10 @@ TEST(CsrTest, EmptyGraph) {
 }
 
 TEST(CsrTest, ArityMismatchRejected) {
-  EXPECT_FALSE(CsrBuilder::Build({1, 2}, {3}).ok());
+  const std::vector<int64_t> two = {1, 2};
+  EXPECT_FALSE(CsrBuilder::Build(two, std::vector<int64_t>{3}).ok());
   std::vector<double> w = {1.0};
-  EXPECT_FALSE(CsrBuilder::Build({1, 2}, {3, 4}, &w).ok());
+  EXPECT_FALSE(CsrBuilder::Build(two, std::vector<int64_t>{3, 4}, w).ok());
 }
 
 TEST(CsrTest, RelabelingIsDenseAndReversible) {
@@ -103,7 +107,7 @@ TEST(CsrTest, WeightsTravelWithEdges) {
   std::vector<int64_t> src = {1, 1, 2};
   std::vector<int64_t> dst = {2, 3, 3};
   std::vector<double> w = {0.5, 1.5, 2.5};
-  auto g = CsrBuilder::Build(src, dst, &w);
+  auto g = CsrBuilder::Build(src, dst, w);
   ASSERT_OK(g.status());
   ASSERT_TRUE(g->has_weights());
   // For each vertex, the (target, weight) pairs must match the input.
@@ -121,7 +125,8 @@ TEST(CsrTest, WeightsTravelWithEdges) {
 }
 
 TEST(CsrTest, SelfLoopsAndParallelEdgesPreserved) {
-  auto g = CsrBuilder::Build({1, 1, 1}, {1, 2, 2});
+  auto g = CsrBuilder::Build(std::vector<int64_t>{1, 1, 1},
+                             std::vector<int64_t>{1, 2, 2});
   ASSERT_OK(g.status());
   EXPECT_EQ(g->num_edges(), 3u);
   uint32_t v1 = 0;
@@ -129,6 +134,77 @@ TEST(CsrTest, SelfLoopsAndParallelEdgesPreserved) {
     if (g->OriginalId(v) == 1) v1 = v;
   }
   EXPECT_EQ(g->OutDegree(v1), 3u);
+}
+
+/// The build the CSR must equal exactly: dense ids in first-appearance
+/// order (src before dst within an edge), neighbour lists in edge order.
+void ExpectMatchesOrderedReference(const std::vector<int64_t>& src,
+                                   const std::vector<int64_t>& dst,
+                                   const std::vector<double>& weights) {
+  std::map<int64_t, uint32_t> dense;
+  std::vector<int64_t> original;
+  auto intern = [&](int64_t id) {
+    auto [it, inserted] =
+        dense.emplace(id, static_cast<uint32_t>(original.size()));
+    if (inserted) original.push_back(id);
+    return it->second;
+  };
+  std::vector<std::vector<std::pair<uint32_t, double>>> adjacency;
+  for (size_t i = 0; i < src.size(); ++i) {
+    const uint32_t s = intern(src[i]);
+    const uint32_t d = intern(dst[i]);
+    if (adjacency.size() < original.size()) adjacency.resize(original.size());
+    adjacency[s].push_back({d, weights.empty() ? 0.0 : weights[i]});
+  }
+  auto g = CsrBuilder::Build(src, dst, weights);
+  ASSERT_OK(g.status());
+  ASSERT_EQ(g->original_ids(), original);
+  ASSERT_EQ(g->num_edges(), src.size());
+  ASSERT_EQ(g->has_weights(), !weights.empty());
+  for (uint32_t v = 0; v < g->num_vertices(); ++v) {
+    ASSERT_EQ(g->OutDegree(v), adjacency[v].size()) << v;
+    for (size_t j = 0; j < adjacency[v].size(); ++j) {
+      const uint64_t slot = g->offsets()[v] + j;
+      EXPECT_EQ(g->targets()[slot], adjacency[v][j].first) << v << " " << j;
+      if (g->has_weights()) {
+        EXPECT_EQ(g->weights()[slot], adjacency[v][j].second) << v << " " << j;
+      }
+    }
+  }
+}
+
+TEST(CsrTest, MatchesOrderedReferenceOnExtremeIds) {
+  constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  // Extreme and negative ids, a duplicate edge and self-loops.
+  std::vector<int64_t> src = {kMin, kMax, -1, 0, kMin, -7, kMax, -1};
+  std::vector<int64_t> dst = {kMax, kMin, -1, kMin, kMax, 0, kMax, 3};
+  ExpectMatchesOrderedReference(src, dst, {});
+  ExpectMatchesOrderedReference(src, dst,
+                                {0.5, 1.5, 2.5, 3.5, 4.5, 5.5, 6.5, 7.5});
+  ExpectMatchesOrderedReference({}, {}, {});
+
+  // More than 1,024 distinct ids, so the relabel table grows several
+  // times; ids spread over the whole int64 range.
+  Rng rng(17);
+  src.clear();
+  dst.clear();
+  std::vector<double> w;
+  for (int i = 0; i < 20000; ++i) {
+    const auto pick = [&] {
+      const int64_t slot = static_cast<int64_t>(rng.Below(5000));
+      return slot % 3 == 0 ? kMin + slot : slot % 3 == 1 ? kMax - slot
+                                                         : -slot * 1000003;
+    };
+    src.push_back(pick());
+    dst.push_back(i % 97 == 0 ? src.back() : pick());
+    w.push_back(rng.Uniform(0, 1));
+  }
+  ExpectMatchesOrderedReference(src, dst, {});
+  ExpectMatchesOrderedReference(src, dst, w);
+  auto g = CsrBuilder::Build(src, dst);
+  ASSERT_OK(g.status());
+  EXPECT_GT(g->num_vertices(), 1024u);
 }
 
 TEST(LdbcGeneratorTest, PaperScalesMatchRatios) {

@@ -275,6 +275,120 @@ TEST(LambdaKernelTest, VmPeepholeAgreesWithUnfusedSemantics) {
   EXPECT_DOUBLE_EQ(kernel->Eval(a, b), 4.0 * 5.0);
 }
 
+/// w * (x - y)^2, or w * abs(x - y) when not `squared`, over column refs
+/// x and y of the concatenated (a, b) tuple; w == 1 leaves the factor out.
+ExprPtr Term(bool squared, size_t x, size_t y, double w = 1.0) {
+  ExprPtr diff =
+      Expression::Binary(BinaryOp::kSub, A(x), A(y), DataType::kDouble);
+  ExprPtr core;
+  if (squared) {
+    core = Expression::Binary(BinaryOp::kPow, std::move(diff),
+                              Expression::Literal(Value::BigInt(2)),
+                              DataType::kDouble);
+  } else {
+    std::vector<ExprPtr> args;
+    args.push_back(std::move(diff));
+    core = Expression::Function("abs", std::move(args), DataType::kDouble);
+  }
+  if (w == 1.0) return core;
+  return Expression::Binary(BinaryOp::kMul, LitD(w), std::move(core),
+                            DataType::kDouble);
+}
+
+/// Left-deep sum of `terms`.
+ExprPtr Sum(std::vector<ExprPtr> terms) {
+  ExprPtr sum = std::move(terms[0]);
+  for (size_t i = 1; i < terms.size(); ++i) {
+    sum = Expression::Binary(BinaryOp::kAdd, std::move(sum),
+                             std::move(terms[i]), DataType::kDouble);
+  }
+  return sum;
+}
+
+template <typename... T>
+ExprPtr Sum(T... terms) {
+  std::vector<ExprPtr> v;
+  (v.push_back(std::move(terms)), ...);
+  return Sum(std::move(v));
+}
+
+TEST(LambdaKernelTest, PerDimensionFormReportsWeights) {
+  // Two-dimensional tuples: a = columns 0, 1 and b = columns 2, 3.
+  struct Case {
+    const char* what;
+    ExprPtr body;
+    bool squared;
+    std::vector<double> weights;
+  };
+  std::vector<Case> cases;
+  cases.push_back({"unit L2", Sum(Term(true, 0, 2), Term(true, 1, 3)), true,
+                   {1, 1}});
+  cases.push_back({"weighted L2",
+                   Sum(Term(true, 0, 2, 4.0), Term(true, 1, 3, 0.5)), true,
+                   {4, 0.5}});
+  cases.push_back({"weighted L1",
+                   Sum(Term(false, 0, 2, 2.0), Term(false, 1, 3, 3.0)), false,
+                   {2, 3}});
+  cases.push_back({"b - a orientation",
+                   Sum(Term(true, 2, 0), Term(true, 1, 3, 1.5)), true,
+                   {1, 1.5}});
+  cases.push_back({"reversed term order",
+                   Sum(Term(false, 3, 1, 3.0), Term(false, 0, 2)), false,
+                   {1, 3}});
+  const double a[2] = {1.25, -2};
+  const double b[2] = {4, 7.5};
+  for (const Case& c : cases) {
+    auto kernel = LambdaKernel::Compile(*c.body, 2);
+    ASSERT_OK(kernel.status());
+    const auto form = kernel->PerDimensionForm(2);
+    ASSERT_TRUE(form.has_value()) << c.what;
+    EXPECT_EQ(form->squared, c.squared) << c.what;
+    EXPECT_EQ(form->weights, c.weights) << c.what;
+    // The weights reproduce Eval.
+    double dist = 0;
+    for (size_t j = 0; j < 2; ++j) {
+      const double t = a[j] - b[j];
+      dist += form->squared ? form->weights[j] * t * t
+                            : form->weights[j] * std::fabs(t);
+    }
+    EXPECT_DOUBLE_EQ(kernel->Eval(a, b), dist) << c.what;
+  }
+  auto l2 = LambdaKernel::Compile(*SquaredL2Body(4), 4);
+  ASSERT_OK(l2.status());
+  ASSERT_TRUE(l2->PerDimensionForm(4).has_value());
+  EXPECT_EQ(l2->PerDimensionForm(4)->weights, std::vector<double>(4, 1.0));
+  // The form is per width: a 4-wide body has no 3-wide form.
+  EXPECT_FALSE(l2->PerDimensionForm(3).has_value());
+}
+
+TEST(LambdaKernelTest, PerDimensionFormDeclinesOtherShapes) {
+  struct Case {
+    const char* what;
+    ExprPtr body;
+    double expected;  // Eval at a = (1.25, -2), b = (4, 7.5)
+  };
+  const double a[2] = {1.25, -2};
+  const double b[2] = {4, 7.5};
+  auto sq = [](double x) { return x * x; };
+  std::vector<Case> cases;
+  cases.push_back({"cross index", Sum(Term(true, 0, 3), Term(true, 1, 2)),
+                   sq(a[0] - b[1]) + sq(a[1] - b[0])});
+  cases.push_back({"missing dimension", Term(true, 0, 2), sq(a[0] - b[0])});
+  cases.push_back({"repeated dimension",
+                   Sum(Term(true, 0, 2), Term(true, 2, 0, 2.0)),
+                   3 * sq(a[0] - b[0])});
+  cases.push_back({"one tuple only", Sum(Term(true, 0, 1), Term(true, 2, 3)),
+                   sq(a[0] - a[1]) + sq(b[0] - b[1])});
+  cases.push_back({"mixed families", Sum(Term(false, 0, 2), Term(true, 1, 3)),
+                   std::fabs(a[0] - b[0]) + sq(a[1] - b[1])});
+  for (const Case& c : cases) {
+    auto kernel = LambdaKernel::Compile(*c.body, 2);
+    ASSERT_OK(kernel.status());
+    EXPECT_FALSE(kernel->PerDimensionForm(2).has_value()) << c.what;
+    EXPECT_DOUBLE_EQ(kernel->Eval(a, b), c.expected) << c.what;
+  }
+}
+
 TEST(LambdaKernelTest, PowFastPathMatchesStdPow) {
   // ^2 uses a multiply fast path; ^2.5 goes through std::pow.
   auto sq = Expression::Binary(BinaryOp::kPow, A(0), LitD(2.0),

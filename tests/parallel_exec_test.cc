@@ -809,9 +809,8 @@ TEST_F(ParallelExecTwinTest, ColumnSelectionOverSortAggregateAndIterate) {
 }
 
 TEST_F(ParallelExecTwinTest, AnalyticsOperatorsOverColumnSelections) {
-  // Integer-valued inputs keep every sum the operators form exact, so the
-  // results cannot depend on the order in which workers merge partials
-  // (for fractional inputs that order is still an open defect). Each
+  // Integer-valued inputs keep every sum the operators form exact (the
+  // fractional twin is AnalyticsOperatorsOverFractionalInputs). Each
   // PageRank vertex has two in-edges, from v - 1 and from the u with
   // 7u + 1 = v, and a two-term sum is the same in either order.
   constexpr int64_t kVertices = 200'000;
@@ -841,6 +840,52 @@ TEST_F(ParallelExecTwinTest, AnalyticsOperatorsOverColumnSelections) {
                     sfx + ")) ORDER BY class, attr",
                 "P0: Scan pts" + sfx + " project [l#0, a#1, b#2]\n");
   }
+}
+
+TEST_F(ParallelExecTwinTest, AnalyticsOperatorsOverFractionalInputs) {
+  // Fractional inputs: the sums the operators form round, so the results
+  // equal the serial ones only if partials combine in an order that does
+  // not depend on the schedule (stripes for k-Means and the moments, a
+  // serial stable CSR build for the graph operators). In-degrees in the
+  // hundreds give PageRank long per-vertex sums.
+  ASSERT_OK(workloads::GenerateVectorTable(&engine_.catalog(), "vec", kRows,
+                                           4, 3)
+                .status());
+  ASSERT_OK(workloads::GenerateLabeledTable(&engine_.catalog(), "lab", kRows,
+                                            3, 5)
+                .status());
+  ASSERT_OK(workloads::RegisterGraph(&engine_.catalog(), "social",
+                                     GenerateSocialGraph(2000, 200, 9))
+                .status());
+  const std::string points = "(SELECT x1, x2, x3, x4 FROM vec), ";
+  const std::string centers = "(SELECT x1, x2, x3, x4 FROM vec LIMIT 6), ";
+  const std::vector<std::string> distances = {
+      "",
+      "λ(a, b) (a.x1 - b.x1)^2 + (a.x2 - b.x2)^2 + (a.x3 - b.x3)^2 + "
+      "(a.x4 - b.x4)^2, ",
+      "λ(a, b) 2.5 * abs(b.x2 - a.x2) + abs(a.x1 - b.x1) + "
+      "0.5 * abs(a.x4 - b.x4) + abs(a.x3 - b.x3), ",
+      "λ(a, b) sqrt((a.x1 - b.x1)^2 + (a.x2 - b.x2)^2) + "
+      "abs(a.x3 - b.x3) * (a.x4 - b.x4), ",
+  };
+  for (const std::string& distance : distances) {
+    ExpectTwins("SELECT * FROM KMEANS(" + points + centers + distance + "5)",
+                "TableFunction kmeans");
+  }
+  const std::string edges = "(SELECT src, dst FROM social), 0.85, 0.0, 20";
+  ExpectTwins("SELECT * FROM PAGERANK(" + edges + ")", "TableFunction pagerank");
+  ExpectTwins("SELECT * FROM PAGERANK(" + edges +
+                  ", λ(e) 0.1 + (e.src % 7) * 0.3)",
+              "TableFunction pagerank");
+  ExpectTwins("SELECT * FROM CONNECTED_COMPONENTS((SELECT src, dst FROM "
+              "social))",
+              "TableFunction connected_components");
+  ExpectTwins("SELECT * FROM NAIVE_BAYES_TRAIN((SELECT label, x1, x2, x3 "
+              "FROM lab)) ORDER BY class, attr",
+              "TableFunction naive_bayes_train");
+  ExpectTwins("SELECT * FROM SUMMARIZE((SELECT label, x1, x2, x3 FROM lab)) "
+              "ORDER BY class, attr",
+              "TableFunction summarize");
 }
 
 TEST(WorkloadGeneratorTest, SameSeedGivesTheSameTablesAtAnyWorkerCount) {

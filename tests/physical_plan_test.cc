@@ -266,6 +266,44 @@ TEST_F(PhysicalPlanTest, HiddenSortColumnCostsOnlyTheSort) {
   RunQuery(*engine_, "DROP TABLE big_flat");
 }
 
+TEST_F(PhysicalPlanTest, ColumnRefProjectsComposeIntoOneSelection) {
+  // A column-ref Project over a column-ref Project over a breaker is one
+  // selection of the breaker's result: no streamed copy, 0 B reserved.
+  // The outer aliases name the columns.
+  const std::string nested =
+      "SELECT b, n FROM (SELECT b, count(*) n, sum(a) s FROM big GROUP BY b) q";
+  const std::string twice = "SELECT n FROM (" + nested + ") r";
+  const std::string text = AnalyzeText(*engine_, nested);
+  const size_t select = text.find("P1 [<- P0]:\n  Project [b#0, count#1] ");
+  ASSERT_NE(select, std::string::npos) << text;
+  EXPECT_EQ(text.find("Materialize"), std::string::npos) << text;
+  const size_t reserved = text.find("bytes_reserved=", select);
+  ASSERT_NE(reserved, std::string::npos) << text;
+  EXPECT_EQ(std::strtoll(text.c_str() + reserved + 15, nullptr, 10), 0)
+      << text;
+  EXPECT_NE(AnalyzeText(*engine_, twice)
+                .find("P1 [<- P0]:\n  Project [count#1] "),
+            std::string::npos);
+
+  const QueryResult direct = RunQuery(
+      *engine_, "SELECT b, count(*) n FROM big GROUP BY b ORDER BY b");
+  const QueryResult composed = RunQuery(*engine_, nested + " ORDER BY b");
+  ASSERT_EQ(composed.schema().field(0).name, "b");
+  ASSERT_EQ(composed.schema().field(1).name, "n");
+  ASSERT_EQ(composed.num_rows(), direct.num_rows());
+  ASSERT_EQ(composed.num_rows(), 16u);
+  for (size_t i = 0; i < direct.num_rows(); ++i) {
+    EXPECT_EQ(composed.GetInt(i, 0), direct.GetInt(i, 0)) << i;
+    EXPECT_EQ(composed.GetInt(i, 1), direct.GetInt(i, 1)) << i;
+  }
+  const QueryResult counts = RunQuery(*engine_, twice);
+  ASSERT_EQ(counts.schema().field(0).name, "n");
+  ASSERT_EQ(counts.num_rows(), 16u);
+  for (size_t i = 0; i < counts.num_rows(); ++i) {
+    EXPECT_EQ(counts.GetInt(i, 0), kBigRows / 16) << i;
+  }
+}
+
 TEST_F(PhysicalPlanTest, TopNIsOnePipelineWithBoundedMemory) {
   // ORDER BY ... LIMIT lowers to one Top-N sink: a single pipeline whose
   // sink line reads "Sort [...] top 10", holding a few thousand candidate

@@ -3,9 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <numeric>
+#include <optional>
 #include <set>
 #include <stdexcept>
 
@@ -214,6 +216,35 @@ TEST(GuardedParallelForTest, CancellationStopsMidLoop) {
   // Cooperative: cancellation is observed at a morsel boundary, so not
   // every morsel ran.
   EXPECT_LT(seen.load(), (1u << 20) / 256);
+}
+
+// Per-morsel state indexed by MorselIndex relies on this: the body sees
+// the same default-size morsels on the pool and on the serial path.
+TEST(GuardedParallelForTest, RunsBodyOncePerMorselOnEveryPath) {
+  const size_t total = 3 * kDefaultMorselSize + 5;
+  ASSERT_EQ(NumMorsels(total), 4u);
+  for (bool serial : {false, true}) {
+    std::optional<ScopedSerialExecution> scope;
+    if (serial) scope.emplace();
+    std::vector<std::atomic<size_t>> rows(NumMorsels(total));
+    std::atomic<bool> misaligned{false};
+    Status st = ParallelFor(
+        nullptr, total, [&](size_t begin, size_t end, size_t) {
+          if (begin % kDefaultMorselSize != 0 ||
+              end - begin > kDefaultMorselSize) {
+            misaligned = true;
+            return;
+          }
+          rows[MorselIndex(begin)] += end - begin;
+        });
+    ASSERT_TRUE(st.ok()) << st.ToString();
+    EXPECT_FALSE(misaligned.load()) << "serial=" << serial;
+    for (size_t m = 0; m < rows.size(); ++m) {
+      EXPECT_EQ(rows[m].load(),
+                std::min(kDefaultMorselSize, total - m * kDefaultMorselSize))
+          << "serial=" << serial << " morsel " << m;
+    }
+  }
 }
 
 TEST(GuardedParallelForTest, DeadlineSurfacesAsStatus) {

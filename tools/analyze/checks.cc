@@ -765,32 +765,34 @@ void CheckFsyncDiscard(const SourceModel& model, const AnalyzerConfig& cfg,
 }
 
 // =========================================================================
-// banned token sequences (token-exact successors of lint.sh rules 1, 2, 4)
+// banned token sequences (token-exact successors of lint.sh rules 1, 2, 4, 6)
 // =========================================================================
 
 /// Reports, as `check`, every token position in files under `prefixes`
-/// where `match` names a banned spelling, except in files under `owner`
-/// and on lines annotated `analyze:allow(<check>: reason)`. Comments and
-/// strings never match: they are not tokens.
+/// where `match` names a banned spelling, except in files under one of
+/// `owners` and on lines annotated `analyze:allow(<check>: reason)`.
+/// Comments and strings never match: they are not tokens.
 void CheckBannedTokens(
     const SourceModel& model, const std::string& check,
-    const std::vector<std::string>& prefixes, const std::string& owner,
+    const std::vector<std::string>& prefixes,
+    const std::vector<std::string>& owners,
     const std::function<std::string(const std::vector<Token>&, size_t)>& match,
     const std::string& why, std::vector<Finding>* findings) {
+  const auto under = [](const std::string& path,
+                        const std::vector<std::string>& list) {
+    return std::any_of(list.begin(), list.end(), [&](const std::string& p) {
+      return HasPrefix(path, p);
+    });
+  };
   for (const TokenStream& file : model.files()) {
-    if (HasPrefix(file.path, owner)) continue;
-    bool in_scope = false;
-    for (const std::string& p : prefixes) {
-      if (HasPrefix(file.path, p)) in_scope = true;
-    }
-    if (!in_scope) continue;
+    if (under(file.path, owners) || !under(file.path, prefixes)) continue;
     for (size_t i = 0; i < file.tokens.size(); ++i) {
       const std::string what = match(file.tokens, i);
       if (what.empty() || file.HasAllowAnnotation(file.tokens[i].line, check)) {
         continue;
       }
       findings->push_back({check, file.path, file.tokens[i].line,
-                           what + " outside " + owner + " " + why +
+                           what + " outside " + owners.front() + " " + why +
                                ", or annotate analyze:allow(" + check +
                                ": reason)"});
     }
@@ -814,7 +816,7 @@ void CheckRawSync(const SourceModel& model, const AnalyzerConfig& cfg,
       "mutex",      "recursive_mutex", "shared_mutex", "condition_variable",
       "lock_guard", "unique_lock",     "scoped_lock"};
   CheckBannedTokens(
-      model, "raw-sync", cfg.raw_sync_prefixes, cfg.raw_sync_owner,
+      model, "raw-sync", cfg.raw_sync_prefixes, {cfg.raw_sync_owner},
       [](const std::vector<Token>& toks, size_t i) {
         return StdName(toks, i, kBanned);
       },
@@ -826,7 +828,7 @@ void CheckRawSync(const SourceModel& model, const AnalyzerConfig& cfg,
 void CheckRawThread(const SourceModel& model, const AnalyzerConfig& cfg,
                     std::vector<Finding>* findings) {
   CheckBannedTokens(
-      model, "raw-thread", cfg.raw_thread_prefixes, cfg.raw_thread_owner,
+      model, "raw-thread", cfg.raw_thread_prefixes, {cfg.raw_thread_owner},
       [](const std::vector<Token>& toks, size_t i) {
         return StdName(toks, i, {"thread"});
       },
@@ -842,7 +844,7 @@ void CheckRawAnnotation(const SourceModel& model, const AnalyzerConfig& cfg,
       "acquire_capability"};
   CheckBannedTokens(
       model, "raw-annotation", cfg.raw_sync_prefixes,
-      cfg.raw_annotation_owner,
+      {cfg.raw_annotation_owner},
       [](const std::vector<Token>& toks, size_t i) -> std::string {
         if (i + 3 >= toks.size() || !IsIdent(toks[i], "__attribute__") ||
             !IsPunct(toks[i + 1], "(") || !IsPunct(toks[i + 2], "(") ||
@@ -852,6 +854,28 @@ void CheckRawAnnotation(const SourceModel& model, const AnalyzerConfig& cfg,
         return "__attribute__((" + toks[i + 3].text + "))";
       },
       "breaks the GCC no-op fallback — use the SODA_* macros", findings);
+}
+
+void CheckRawColumnBuffer(const SourceModel& model, const AnalyzerConfig& cfg,
+                          std::vector<Finding>* findings) {
+  static const std::set<std::string> kAccessors = {
+      "I64Data", "MutableI64Data", "F64Data", "MutableF64Data",
+      "Strings", "Validity"};
+  CheckBannedTokens(
+      model, "raw-column-buffer", cfg.raw_thread_prefixes,
+      cfg.raw_column_buffer_owners,
+      [](const std::vector<Token>& toks, size_t i) -> std::string {
+        if (i + 3 >= toks.size() ||
+            !(IsPunct(toks[i], ".") || IsPunct(toks[i], "->")) ||
+            !IsIdent(toks[i + 1]) || kAccessors.count(toks[i + 1].text) == 0 ||
+            !IsPunct(toks[i + 2], "(") || !IsPunct(toks[i + 3], ")")) {
+          return "";
+        }
+        return toks[i].text + toks[i + 1].text + "()";
+      },
+      "hands out a column's flat payload — read through ScanSlice / "
+      "DataChunk, or list the file in raw_column_buffer_owners",
+      findings);
 }
 
 }  // namespace
@@ -883,6 +907,9 @@ std::vector<Finding> RunChecks(const SourceModel& model,
   if (enabled("raw-thread")) CheckRawThread(model, config, &findings);
   if (enabled("raw-annotation")) {
     CheckRawAnnotation(model, config, &findings);
+  }
+  if (enabled("raw-column-buffer")) {
+    CheckRawColumnBuffer(model, config, &findings);
   }
   std::sort(findings.begin(), findings.end());
   findings.erase(std::unique(findings.begin(), findings.end(),

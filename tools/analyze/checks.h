@@ -43,11 +43,15 @@
 ///   raw-annotation    raw __attribute__((guarded_by / capability / ...))
 ///                     outside src/util/thread_annotations.h: the SODA_*
 ///                     macros keep the GCC no-op fallback working.
+///   raw-column-buffer `.I64Data()` / `.F64Data()` / `.Strings()` /
+///                     `.Validity()` (and the Mutable* forms) outside
+///                     src/storage/ and the listed bulk-loop files (tests
+///                     exempt): readers go through ScanSlice / DataChunk.
 ///
 /// Suppression: `// analyze:allow(<key>: <reason>)` on the finding's
 /// line or the line above, with keys lock-order / status / guard-probe /
 /// fault-site / serde-bounds / fsync / raw-sync / raw-thread /
-/// raw-annotation. The reason is mandatory.
+/// raw-annotation / raw-column-buffer. The reason is mandatory.
 
 #ifndef SODA_TOOLS_ANALYZE_CHECKS_H_
 #define SODA_TOOLS_ANALYZE_CHECKS_H_
@@ -133,6 +137,27 @@ struct AnalyzerConfig {
   /// raw-annotation: the one header that spells the raw attributes (the
   /// check covers the raw_sync_prefixes files).
   std::string raw_annotation_owner = "src/util/thread_annotations.h";
+
+  /// raw-column-buffer: the paths (prefix match) that may use the raw
+  /// column payload accessors: storage, which owns the buffers, and the
+  /// bulk loops the accessors exist for. The check covers the
+  /// raw_thread_prefixes files — tests are exempt, they assert on the
+  /// physical layout.
+  std::vector<std::string> raw_column_buffer_owners = {
+      "src/storage/",
+      // Columnar hashing, gather, bulk append and vectorized expression
+      // evaluation over chunk columns, which are flat by construction.
+      "src/exec/hash_kernels.cc",
+      "src/exec/operators.cc",
+      "src/expr/evaluator.cc",
+      // The layer-4 operators read their materialized inputs in tight
+      // numeric loops; the raw array access is the paper's point (§3).
+      "src/analytics/",
+      // The frozen single-threaded baseline, and the benchmark of the raw
+      // loops themselves.
+      "src/contenders/single_threaded_engine.cc",
+      "bench/bench_micro_kernels.cc",
+  };
 
   /// status-provenance: code constructor -> path prefixes allowed to
   /// construct it.

@@ -28,7 +28,7 @@ cmake --build "${repo_root}/build" -j "$(nproc)"
 ctest --test-dir "${repo_root}/build" -j "$(nproc)" --output-on-failure
 echo "check: tier-1 tests clean"
 
-# Lint pipeline (grep rules always; clang-tidy when installed).
+# Lint pipeline: clang-tidy when installed.
 "${repo_root}/tools/lint.sh"
 
 # Project static analysis: soda-analyze over the compilation database.

@@ -1,10 +1,10 @@
 #!/usr/bin/env bash
-# Repo lint pipeline: cheap structural greps that enforce soda's
-# concurrency and durability idioms, then clang-tidy (when available)
-# over the compilation database.
+# Repo lint pipeline: clang-tidy (when available) over the compilation
+# database. The structural rules that used to be greps here now run as
+# token-exact soda-analyze checks (see the rule notes below).
 #
 # Usage:
-#   tools/lint.sh             # grep rules + clang-tidy if installed
+#   tools/lint.sh             # clang-tidy if installed
 #   tools/lint.sh --strict    # missing clang-tidy is a failure, not a skip
 set -euo pipefail
 
@@ -20,12 +20,6 @@ fail() {
   shift
   printf '  %s\n' "$@" >&2
   failures=$((failures + 1))
-}
-
-# Every lint target: library + test + bench + tool sources.
-src_files() {
-  git ls-files 'src/**/*.h' 'src/**/*.cc' 'tests/*.cc' 'bench/*.cc' \
-    'bench/*.h' 'examples/*.cc' 'tools/*.cc'
 }
 
 # --- Rule 1: moved into soda-analyze (raw-thread). ---------------------
@@ -67,37 +61,14 @@ src_files() {
 # and every registered site is referenced from the test tree. Runs in
 # tools/check.sh and the static-analysis CI job.
 
-# --- Rule 6: no raw column-buffer access outside src/storage/. ----------
-# Column::I64Data()/F64Data()/Strings() (and the Mutable* forms) hand out
-# the flat payload pointer. Readers go through ScanSlice/DataChunk; only
-# the files below may touch raw buffers:
-#   - src/exec/hash_kernels.cc, src/exec/operators.cc: the vectorized
-#     kernels — columnar hashing, gather, bulk append — are the bulk
-#     loops the raw accessors exist for; they only ever see DataChunk
-#     columns, which are always flat.
-#   - src/expr/evaluator.cc: vectorized expression evaluation over chunk
-#     columns (same flat-by-construction argument).
-#   - src/analytics/*.cc: the paper's layer-4 operators (k-means,
-#     PageRank, naive Bayes, CC) read materialized operator inputs in
-#     tight numeric loops — the zero-overhead raw array access is the
-#     paper's point (§3).
-#   - src/contenders/single_threaded_engine.cc: the frozen legacy
-#     baseline the benchmarks compare against.
-#   - bench/bench_micro_kernels.cc: measures exactly those raw loops.
-# Tests are exempt wholesale: storage/durability/property tests assert on
-# the physical layout itself.
-hits="$(src_files | grep -v '^src/storage/' | grep -v '^tests/' \
-        | grep -v '^src/exec/hash_kernels\.cc$' \
-        | grep -v '^src/exec/operators\.cc$' \
-        | grep -v '^src/expr/evaluator\.cc$' \
-        | grep -v '^src/analytics/' \
-        | grep -v '^src/contenders/single_threaded_engine\.cc$' \
-        | grep -v '^bench/bench_micro_kernels\.cc$' \
-        | xargs grep -nE '(\.|->)(I64Data|MutableI64Data|F64Data|MutableF64Data|Strings|Validity)\(\)' \
-        2>/dev/null | grep -vE '^[^:]+:[0-9]+:\s*//' || true)"
-if [[ -n "${hits}" ]]; then
-  fail "raw column-buffer access outside src/storage/ (go through ScanSlice/DataChunk, or document an exemption in this rule)" "${hits}"
-fi
+# --- Rule 6: moved into soda-analyze (raw-column-buffer). --------------
+# tools/analyze/checks.cc bans the raw payload accessors
+# (.I64Data() / .F64Data() / .Strings() / .Validity() and the Mutable*
+# forms, `.` or `->`) token-exactly in src/, bench/, examples/ and tools/
+# (tests are exempt: they assert on the physical layout). Storage and the
+# bulk loops the accessors exist for are listed in
+# AnalyzerConfig::raw_column_buffer_owners; annotate any other deliberate
+# use with `// analyze:allow(raw-column-buffer: reason)`.
 
 # --- clang-tidy over the compilation database. --------------------------
 if command -v clang-tidy >/dev/null 2>&1; then
@@ -112,7 +83,7 @@ if command -v clang-tidy >/dev/null 2>&1; then
     fail "clang-tidy reported findings" "(see output above)"
   fi
 else
-  msg="lint: clang-tidy NOT FOUND — static-analysis pass SKIPPED (grep rules still ran)"
+  msg="lint: clang-tidy NOT FOUND — static-analysis pass SKIPPED"
   if [[ "${strict}" == "1" ]]; then
     fail "${msg}" "install clang-tidy or drop --strict"
   else
