@@ -82,28 +82,34 @@ Result<std::shared_ptr<JoinHashTable>> JoinHashTable::Build(
   return ht;
 }
 
-void JoinHashTable::GatherCandidates(const uint64_t* hashes, size_t num_rows,
-                                     size_t* row, uint32_t* next, size_t limit,
-                                     std::vector<uint32_t>* probe_sel,
-                                     std::vector<uint32_t>* build_sel) const {
+size_t JoinHashTable::GatherCandidates(const uint64_t* hashes,
+                                       size_t num_rows, size_t* row,
+                                       uint32_t* next, size_t limit,
+                                       uint32_t* probe_sel,
+                                       uint32_t* build_sel) const {
   size_t r = *row;
   uint32_t i = *next;
+  size_t m = 0;
   // analyze:allow(guard-probe: bounded by one chunk's rows and `limit` pairs)
-  while (r < num_rows && probe_sel->size() < limit) {
-    if (i == kStart) i = head_[hashes[r] & mask_];
-    if (i == kInvalid) {
-      ++r;
-      i = kStart;
-      continue;
+  for (; r < num_rows; ++r, i = kStart) {
+    const uint64_t h = hashes[r];
+    if (i == kStart) i = head_[h & mask_];
+    for (; i != kInvalid; i = next_[i]) {
+      // Write every entry, keep it only on a hash match: no branch on the
+      // (unpredictable) comparison.
+      probe_sel[m] = static_cast<uint32_t>(r);
+      build_sel[m] = i;
+      m += hashes_[i] == h;
+      if (m > limit) {  // a candidate past the batch: resume at it
+        *row = r;
+        *next = i;
+        return limit;
+      }
     }
-    if (hashes_[i] == hashes[r]) {
-      probe_sel->push_back(static_cast<uint32_t>(r));
-      build_sel->push_back(i);
-    }
-    i = next_[i];
   }
   *row = r;
-  *next = i;
+  *next = kStart;
+  return m;
 }
 
 void JoinHashTable::KeepEqualKeys(const DataChunk& chunk,
@@ -143,22 +149,33 @@ Status HashJoinProbeTransform::Apply(DataChunk& chunk,
   // hash-equal pairs, pass 2 drops those whose keys differ, and the
   // survivors are materialized with one bulk gather per column.
   std::vector<uint32_t> probe_sel, build_sel;
-  probe_sel.reserve(kChunkCapacity);
-  build_sel.reserve(kChunkCapacity);
   size_t row = 0;
   uint32_t next = JoinHashTable::kStart;
   // analyze:allow(guard-probe: n is one morsel chunk; ParallelFor probes exec.morsel)
   while (row < n) {
-    probe_sel.clear();
-    build_sel.clear();
-    table_->GatherCandidates(hashes.data(), n, &row, &next, kChunkCapacity,
-                             &probe_sel, &build_sel);
+    probe_sel.resize(kChunkCapacity + 1);
+    build_sel.resize(kChunkCapacity + 1);
+    const size_t m =
+        table_->GatherCandidates(hashes.data(), n, &row, &next,
+                                 kChunkCapacity, probe_sel.data(),
+                                 build_sel.data());
+    probe_sel.resize(m);
+    build_sel.resize(m);
     table_->KeepEqualKeys(chunk, probe_keys_, &probe_sel, &build_sel);
     if (probe_sel.empty()) continue;
     DataChunk out(out_schema_);
+    // The chunk's last batch selecting each of its rows once, in order,
+    // is the chunk itself: move its columns instead of gathering them.
+    // Nothing reads the chunk after its last batch.
+    bool identity = row == n && probe_sel.size() == n;
+    for (size_t k = 0; identity && k < n; ++k) identity = probe_sel[k] == k;
     for (size_t c = 0; c < left_cols; ++c) {
-      out.column(c).AppendGather(chunk.column(c), probe_sel.data(),
-                                 probe_sel.size());
+      if (identity) {
+        out.column(c) = std::move(chunk.column(c));
+      } else {
+        out.column(c).AppendGather(chunk.column(c), probe_sel.data(),
+                                   probe_sel.size());
+      }
     }
     for (size_t c = 0; c < build.num_columns(); ++c) {
       out.column(left_cols + c).AppendGather(build.column(c),
@@ -177,31 +194,43 @@ Status CrossJoinTransform::Apply(DataChunk& chunk, const Emit& emit) const {
   const Table& right = *right_;
   const size_t left_cols = chunk.num_columns();
   const size_t rn = right.num_rows();
+  const size_t total = chunk.num_rows() * rn;
   // The calling worker's guard (installed by the pipeline's ParallelFor
   // MemoryScope); covers cancellation/deadline/faults for the quadratic
   // expansion, which can dwarf the morsel-boundary probes upstream.
   QueryGuard* guard = QueryGuard::Current();
-  DataChunk out(out_schema_);
-  for (size_t row = 0; row < chunk.num_rows(); ++row) {
-    size_t emitted = 0;
-    while (emitted < rn) {
-      SODA_RETURN_NOT_OK(GuardProbe(guard, kCrossJoinSite));
-      size_t batch = std::min(rn - emitted, kChunkCapacity - out.num_rows());
-      // Repeat the left row `batch` times, then splice the right slice.
-      for (size_t c = 0; c < left_cols; ++c) {
-        out.column(c).AppendRepeated(chunk.column(c), row, batch);
+  std::vector<uint32_t> left_sel(std::min(total, kChunkCapacity));
+  std::vector<uint32_t> right_sel(left_sel.size());
+  // (l, r): the pair the next output row holds; pairs run left-major.
+  uint32_t l = 0;
+  uint32_t r = 0;
+  for (size_t emitted = 0; emitted < total;) {
+    SODA_RETURN_NOT_OK(GuardProbe(guard, kCrossJoinSite));
+    const size_t m = std::min(kChunkCapacity, total - emitted);
+    for (size_t k = 0; k < m;) {
+      const size_t run = std::min<size_t>(rn - r, m - k);
+      for (size_t j = 0; j < run; ++j) {
+        left_sel[k + j] = l;
+        right_sel[k + j] = static_cast<uint32_t>(r + j);
       }
-      for (size_t c = 0; c < right.num_columns(); ++c) {
-        out.column(left_cols + c).AppendSlice(right.column(c), emitted, batch);
-      }
-      emitted += batch;
-      if (out.num_rows() >= kChunkCapacity) {
-        SODA_RETURN_NOT_OK(emit(out));
-        out = DataChunk(out_schema_);
+      k += run;
+      r += static_cast<uint32_t>(run);
+      if (r == rn) {
+        r = 0;
+        ++l;
       }
     }
+    DataChunk out(out_schema_);
+    for (size_t c = 0; c < left_cols; ++c) {
+      out.column(c).AppendGather(chunk.column(c), left_sel.data(), m);
+    }
+    for (size_t c = 0; c < right.num_columns(); ++c) {
+      out.column(left_cols + c).AppendGather(right.column(c),
+                                             right_sel.data(), m);
+    }
+    SODA_RETURN_NOT_OK(emit(out));
+    emitted += m;
   }
-  if (out.num_rows() > 0) SODA_RETURN_NOT_OK(emit(out));
   return Status::OK();
 }
 

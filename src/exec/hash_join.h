@@ -37,16 +37,18 @@ class JoinHashTable {
       TablePtr build, std::vector<size_t> key_cols,
       QueryGuard* guard = nullptr);
 
-  /// Pass 1 of the probe: appends the (probe row, build row) pairs whose
-  /// full key hashes match, walking probe rows from `*row` and the chain
-  /// from `*next`, until `limit` pairs are gathered or the rows run out.
-  /// `hashes` are the probe rows' HashRows values. Resumable: `*row` and
-  /// `*next` say where to continue, so one long chain spans several calls.
-  /// Start with `*row = 0` and `*next = kStart`.
-  void GatherCandidates(const uint64_t* hashes, size_t num_rows, size_t* row,
-                        uint32_t* next, size_t limit,
-                        std::vector<uint32_t>* probe_sel,
-                        std::vector<uint32_t>* build_sel) const;
+  /// Pass 1 of the probe: writes the (probe row, build row) pairs whose
+  /// full key hashes match to `probe_sel[0, m)` and `build_sel[0, m)` and
+  /// returns m, walking probe rows from `*row` and the chain from `*next`
+  /// until `limit` pairs are gathered or the rows run out. Both arrays
+  /// must hold `limit + 1` entries: the walk writes each chain entry
+  /// before it knows whether the entry matches. Resumable: on return
+  /// either `*row == num_rows` (the rows are done) or `*next` is the next
+  /// hash-equal candidate of row `*row`, so one long chain spans several
+  /// calls. Start with `*row = 0` and `*next = kStart`.
+  size_t GatherCandidates(const uint64_t* hashes, size_t num_rows,
+                          size_t* row, uint32_t* next, size_t limit,
+                          uint32_t* probe_sel, uint32_t* build_sel) const;
 
   /// Pass 2 of the probe: keeps the pairs whose keys are SQL-equal, with
   /// one typed pass per key column (NULL never matches).
@@ -88,7 +90,10 @@ class JoinHashTable {
 /// Vectorized in two passes per batch of up to kChunkCapacity pairs: the
 /// chunk's key hashes come from the columnar kernels, pass 1 gathers the
 /// hash-equal candidate pairs, pass 2 verifies the keys one typed column
-/// at a time, and the output is one bulk gather per column.
+/// at a time, and the output is one bulk gather per build column. The
+/// probe columns are gathered too, unless the batch is the chunk's last
+/// and selects every chunk row exactly once, in order (the FK→PK shape):
+/// then the chunk's columns move into the output as they are.
 class HashJoinProbeTransform : public Transform {
  public:
   HashJoinProbeTransform(std::shared_ptr<const JoinHashTable> table,
@@ -103,8 +108,11 @@ class HashJoinProbeTransform : public Transform {
 };
 
 /// Streaming nested-loop expansion against a materialized right side.
-/// Probes the calling worker's guard under "exec.cross_join" per output
-/// batch, so quadratic blowups stay cancellable.
+/// The output is the (left row, right row) pairs in left-major order, cut
+/// into chunks of kChunkCapacity rows; each chunk is one pair of
+/// selection vectors and one bulk gather per column. Probes the calling
+/// worker's guard under "exec.cross_join" per output chunk, so quadratic
+/// blowups stay cancellable.
 class CrossJoinTransform : public Transform {
  public:
   CrossJoinTransform(TablePtr right, Schema out_schema);

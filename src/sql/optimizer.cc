@@ -445,16 +445,29 @@ PlanPtr OptimizeNode(PlanPtr plan, Catalog* catalog) {
       return plan;
     }
     case PlanKind::kProject: {
-      // A column-ref Project over another column-ref Project selects
-      // columns of the inner input directly: one selection, not two (over
-      // a pipeline breaker, one that copies nothing). The outer schema
+      // A column-ref Project over another Project selects the inner
+      // expressions it references: one projection, not two (over a
+      // pipeline breaker and with column refs only, one that copies
+      // nothing), and the inner expressions it drops are never computed.
+      // A computed inner expression referenced twice stays put, so no
+      // expression is evaluated more often than written. The outer schema
       // keeps the aliases.
       PlanNode& inner = *plan->children[0];
-      if (inner.kind == PlanKind::kProject && AllColumnRefs(plan->exprs) &&
-          AllColumnRefs(inner.exprs)) {
-        for (auto& e : plan->exprs) e = inner.exprs[e->column_index]->Clone();
-        PlanPtr input = std::move(inner.children[0]);
-        plan->children[0] = std::move(input);
+      if (inner.kind == PlanKind::kProject && AllColumnRefs(plan->exprs)) {
+        std::vector<int> uses(inner.exprs.size(), 0);
+        bool once = true;
+        for (const auto& e : plan->exprs) {
+          const ExprPtr& ref = inner.exprs[e->column_index];
+          once = once && (ref->kind == ExprKind::kColumnRef ||
+                          ++uses[e->column_index] == 1);
+        }
+        if (once) {
+          for (auto& e : plan->exprs) {
+            e = inner.exprs[e->column_index]->Clone();
+          }
+          PlanPtr input = std::move(inner.children[0]);
+          plan->children[0] = std::move(input);
+        }
       }
       return plan;
     }

@@ -149,6 +149,9 @@ struct AnalyzerConfig {
       // evaluation over chunk columns, which are flat by construction.
       "src/exec/hash_kernels.cc",
       "src/exec/operators.cc",
+      // The hash-aggregate consume loop reads the chunk's key and argument
+      // arrays once per chunk, not through Column per cell.
+      "src/exec/aggregate.cc",
       "src/expr/evaluator.cc",
       // The layer-4 operators read their materialized inputs in tight
       // numeric loops; the raw array access is the paper's point (§3).

@@ -29,9 +29,11 @@ if [[ "${sanitizers}" == "thread" ]]; then
   export TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1}"
   # Segment/Partition ride along: sealed scans decode concurrently.
   # Property/Expr: the two-pass join probe and the evaluator kernels on
-  # the 4-worker pool.
+  # the 4-worker pool. Aggregate/Iterate/ExecKernel: the hash-aggregate
+  # consume loop, the probe pass-through and the cross join that every
+  # ITERATE round runs, against their row-at-a-time references.
   SODA_THREADS=4 ctest --test-dir "${build_dir}" \
-    -R 'ParallelExec|Robustness|PhysicalPlan|Durability|Server|Segment|Partition|Cache|Prepared|Property|Expr' \
+    -R 'ParallelExec|Robustness|PhysicalPlan|Durability|Server|Segment|Partition|Cache|Prepared|Property|Expr|Aggregate|Iterate|ExecKernel' \
     -j "$(nproc)" --output-on-failure
   echo "check_sanitize: concurrency suites clean under thread (SODA_THREADS=4)"
 else
