@@ -16,7 +16,8 @@
 
 namespace soda {
 
-Result<TablePtr> ExecuteIterate(const PlanNode& plan, ExecContext& ctx) {
+Result<TablePtr> ExecuteIterate(const PlanNode& plan, ExecContext& ctx,
+                                size_t* rounds) {
   const std::string& name = plan.binding_name;  // "iterate"
   SODA_ASSIGN_OR_RETURN(TablePtr current, ExecutePlan(*plan.children[0], ctx));
   ctx.stats.cumulative_materialized_tuples += current->num_rows();
@@ -59,6 +60,7 @@ Result<TablePtr> ExecuteIterate(const PlanNode& plan, ExecContext& ctx) {
     ctx.stats.AccountBoundTuples(current->num_rows() + (*next)->num_rows());
     ctx.stats.cumulative_materialized_tuples += (*next)->num_rows();
     ctx.stats.iterations_run++;
+    ++*rounds;
     // Empty -> empty is a fixpoint: no stop condition over an empty state
     // can ever fire, so iterating further cannot change anything.
     bool empty_fixpoint =

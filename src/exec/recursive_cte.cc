@@ -12,7 +12,8 @@
 
 namespace soda {
 
-Result<TablePtr> ExecuteRecursiveCte(const PlanNode& plan, ExecContext& ctx) {
+Result<TablePtr> ExecuteRecursiveCte(const PlanNode& plan, ExecContext& ctx,
+                                     size_t* rounds) {
   SODA_ASSIGN_OR_RETURN(TablePtr init, ExecutePlan(*plan.children[0], ctx));
 
   auto result = std::make_shared<Table>(plan.binding_name, plan.schema);
@@ -70,6 +71,7 @@ Result<TablePtr> ExecuteRecursiveCte(const PlanNode& plan, ExecContext& ctx) {
     // working table rides on top (paper §5.1's memory argument).
     ctx.stats.AccountBoundTuples(result->num_rows() + working->num_rows());
     ctx.stats.iterations_run++;
+    ++*rounds;
   }
 
   restore();
