@@ -19,21 +19,17 @@ Result<TablePtr> RunConnectedComponents(const Table& edges,
         "connected components require BIGINT (src, dst) edge columns");
   }
   const size_t e = edges.num_rows();
-  // Undirected closure: materialize both directions before the CSR build.
-  SODA_RETURN_NOT_OK(
-      GuardReserve(guard, 4 * e * sizeof(int64_t), "cc.edges"));
-  std::vector<int64_t> src, dst;
-  src.reserve(2 * e);
-  dst.reserve(2 * e);
-  const int64_t* s = edges.column(0).I64Data();
-  const int64_t* d = edges.column(1).I64Data();
-  for (size_t i = 0; i < e; ++i) {
-    src.push_back(s[i]);
-    dst.push_back(d[i]);
-    src.push_back(d[i]);
-    dst.push_back(s[i]);
-  }
-  SODA_ASSIGN_OR_RETURN(CsrGraph csr, CsrBuilder::Build(src, dst));
+  // The undirected CSR is built from the edge columns in place. Charge its
+  // targets (both directions of every edge) and the builder's two dense-id
+  // arrays before building; the per-vertex arrays once the vertex count is
+  // known.
+  const size_t csr_edge_bytes = 2 * e * sizeof(uint32_t);
+  SODA_RETURN_NOT_OK(GuardReserve(
+      guard, csr_edge_bytes + 2 * e * sizeof(uint32_t), "cc.csr"));
+  SODA_ASSIGN_OR_RETURN(
+      CsrGraph csr,
+      CsrBuilder::BuildUndirected({edges.column(0).I64Data(), e},
+                                  {edges.column(1).I64Data(), e}));
   const size_t v = csr.num_vertices();
 
   Schema out_schema({Field("vertex", DataType::kBigInt),
@@ -43,6 +39,11 @@ Result<TablePtr> RunConnectedComponents(const Table& edges,
     if (stats) *stats = {};
     return out;
   }
+
+  // The CSR's per-vertex arrays plus label and next below.
+  SODA_RETURN_NOT_OK(GuardReserve(
+      guard, csr.MemoryUsage() - csr_edge_bytes + 2 * v * sizeof(int64_t),
+      "cc.csr"));
 
   // Labels carry the *original* ids so the final component label is the
   // component's smallest original id (stable across input orders).

@@ -9,8 +9,8 @@
 /// Algorithm: synchronous min-label propagation. Labels start as each
 /// vertex's dense id; each round every vertex adopts the minimum label in
 /// its closed neighborhood (parallel, double-buffered); termination when a
-/// round changes nothing. Edges are treated as undirected (both directions
-/// are added internally).
+/// round changes nothing. Edges are treated as undirected: the CSR holds
+/// both directions of every edge.
 
 #ifndef SODA_ANALYTICS_CONNECTED_COMPONENTS_H_
 #define SODA_ANALYTICS_CONNECTED_COMPONENTS_H_
@@ -35,8 +35,8 @@ struct ConnectedComponentsStats {
 /// id in the component (stable, order-independent labels).
 ///
 /// `guard` (nullable) is probed at "cc.iteration" every propagation round;
-/// the undirected edge-list copy is charged to the memory budget at
-/// "cc.edges" before it is built.
+/// the undirected CSR, built from the edge columns in place, is charged to
+/// the memory budget at "cc.csr".
 Result<TablePtr> RunConnectedComponents(const Table& edges,
                                         ConnectedComponentsStats* stats =
                                             nullptr,

@@ -4,6 +4,9 @@
 #include <cmath>
 #include <limits>
 
+#include "expr/evaluator.h"
+#include "storage/data_chunk.h"
+#include "util/first_error.h"
 #include "util/parallel.h"
 
 namespace soda {
@@ -60,26 +63,36 @@ Result<std::vector<double>> CenterMatrix(const Table& centers) {
   return out;
 }
 
-/// How distances are computed: one weighted squared or absolute
-/// difference per dimension (the built-in squared L2 has unit weights), or
-/// a lambda with no per-dimension form, evaluated per (row, center) pair.
-struct Metric {
-  bool squared = true;
-  std::vector<double> weights;
-  const LambdaKernel* lambda = nullptr;
-};
-
-Metric MakeMetric(const LambdaKernel* distance, size_t d) {
-  Metric m;
-  if (distance == nullptr) {
-    m.weights.assign(d, 1.0);
-  } else if (auto form = distance->PerDimensionForm(d)) {
-    m.squared = form->squared;
-    m.weights = std::move(form->weights);
-  } else {
-    m.lambda = distance;
+bool GetConstant(const Expression& e, double* v) {
+  if (e.kind != ExprKind::kLiteral || e.literal.is_null() ||
+      !IsNumeric(e.literal.type())) {
+    return false;
   }
-  return m;
+  *v = e.literal.AsDouble();
+  return true;
+}
+
+/// The `x - y` node of a term core `(x - y)^2`, `pow(x - y, 2)` or
+/// `abs(x - y)` over column refs x and y, with *squared telling which; null
+/// for any other shape.
+const Expression* CoreDiff(const Expression& e, bool* squared) {
+  double exponent = 0;
+  const bool pow2 =
+      e.children.size() == 2 && GetConstant(*e.children[1], &exponent) &&
+      exponent == 2.0 &&
+      ((e.kind == ExprKind::kBinary && e.binary_op == BinaryOp::kPow) ||
+       (e.kind == ExprKind::kFunction &&
+        (e.function_name == "pow" || e.function_name == "power")));
+  const bool abs = e.kind == ExprKind::kFunction &&
+                   e.function_name == "abs" && e.children.size() == 1;
+  if (!pow2 && !abs) return nullptr;
+  *squared = pow2;
+  const Expression& diff = *e.children[0];
+  const bool is_diff = diff.kind == ExprKind::kBinary &&
+                       diff.binary_op == BinaryOp::kSub &&
+                       diff.children[0]->kind == ExprKind::kColumnRef &&
+                       diff.children[1]->kind == ExprKind::kColumnRef;
+  return is_diff ? &diff : nullptr;
 }
 
 /// dist[i] += w * (x[i] - c)^2 over one block.
@@ -101,82 +114,168 @@ void AddAbsDiffs(const double* __restrict x, double c, double w,
 /// most kTile centers at a time, so it stays O((d + kTile) * kBlock)
 /// whatever k is.
 struct BlockScratch {
-  BlockScratch(size_t d, bool lambda)
-      : x(d), cols(d * kBlock), dist(kTile * kBlock),
-        rows(lambda ? kBlock * d : 0) {}
+  explicit BlockScratch(size_t d)
+      : x(d), cols(d * kBlock), dist(kTile * kBlock) {}
 
   std::vector<const double*> x;  // d block columns: in place, or in `cols`
   std::vector<double> cols;      // d x kBlock, zero-padded copies
   std::vector<double> dist;      // kTile x kBlock, center-major
-  std::vector<double> rows;      // kBlock x d, for a lambda
   double best_dist[kBlock] = {};
   uint32_t best[kBlock] = {};
 };
 
-/// Assigns rows [lo, lo + len), len <= kBlock, to their nearest centers:
-/// s->best[i] for row lo + i. Leaves the block's columns in s->x. Centers
-/// are visited in order, one tile at a time; ties go to the lowest center
-/// and a NaN distance never wins.
-void AssignBlock(const std::vector<NumericColumn>& in, size_t lo, size_t len,
-                 const std::vector<double>& centers, size_t k,
-                 const Metric& m, BlockScratch* s) {
-  const size_t d = in.size();
-  for (size_t j = 0; j < d; ++j) {
-    if (in[j].f64 && len == kBlock) {
-      s->x[j] = in[j].f64 + lo;
-      continue;
-    }
-    double* buf = s->cols.data() + j * kBlock;
-    for (size_t i = 0; i < len; ++i) {
-      buf[i] = in[j].f64 ? in[j].f64[lo + i]
-                         : static_cast<double>(in[j].i64[lo + i]);
-    }
-    std::fill(buf + len, buf + kBlock, 0.0);
-    s->x[j] = buf;
+/// Replaces every center column ref (index >= d) in `*e` with that
+/// coordinate of `center` as a DOUBLE literal.
+void SubstituteCenter(ExprPtr* e, size_t d, const double* center) {
+  Expression& x = **e;
+  if (x.kind == ExprKind::kColumnRef && x.column_index >= d) {
+    *e = Expression::Literal(Value::Double(center[x.column_index - d]));
+    return;
   }
-  if (m.lambda) {
-    for (size_t i = 0; i < len; ++i) {
-      for (size_t j = 0; j < d; ++j) s->rows[i * d + j] = s->x[j][i];
+  for (ExprPtr& child : x.children) SubstituteCenter(&child, d, center);
+}
+
+/// One round's nearest-center assignment. The built-in squared L2 (unit
+/// weights) and a lambda with a per-dimension form run the block kernel,
+/// one weighted squared or absolute difference per dimension; any other
+/// lambda runs as k bodies with the round's centers substituted.
+struct Round {
+  const std::vector<NumericColumn>& in;
+  const std::vector<double>& centers;  // k x d
+  size_t k;
+  bool squared = true;
+  std::vector<double> weights;
+  std::vector<ExprPtr> bodies;  // for a lambda with no per-dimension form
+
+  Round(const std::vector<NumericColumn>& columns, const Expression* distance,
+        const std::vector<double>& round_centers, size_t num_centers)
+      : in(columns), centers(round_centers), k(num_centers) {
+    const size_t d = in.size();
+    std::optional<DimensionForm> form =
+        distance ? PerDimensionForm(*distance, d)
+                 : DimensionForm{true, std::vector<double>(d, 1.0)};
+    if (form) {
+      squared = form->squared;
+      weights = std::move(form->weights);
+      return;
+    }
+    for (size_t c = 0; c < k; ++c) {
+      ExprPtr body = distance->Clone();
+      if (body->type != DataType::kDouble) {
+        body = Expression::Cast(std::move(body), DataType::kDouble);
+      }
+      SubstituteCenter(&body, d, &centers[c * d]);
+      bodies.push_back(std::move(body));
     }
   }
 
-  std::fill(s->best_dist, s->best_dist + len,
-            std::numeric_limits<double>::infinity());
-  std::fill(s->best, s->best + len, 0u);
-  for (size_t c0 = 0; c0 < k; c0 += kTile) {
-    const size_t tile = std::min(kTile, k - c0);
-    for (size_t t = 0; t < tile; ++t) {
-      const double* center = centers.data() + (c0 + t) * d;
-      double* dc = s->dist.data() + t * kBlock;
-      if (m.lambda) {
+  /// Assigns rows [begin, end) to their nearest centers and hands them to
+  /// `consume(lo, len, x, best)` one piece at a time: x[j] is the piece's
+  /// column j as doubles and best[i] the center of row lo + i. Centers are
+  /// visited in order; ties go to the lowest center, and a NaN or NULL
+  /// distance never wins.
+  template <typename Consume>
+  Status Assign(size_t begin, size_t end, Consume&& consume) const {
+    if (bodies.empty()) {
+      BlockScratch s(in.size());
+      for (size_t lo = begin; lo < end; lo += kBlock) {
+        const size_t len = std::min(kBlock, end - lo);
+        AssignBlock(lo, len, &s);
+        consume(lo, len, s.x.data(), s.best);
+      }
+      return Status::OK();
+    }
+    // A lambda: each center's body is evaluated over the piece's rows as
+    // one DOUBLE chunk, and its distances are folded into the running
+    // argmin in center order.
+    const size_t d = in.size();
+    DataChunk chunk;
+    for (size_t j = 0; j < d; ++j) chunk.AddColumn(Column(DataType::kDouble));
+    std::vector<const double*> x(d);
+    std::vector<double> best_dist;
+    std::vector<uint32_t> best;
+    Column dist;
+    for (size_t lo = begin; lo < end; lo += kChunkCapacity) {
+      const size_t len = std::min(kChunkCapacity, end - lo);
+      for (size_t j = 0; j < d; ++j) {
+        Column& col = chunk.column(j);
+        col.ResizeNumeric(len);
+        double* out = col.MutableF64Data();
         for (size_t i = 0; i < len; ++i) {
-          dc[i] = m.lambda->Eval(s->rows.data() + i * d, center);
+          out[i] = in[j].f64 ? in[j].f64[lo + i]
+                             : static_cast<double>(in[j].i64[lo + i]);
         }
+        x[j] = out;
+      }
+      best_dist.assign(len, std::numeric_limits<double>::infinity());
+      best.assign(len, 0);
+      for (size_t c = 0; c < k; ++c) {
+        SODA_RETURN_NOT_OK(EvaluateExpression(*bodies[c], chunk, &dist));
+        const double* v = dist.F64Data();
+        const std::vector<uint8_t>& valid = dist.Validity();
+        for (size_t i = 0; i < len; ++i) {
+          if ((valid.empty() || valid[i]) && v[i] < best_dist[i]) {
+            best_dist[i] = v[i];
+            best[i] = static_cast<uint32_t>(c);
+          }
+        }
+      }
+      consume(lo, len, x.data(), best.data());
+    }
+    return Status::OK();
+  }
+
+  /// The block kernel for rows [lo, lo + len), len <= kBlock: s->best[i]
+  /// for row lo + i, the block's columns in s->x. Centers are visited in
+  /// order, one tile at a time.
+  void AssignBlock(size_t lo, size_t len, BlockScratch* s) const {
+    const size_t d = in.size();
+    for (size_t j = 0; j < d; ++j) {
+      if (in[j].f64 && len == kBlock) {
+        s->x[j] = in[j].f64 + lo;
         continue;
       }
-      std::fill(dc, dc + kBlock, 0.0);
-      for (size_t j = 0; j < d; ++j) {
-        if (m.squared) {
-          AddSquaredDiffs(s->x[j], center[j], m.weights[j], dc);
-        } else {
-          AddAbsDiffs(s->x[j], center[j], m.weights[j], dc);
-        }
+      double* buf = s->cols.data() + j * kBlock;
+      for (size_t i = 0; i < len; ++i) {
+        buf[i] = in[j].f64 ? in[j].f64[lo + i]
+                           : static_cast<double>(in[j].i64[lo + i]);
       }
+      std::fill(buf + len, buf + kBlock, 0.0);
+      s->x[j] = buf;
     }
-    for (size_t i = 0; i < len; ++i) {
-      double best_dist = s->best_dist[i];
-      uint32_t best = s->best[i];
+
+    std::fill(s->best_dist, s->best_dist + len,
+              std::numeric_limits<double>::infinity());
+    std::fill(s->best, s->best + len, 0u);
+    for (size_t c0 = 0; c0 < k; c0 += kTile) {
+      const size_t tile = std::min(kTile, k - c0);
       for (size_t t = 0; t < tile; ++t) {
-        if (s->dist[t * kBlock + i] < best_dist) {
-          best_dist = s->dist[t * kBlock + i];
-          best = static_cast<uint32_t>(c0 + t);
+        const double* center = centers.data() + (c0 + t) * d;
+        double* dc = s->dist.data() + t * kBlock;
+        std::fill(dc, dc + kBlock, 0.0);
+        for (size_t j = 0; j < d; ++j) {
+          if (squared) {
+            AddSquaredDiffs(s->x[j], center[j], weights[j], dc);
+          } else {
+            AddAbsDiffs(s->x[j], center[j], weights[j], dc);
+          }
         }
       }
-      s->best_dist[i] = best_dist;
-      s->best[i] = best;
+      for (size_t i = 0; i < len; ++i) {
+        double best_dist = s->best_dist[i];
+        uint32_t best = s->best[i];
+        for (size_t t = 0; t < tile; ++t) {
+          if (s->dist[t * kBlock + i] < best_dist) {
+            best_dist = s->dist[t * kBlock + i];
+            best = static_cast<uint32_t>(c0 + t);
+          }
+        }
+        s->best_dist[i] = best_dist;
+        s->best[i] = best;
+      }
     }
   }
-}
+};
 
 /// One stripe's accumulation state for one assignment round.
 struct StripeAccum {
@@ -192,6 +291,51 @@ struct StripeAccum {
 };
 
 }  // namespace
+
+std::optional<DimensionForm> PerDimensionForm(const Expression& body,
+                                              size_t d) {
+  DimensionForm out;
+  out.weights.assign(d, 0.0);
+  std::vector<bool> seen(d, false);
+  size_t terms = 0;
+  // Flatten the +-tree; every leaf must be one term of the same family.
+  std::vector<const Expression*> stack = {&body};
+  while (!stack.empty()) {
+    const Expression* e = stack.back();
+    stack.pop_back();
+    if (e->kind == ExprKind::kBinary && e->binary_op == BinaryOp::kAdd) {
+      stack.push_back(e->children[0].get());
+      stack.push_back(e->children[1].get());
+      continue;
+    }
+    // A term is a core, optionally scaled by a constant on either side.
+    double w = 1.0;
+    bool squared = true;
+    const Expression* diff = CoreDiff(*e, &squared);
+    if (diff == nullptr && e->kind == ExprKind::kBinary &&
+        e->binary_op == BinaryOp::kMul) {
+      for (size_t side = 0; side < 2 && diff == nullptr; ++side) {
+        if (GetConstant(*e->children[side], &w)) {
+          diff = CoreDiff(*e->children[1 - side], &squared);
+        }
+      }
+    }
+    if (diff == nullptr || (terms > 0 && squared != out.squared)) {
+      return std::nullopt;
+    }
+    // One a[j] - b[j] (or b[j] - a[j]) term per dimension j.
+    const size_t x = diff->children[0]->column_index;
+    const size_t y = diff->children[1]->column_index;
+    const size_t j = x < d ? x : x - d;
+    if (j >= d || y != (x < d ? j + d : j) || seen[j]) return std::nullopt;
+    seen[j] = true;
+    out.weights[j] = w;
+    out.squared = squared;
+    ++terms;
+  }
+  if (terms != d) return std::nullopt;
+  return out;
+}
 
 Result<KMeansResult> RunKMeans(const Table& data,
                                const Table& initial_centers,
@@ -220,7 +364,6 @@ Result<KMeansResult> RunKMeans(const Table& data,
                         NumericColumns(data));
   SODA_ASSIGN_OR_RETURN(std::vector<double> centers,
                         CenterMatrix(initial_centers));
-  const Metric metric = MakeMetric(options.distance, d);
 
   // Partials are kept per stripe — one morsel of the guarded ParallelFor,
   // whose boundaries do not depend on the worker count — and merged in
@@ -245,27 +388,31 @@ Result<KMeansResult> RunKMeans(const Table& data,
     // exactly the runaway the paper says the database must abort (§5.1).
     SODA_RETURN_NOT_OK(GuardProbe(options.guard, "kmeans.iteration"));
 
+    const Round round(points, options.distance, centers, k);
+    FirstError error;
     SODA_RETURN_NOT_OK(ParallelFor(
         options.guard, n, [&](size_t begin, size_t end, size_t) {
       StripeAccum& acc = partials[MorselIndex(begin)];
       acc.Reset(k, d);
-      BlockScratch s(d, metric.lambda != nullptr);
-      for (size_t lo = begin; lo < end; lo += kBlock) {
-        const size_t len = std::min(kBlock, end - lo);
-        AssignBlock(points, lo, len, centers, k, metric, &s);
-        for (size_t i = 0; i < len; ++i) {
-          if (assignment[lo + i] != s.best[i]) {
-            assignment[lo + i] = s.best[i];
-            acc.changed++;
-          }
-          acc.counts[s.best[i]]++;
-        }
-        for (size_t j = 0; j < d; ++j) {
-          const double* x = s.x[j];
-          for (size_t i = 0; i < len; ++i) acc.sums[s.best[i] * d + j] += x[i];
-        }
-      }
+      error.Record(round.Assign(
+          begin, end, [&](size_t lo, size_t len, const double* const* x,
+                          const uint32_t* best) {
+            for (size_t i = 0; i < len; ++i) {
+              if (assignment[lo + i] != best[i]) {
+                assignment[lo + i] = best[i];
+                acc.changed++;
+              }
+              acc.counts[best[i]]++;
+            }
+            for (size_t j = 0; j < d; ++j) {
+              const double* xj = x[j];
+              for (size_t i = 0; i < len; ++i) {
+                acc.sums[best[i] * d + j] += xj[i];
+              }
+            }
+          }));
     }));
+    SODA_RETURN_NOT_OK(error.Take());
 
     // Global merge in stripe order — the only synchronized step.
     std::vector<double> sums(k * d, 0.0);
@@ -313,7 +460,7 @@ Result<KMeansResult> RunKMeans(const Table& data,
 
 Result<std::vector<uint32_t>> AssignClusters(const Table& data,
                                              const Table& centers,
-                                             const LambdaKernel* distance) {
+                                             const Expression* distance) {
   const size_t n = data.num_rows();
   const size_t d = data.num_columns();
   if (centers.num_columns() != d || centers.num_rows() == 0) {
@@ -322,17 +469,18 @@ Result<std::vector<uint32_t>> AssignClusters(const Table& data,
   SODA_ASSIGN_OR_RETURN(std::vector<NumericColumn> points,
                         NumericColumns(data));
   SODA_ASSIGN_OR_RETURN(std::vector<double> ctrs, CenterMatrix(centers));
-  const size_t k = centers.num_rows();
-  const Metric metric = MakeMetric(distance, d);
+  const Round round(points, distance, ctrs, centers.num_rows());
   std::vector<uint32_t> assignment(n);
+  FirstError error;
   ParallelFor(n, [&](size_t begin, size_t end, size_t) {
-    BlockScratch s(d, metric.lambda != nullptr);
-    for (size_t lo = begin; lo < end; lo += kBlock) {
-      const size_t len = std::min(kBlock, end - lo);
-      AssignBlock(points, lo, len, ctrs, k, metric, &s);
-      std::copy(s.best, s.best + len, assignment.data() + lo);
-    }
+    error.Record(round.Assign(
+        begin, end,
+        [&](size_t lo, size_t len, const double* const*,
+            const uint32_t* best) {
+          std::copy(best, best + len, assignment.data() + lo);
+        }));
   });
+  SODA_RETURN_NOT_OK(error.Take());
   return assignment;
 }
 

@@ -1,11 +1,57 @@
 #include "analytics/pagerank.h"
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
 
+#include "expr/evaluator.h"
 #include "graph/csr.h"
+#include "storage/data_chunk.h"
+#include "util/first_error.h"
 #include "util/parallel.h"
 
 namespace soda {
+
+namespace {
+
+/// weights[i] = body(edge i) for the edges in [begin, end), evaluated one
+/// chunk at a time. Numeric columns are fed as DOUBLE without validity (a
+/// NULL cell reads as its 0.0 payload), other columns as they are. A NULL
+/// the body produces becomes NaN, which the caller rejects.
+Status EvaluateWeights(const Expression& body, const Table& edges,
+                       size_t begin, size_t end, double* weights) {
+  Column out;
+  for (size_t lo = begin; lo < end; lo += kChunkCapacity) {
+    const size_t len = std::min(kChunkCapacity, end - lo);
+    DataChunk chunk;
+    for (size_t c = 0; c < edges.num_columns(); ++c) {
+      const Column& in = edges.column(c);
+      Column col(IsNumeric(in.type()) ? DataType::kDouble : in.type());
+      if (!IsNumeric(in.type())) {
+        col.AppendSlice(in, lo, len);
+      } else if (in.type() == DataType::kDouble) {
+        col.ResizeNumeric(len);
+        std::copy_n(in.F64Data() + lo, len, col.MutableF64Data());
+      } else {
+        col.ResizeNumeric(len);
+        double* x = col.MutableF64Data();
+        const int64_t* v = in.I64Data() + lo;
+        for (size_t i = 0; i < len; ++i) x[i] = static_cast<double>(v[i]);
+      }
+      chunk.AddColumn(std::move(col));
+    }
+    SODA_RETURN_NOT_OK(EvaluateExpression(body, chunk, &out));
+    const std::vector<uint8_t>& valid = out.Validity();
+    for (size_t i = 0; i < len; ++i) {
+      weights[lo + i] = !valid.empty() && !valid[i]
+                            ? std::numeric_limits<double>::quiet_NaN()
+                            : out.GetNumeric(i);
+    }
+  }
+  return Status::OK();
+}
+
+}  // namespace
 
 Result<TablePtr> RunPageRank(const Table& edges,
                              const PageRankOptions& options,
@@ -38,22 +84,18 @@ Result<TablePtr> RunPageRank(const Table& edges,
       options.guard, weight_bytes + csr_edge_bytes + 2 * e * sizeof(uint32_t),
       "pagerank.csr"));
 
-  // Optional per-edge weights via the lambda (single tuple parameter =
-  // the whole edge row, densified to doubles).
+  // Optional per-edge weights: the lambda body evaluated over chunks of
+  // the edge rows, numeric columns as DOUBLE.
   std::vector<double> weights;
   if (options.edge_weight) {
-    const size_t d = edges.num_columns();
     weights.resize(e);
+    FirstError error;
     SODA_RETURN_NOT_OK(ParallelFor(
         options.guard, e, [&](size_t begin, size_t end, size_t) {
-          std::vector<double> row(d);
-          for (size_t i = begin; i < end; ++i) {
-            for (size_t c = 0; c < d; ++c) {
-              row[c] = edges.column(c).GetNumeric(i);
-            }
-            weights[i] = options.edge_weight->Eval(row.data(), nullptr);
-          }
+          error.Record(EvaluateWeights(*options.edge_weight, edges, begin,
+                                       end, weights.data()));
         }));
+    SODA_RETURN_NOT_OK(error.Take());
     for (size_t i = 0; i < e; ++i) {
       if (!(weights[i] >= 0)) {
         return Status::ExecutionError(

@@ -7,14 +7,15 @@
 /// translates the dense ids back to the original ids through the reverse
 /// mapping operator. An optional edge-weight lambda (paper §4.3/§7:
 /// "define edge weights in PageRank") turns the uniform transition matrix
-/// into a weighted one.
+/// into a weighted one; its body runs on the vectorized expression
+/// evaluator over chunks of the edge columns.
 
 #ifndef SODA_ANALYTICS_PAGERANK_H_
 #define SODA_ANALYTICS_PAGERANK_H_
 
 #include <cstdint>
 
-#include "expr/lambda_kernel.h"
+#include "expr/expression.h"
 #include "storage/table.h"
 #include "util/query_guard.h"
 #include "util/status.h"
@@ -29,9 +30,12 @@ struct PageRankOptions {
   /// (the paper's experiments use e = 0 with 45 fixed iterations).
   double epsilon = 0.0001;
   int64_t max_iterations = 45;
-  /// Optional edge weight lambda over the edge tuple (numeric columns of
-  /// the edges input); nullptr = uniform weights.
-  const LambdaKernel* edge_weight = nullptr;
+  /// Optional edge-weight lambda: a bound body over the edge tuple (one
+  /// column ref per column of the edges input, numeric ones typed DOUBLE,
+  /// as the binder types them), evaluated with the expression evaluator.
+  /// Inputs carry no validity (a NULL cell reads as 0.0); a negative, NaN
+  /// or NULL weight fails the call. nullptr = uniform weights.
+  const Expression* edge_weight = nullptr;
   /// Resource governor probed at "pagerank.iteration" each power-iteration
   /// round; the CSR build is charged at "pagerank.csr". null = ungoverned.
   QueryGuard* guard = nullptr;

@@ -123,10 +123,9 @@ struct SelectPlan {
 
 /// The SELECT planning step shared by SELECT, EXPLAIN and PREPARE. With
 /// a plan cache and statement text, the entry keyed by `text` (validated
-/// against the pinned snapshot) skips lex/parse/bind/optimize. Otherwise
+/// against the pinned snapshot) skips bind/optimize. Otherwise
 /// `stmt` is bound (with PREPARE's `param_types`), optimized and
-/// fingerprinted, and cached under `text`. `stmt` is null when the
-/// engine's Peek fast path fired; a miss then parses `text` lazily.
+/// fingerprinted, and cached under `text`.
 Result<SelectPlan> PlanSelect(const SelectStmt* stmt, const std::string* text,
                               Catalog* catalog, const EngineOptions& options,
                               QueryGuard* guard, PlanCache* cache,
@@ -140,17 +139,6 @@ Result<SelectPlan> PlanSelect(const SelectStmt* stmt, const std::string* text,
                           cache->Lookup(key, *catalog, guard));
     out.from_cache = out.entry.plan != nullptr;
     if (out.from_cache) return out;
-  }
-  Statement reparsed;  // owns the lazily parsed AST when `stmt` was null
-  if (stmt == nullptr) {
-    if (text == nullptr) return Status::Internal("SELECT without a statement");
-    SODA_ASSIGN_OR_RETURN(reparsed, ParseStatement(*text));
-    if (reparsed.kind != StatementKind::kSelect ||
-        reparsed.select == nullptr) {
-      return Status::Internal("plan-cache fast path keyed non-SELECT text: " +
-                              *text);
-    }
-    stmt = reparsed.select.get();
   }
   Binder binder(catalog);
   binder.set_param_types(param_types);
@@ -1208,17 +1196,6 @@ Result<QueryResult> Engine::Execute(const std::string& sql,
   cc.ht_recycler = &ht_recycler_;
   cc.prepared = exec.prepared ? exec.prepared : &prepared_;
   cc.sql = &sql;
-  // Repeated ad-hoc text: an entry under this exact trimmed text proves
-  // the statement is a SELECT (only SELECTs are ever inserted), so the
-  // lexer and parser are skipped entirely — the read path's real Lookup
-  // revalidates the plan against the statement's pinned snapshot, and
-  // re-parses lazily if the entry went stale in between (ExecuteSelect).
-  if (plan_cache_.Peek(PlanCacheKey(sql, options_.optimize))) {
-    Statement select_only;
-    select_only.kind = StatementKind::kSelect;
-    return RunGoverned(select_only, &catalog_, &write_mu_, &options_,
-                       durability_.get(), exec, cc);
-  }
   SODA_ASSIGN_OR_RETURN(Statement stmt, ParseStatement(sql));
   return RunGoverned(stmt, &catalog_, &write_mu_, &options_,
                      durability_.get(), exec, cc);

@@ -65,11 +65,6 @@ void PlanCache::Insert(const std::string& key, CachedPlan entry) {
   }
 }
 
-bool PlanCache::Peek(const std::string& key) const {
-  MutexLock lock(&mu_);
-  return enabled_ && index_.find(key) != index_.end();
-}
-
 void PlanCache::SetEnabled(bool enabled) {
   MutexLock lock(&mu_);
   enabled_ = enabled;

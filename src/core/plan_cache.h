@@ -7,7 +7,7 @@
 ///    keyed by the statement's trimmed SQL text (+ the optimize flag) and
 ///    validated against the statement's pinned catalog snapshot through
 ///    the plan's PlanDependency list (table → publication version). A hit
-///    skips lex/parse/bind/optimize; lowering and execution still run per
+///    skips bind/optimize; lowering and execution still run per
 ///    statement (physical plans hold per-run state). Cached plans are
 ///    shared as `shared_ptr<const PlanNode>` — execution never mutates a
 ///    logical plan, so concurrent sessions can execute one copy.
@@ -76,14 +76,6 @@ class PlanCache {
   /// Inserts (or replaces) an entry; refused when any dependency is
   /// quarantined. Evicts the least-recently-used entry beyond the bound.
   void Insert(const std::string& key, CachedPlan entry);
-
-  /// True when `key` has an entry right now, with no validation, no LRU
-  /// touch, and no counter movement. Only SELECT statements are ever
-  /// inserted, so a Peek hit proves the keyed text is a SELECT — the
-  /// engine uses that to skip lex/parse for repeated ad-hoc text before
-  /// the real (validated, counted) Lookup runs against the statement's
-  /// pinned snapshot.
-  bool Peek(const std::string& key) const;
 
   /// Enables/disables the cache (SET soda.plan_cache = on|off);
   /// disabling clears it. Lookups miss while disabled.

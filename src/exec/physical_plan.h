@@ -19,7 +19,7 @@
 /// the harness every perf PR proves itself against.
 ///
 /// Lowering performs no execution and touches no data: all table
-/// resolution, hash-table builds, and lambda compilation happen inside
+/// resolution, hash-table builds, and lambda evaluation happen inside
 /// `Execute` (or the per-pipeline `prepares` closures), which is what lets
 /// plain EXPLAIN print pipelines without running the query.
 ///

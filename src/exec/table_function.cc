@@ -6,7 +6,6 @@
 #include "analytics/pagerank.h"
 #include "analytics/stats.h"
 #include "exec/exec_context.h"
-#include "expr/lambda_kernel.h"
 #include "sql/logical_plan.h"
 #include "util/fault_sites.h"
 
@@ -90,7 +89,9 @@ const std::vector<TableFunction>& Registry() {
          if (c.scalars.size() > 1) {
            options.min_change_fraction = c.scalars[1].AsDouble();
          }
-         if (!c.lambdas.empty()) options.distance = &c.lambdas[0];
+         if (!c.lambdas.empty()) {
+           options.distance = c.lambdas[0].body.get();
+         }
          options.guard = c.ctx.guard;
          SODA_ASSIGN_OR_RETURN(KMeansResult result,
                                RunKMeans(*c.inputs[0], *c.inputs[1], options));
@@ -118,7 +119,9 @@ const std::vector<TableFunction>& Registry() {
          if (c.scalars.size() > 2) {
            options.max_iterations = c.scalars[2].AsBigInt();
          }
-         if (!c.lambdas.empty()) options.edge_weight = &c.lambdas[0];
+         if (!c.lambdas.empty()) {
+           options.edge_weight = c.lambdas[0].body.get();
+         }
          options.guard = c.ctx.guard;
          PageRankStats stats;
          SODA_ASSIGN_OR_RETURN(TablePtr result,
@@ -250,16 +253,8 @@ Result<TablePtr> ExecuteTableFunctionWithInputs(
     return Status::Internal("unknown table function at execution: " +
                             plan.function_name);
   }
-  // Compile lambdas into kernels (plan-time bound bodies -> flat numeric
-  // programs; see expr/lambda_kernel.h).
-  std::vector<LambdaKernel> kernels;
-  kernels.reserve(plan.lambdas.size());
-  for (const auto& l : plan.lambdas) {
-    SODA_ASSIGN_OR_RETURN(LambdaKernel k,
-                          LambdaKernel::Compile(*l.body, l.a_width));
-    kernels.push_back(std::move(k));
-  }
-  return fn->run(TableFunctionCall{inputs, plan.scalar_args, kernels, ctx});
+  return fn->run(
+      TableFunctionCall{inputs, plan.scalar_args, plan.lambdas, ctx});
 }
 
 }  // namespace soda

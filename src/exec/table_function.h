@@ -25,7 +25,7 @@
 
 namespace soda {
 
-class LambdaKernel;
+struct BoundLambda;
 struct ExecContext;
 struct PlanNode;
 
@@ -43,7 +43,7 @@ struct TableFunctionSignature {
 struct TableFunctionCall {
   const std::vector<TablePtr>& inputs;
   const std::vector<Value>& scalars;
-  const std::vector<LambdaKernel>& lambdas;
+  const std::vector<BoundLambda>& lambdas;
   ExecContext& ctx;
 };
 
@@ -60,7 +60,7 @@ struct TableFunction {
 const TableFunction* FindTableFunction(std::string_view lower_name);
 
 /// Runs a kTableFunction node over its already materialized relation
-/// inputs: looks up the entry, compiles the lambdas and calls `run`.
+/// inputs: looks up the entry and calls `run` with the plan's lambdas.
 Result<TablePtr> ExecuteTableFunctionWithInputs(
     const PlanNode& plan, const std::vector<TablePtr>& inputs,
     ExecContext& ctx);

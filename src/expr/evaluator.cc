@@ -148,7 +148,7 @@ void Map2(const A& a, const B& b, R* out, size_t n, Op op) {
 }
 
 /// `^`: an exponent of 2 squares by multiplication, which is correctly
-/// rounded and equals the lambda kernel's kSquareTop bit for bit.
+/// rounded and equals k-Means' block kernel bit for bit.
 double Pow(double x, double y) { return y == 2.0 ? x * x : std::pow(x, y); }
 
 /// BIGINT + - * wrap around on overflow instead of being undefined.

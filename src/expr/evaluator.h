@@ -18,12 +18,13 @@
 /// row is zero.
 ///
 /// Arithmetic: `x ^ 2` and pow(x, 2) — any exponent equal to 2 — are
-/// computed as x * x, which is correctly rounded and equals the lambda
-/// kernel's squaring bit for bit. BIGINT + - * and negation wrap around on
-/// overflow; x / -1 is -x (wrapping) and x % -1 is 0. A DOUBLE turned into
-/// BIGINT — CAST, or floor/ceil/round/abs/sign with a BIGINT result — is
-/// NULL when it is NaN or outside BIGINT's range (DoubleToBigInt); over a
-/// BIGINT argument those functions are exact.
+/// computed as x * x, which is correctly rounded and equals the squaring
+/// of k-Means' column-blocked distance kernel bit for bit. BIGINT + - *
+/// and negation wrap around on overflow; x / -1 is -x (wrapping) and
+/// x % -1 is 0. A DOUBLE turned into BIGINT — CAST, or
+/// floor/ceil/round/abs/sign with a BIGINT result — is NULL when it is NaN
+/// or outside BIGINT's range (DoubleToBigInt); over a BIGINT argument
+/// those functions are exact.
 ///
 /// Comparisons follow CompareDoubles (types/value.h) for DOUBLE operands:
 /// NaN = NaN is TRUE, NaN is greater than every number, -0.0 = 0.0.

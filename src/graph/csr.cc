@@ -62,6 +62,18 @@ class IdRelabeler {
 Result<CsrGraph> CsrBuilder::Build(std::span<const int64_t> src,
                                    std::span<const int64_t> dst,
                                    std::span<const double> weights) {
+  return BuildImpl(src, dst, weights, /*undirected=*/false);
+}
+
+Result<CsrGraph> CsrBuilder::BuildUndirected(std::span<const int64_t> src,
+                                             std::span<const int64_t> dst) {
+  return BuildImpl(src, dst, {}, /*undirected=*/true);
+}
+
+Result<CsrGraph> CsrBuilder::BuildImpl(std::span<const int64_t> src,
+                                       std::span<const int64_t> dst,
+                                       std::span<const double> weights,
+                                       bool undirected) {
   if (src.size() != dst.size()) {
     return Status::InvalidArgument("edge list arity mismatch");
   }
@@ -90,12 +102,20 @@ Result<CsrGraph> CsrBuilder::Build(std::span<const int64_t> src,
   // Pass 2: out-degrees, prefix-summed into offsets.
   g.offsets_.assign(v + 1, 0);
   for (size_t i = 0; i < e; ++i) ++g.offsets_[s[i] + 1];
+  if (undirected) {
+    for (size_t i = 0; i < e; ++i) ++g.offsets_[d[i] + 1];
+  }
   for (size_t i = 0; i < v; ++i) g.offsets_[i + 1] += g.offsets_[i];
 
   // Pass 3: scatter in edge order, so each neighbour list keeps it.
   std::vector<uint64_t> cursor(g.offsets_.begin(), g.offsets_.end() - 1);
-  g.targets_.resize(e);
-  if (weights.empty()) {
+  g.targets_.resize(undirected ? 2 * e : e);
+  if (undirected) {
+    for (size_t i = 0; i < e; ++i) {
+      g.targets_[cursor[s[i]]++] = d[i];
+      g.targets_[cursor[d[i]]++] = s[i];
+    }
+  } else if (weights.empty()) {
     for (size_t i = 0; i < e; ++i) g.targets_[cursor[s[i]]++] = d[i];
   } else {
     g.weights_.resize(e);

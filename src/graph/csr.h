@@ -82,8 +82,19 @@ class CsrBuilder {
                                 std::span<const int64_t> dst,
                                 std::span<const double> weights = {});
 
+  /// The undirected graph over the same edges: each edge is scattered in
+  /// both directions, src -> dst and then dst -> src, so the graph equals
+  /// Build over the edge list with every edge followed by its reverse (the
+  /// same dense ids and neighbour order), without materializing that list.
+  static Result<CsrGraph> BuildUndirected(std::span<const int64_t> src,
+                                          std::span<const int64_t> dst);
+
  private:
   CsrBuilder() = default;
+  static Result<CsrGraph> BuildImpl(std::span<const int64_t> src,
+                                    std::span<const int64_t> dst,
+                                    std::span<const double> weights,
+                                    bool undirected);
 };
 
 }  // namespace soda

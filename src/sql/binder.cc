@@ -596,7 +596,9 @@ Result<PlanPtr> Binder::BindTableFunction(const TableRef& ref) {
 
   // Bind lambdas: parameters are tuple variables over the relation inputs
   // designated by the signature (paper §7: "the operator expects a lambda
-  // function that takes two tuple variables as input arguments").
+  // function that takes two tuple variables as input arguments"). The
+  // operators hand a lambda its numeric columns as DOUBLE, so they bind as
+  // DOUBLE: `%` is fmod and `/` real division inside a lambda.
   for (size_t li = 0; li < lambda_args.size(); ++li) {
     const ParseExpr& lam = *lambda_args[li];
     const std::vector<size_t>& param_rels = sig.lambda_param_relations[li];
@@ -609,8 +611,13 @@ Result<PlanPtr> Binder::BindTableFunction(const TableRef& ref) {
     Schema lambda_schema;
     size_t a_width = 0;
     for (size_t p = 0; p < param_rels.size(); ++p) {
-      Schema part =
+      const Schema qualified =
           relation_schemas[param_rels[p]].WithQualifier(lam.lambda_params[p]);
+      Schema part;
+      for (Field f : qualified.fields()) {
+        if (IsNumeric(f.type)) f.type = DataType::kDouble;
+        part.AddField(std::move(f));
+      }
       if (p == 0) a_width = part.num_fields();
       lambda_schema = lambda_schema.Concat(part);
     }

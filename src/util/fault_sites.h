@@ -32,7 +32,7 @@ struct FaultSiteInfo {
 
 inline constexpr FaultSiteInfo kFaultSites[] = {
     // Analytics operators (§6/§7).
-    {"cc.edges", "connected components: CSR edge-copy allocation charge"},
+    {"cc.csr", "connected components: undirected CSR allocation charge"},
     {"cc.iteration", "connected components: per-iteration probe"},
     {"kmeans.densify", "k-means: assignment-vector allocation charge"},
     {"kmeans.iteration", "k-means: per-iteration probe"},

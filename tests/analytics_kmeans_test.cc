@@ -6,7 +6,10 @@
 #include <cmath>
 
 #include "analytics/kmeans.h"
-#include "expr/lambda_kernel.h"
+#include "expr/evaluator.h"
+#include "sql/binder.h"
+#include "sql/parser.h"
+#include "storage/data_chunk.h"
 #include "tests/test_util.h"
 #include "util/parallel.h"
 #include "util/rng.h"
@@ -120,9 +123,9 @@ TEST(KMeansTest, IntegerColumnsAccepted) {
   EXPECT_EQ(r->centers->num_rows(), 2u);
 }
 
-/// Builds a compiled lambda for |a-b|_1 over d dims (k-Medians-style
-/// distance from §7).
-LambdaKernel L1Kernel(size_t d) {
+/// The bound lambda body |a-b|_1 over d dims (k-Medians-style distance
+/// from §7).
+ExprPtr L1Body(size_t d) {
   ExprPtr sum;
   for (size_t j = 0; j < d; ++j) {
     std::vector<ExprPtr> args;
@@ -136,10 +139,10 @@ LambdaKernel L1Kernel(size_t d) {
                                    std::move(abs_e), DataType::kDouble)
               : std::move(abs_e);
   }
-  return *LambdaKernel::Compile(*sum, d);
+  return sum;
 }
 
-LambdaKernel L2Kernel(size_t d) {
+ExprPtr L2Body(size_t d) {
   ExprPtr sum;
   for (size_t j = 0; j < d; ++j) {
     auto diff = Expression::Binary(
@@ -153,7 +156,7 @@ LambdaKernel L2Kernel(size_t d) {
                                    std::move(sq), DataType::kDouble)
               : std::move(sq);
   }
-  return *LambdaKernel::Compile(*sum, d);
+  return sum;
 }
 
 TEST(KMeansTest, LambdaL2MatchesBuiltinExactly) {
@@ -172,10 +175,10 @@ TEST(KMeansTest, LambdaL2MatchesBuiltinExactly) {
   auto a = RunKMeans(*data, *centers, builtin);
   ASSERT_OK(a.status());
 
-  LambdaKernel l2 = L2Kernel(3);
+  ExprPtr l2 = L2Body(3);
   KMeansOptions with_lambda;
   with_lambda.max_iterations = 5;
-  with_lambda.distance = &l2;
+  with_lambda.distance = l2.get();
   auto b = RunKMeans(*data, *centers, with_lambda);
   ASSERT_OK(b.status());
 
@@ -207,12 +210,12 @@ TEST(KMeansTest, ManhattanLambdaChangesAssignments) {
   }
   auto data = MakePoints(rows);
   auto centers = MakePoints({{2, 2}, {8, 8}, {2, 8}});
-  LambdaKernel l1 = L1Kernel(2);
-  LambdaKernel l2 = L2Kernel(2);
+  ExprPtr l1 = L1Body(2);
+  ExprPtr l2 = L2Body(2);
   KMeansOptions o1, o2;
   o1.max_iterations = o2.max_iterations = 4;
-  o1.distance = &l1;
-  o2.distance = &l2;
+  o1.distance = l1.get();
+  o2.distance = l2.get();
   auto a = RunKMeans(*data, *centers, o1);
   auto b = RunKMeans(*data, *centers, o2);
   ASSERT_OK(a.status());
@@ -309,7 +312,7 @@ std::vector<uint32_t> ReferenceAssign(
 }
 
 /// abs(a1-b1) + 2.5 * abs(b2-a2) + 0.5 * abs(a3-b3) over 3 dimensions.
-LambdaKernel WeightedL1Kernel() {
+ExprPtr WeightedL1Body() {
   const double weights[3] = {1.0, 2.5, 0.5};
   ExprPtr sum;
   for (size_t j = 0; j < 3; ++j) {
@@ -331,7 +334,7 @@ LambdaKernel WeightedL1Kernel() {
                                    std::move(term), DataType::kDouble)
               : std::move(term);
   }
-  return *LambdaKernel::Compile(*sum, 3);
+  return sum;
 }
 
 TEST(KMeansTest, AssignmentsMatchReferenceAcrossBlockAndStripeEdges) {
@@ -339,10 +342,10 @@ TEST(KMeansTest, AssignmentsMatchReferenceAcrossBlockAndStripeEdges) {
   // row stripes with a ragged tail; k above the block width too. The
   // built-in L2, the L2 lambda and a weighted L1 lambda (one b - a term)
   // all assign exactly as the row-at-a-time reference.
-  LambdaKernel l2 = L2Kernel(3);
-  LambdaKernel l1 = WeightedL1Kernel();
-  ASSERT_TRUE(l2.PerDimensionForm(3).has_value());
-  ASSERT_TRUE(l1.PerDimensionForm(3).has_value());
+  ExprPtr l2 = L2Body(3);
+  ExprPtr l1 = WeightedL1Body();
+  ASSERT_TRUE(PerDimensionForm(*l2, 3).has_value());
+  ASSERT_TRUE(PerDimensionForm(*l1, 3).has_value());
   Rng rng(41);
   for (const size_t n : {size_t{7}, size_t{256}, size_t{2 * 16384 + 300 + 7}}) {
     std::vector<std::vector<double>> rows;
@@ -361,8 +364,8 @@ TEST(KMeansTest, AssignmentsMatchReferenceAcrossBlockAndStripeEdges) {
       const auto l2_ref = ReferenceAssign(rows, ctrs, true, {1, 1, 1});
       const auto l1_ref = ReferenceAssign(rows, ctrs, false, {1, 2.5, 0.5});
       auto builtin = AssignClusters(*data, *centers, nullptr);
-      auto with_l2 = AssignClusters(*data, *centers, &l2);
-      auto with_l1 = AssignClusters(*data, *centers, &l1);
+      auto with_l2 = AssignClusters(*data, *centers, l2.get());
+      auto with_l1 = AssignClusters(*data, *centers, l1.get());
       ASSERT_OK(builtin.status());
       ASSERT_OK(with_l2.status());
       ASSERT_OK(with_l1.status());
@@ -373,7 +376,7 @@ TEST(KMeansTest, AssignmentsMatchReferenceAcrossBlockAndStripeEdges) {
       // One round moves every center to the mean of its reference members.
       KMeansOptions one_round;
       one_round.max_iterations = 1;
-      one_round.distance = &l1;
+      one_round.distance = l1.get();
       auto r = RunKMeans(*data, *centers, one_round);
       ASSERT_OK(r.status());
       std::vector<std::vector<double>> sums(k, std::vector<double>(3, 0.0));
@@ -442,13 +445,14 @@ TEST(KMeansTest, TiesGoToTheLowestCenter) {
   for (int c = 0; c < 16; ++c) many.push_back({100.0 + c, 100, 100});
   many.push_back({1, 1, 1});
   many.push_back({9, 9, 9});
-  LambdaKernel l1 = WeightedL1Kernel();
-  LambdaKernel l2 = L2Kernel(3);
-  const std::vector<const LambdaKernel*> distances = {nullptr, &l1, &l2};
+  ExprPtr l1 = WeightedL1Body();
+  ExprPtr l2 = L2Body(3);
+  const std::vector<const Expression*> distances = {nullptr, l1.get(),
+                                                  l2.get()};
   for (const auto& centers :
        {MakePoints({{1, 1, 1}, {1, 1, 1}, {9, 9, 9}}),
         MakePoints(many)}) {
-    for (const LambdaKernel* distance : distances) {
+    for (const Expression* distance : distances) {
       auto assign = AssignClusters(*data, *centers, distance);
       ASSERT_OK(assign.status());
       EXPECT_EQ(*assign, (std::vector<uint32_t>{0, 0, 0, 2}));
@@ -461,6 +465,222 @@ TEST(KMeansTest, TiesGoToTheLowestCenter) {
         EXPECT_EQ(r->centers->column(j).GetDouble(1), 1.0);
       }
     }
+  }
+}
+
+/// Column ref i of a lambda over two 2-wide tuples: a = 0, 1 and b = 2, 3.
+ExprPtr Col(size_t i) {
+  return Expression::ColumnRef(i, DataType::kDouble, "c" + std::to_string(i));
+}
+
+/// w * (x - y)^2, or w * abs(x - y) when not `squared`, over column refs
+/// x and y of the concatenated (a, b) tuple; w == 1 leaves the factor out.
+ExprPtr Term(bool squared, size_t x, size_t y, double w = 1.0) {
+  ExprPtr diff =
+      Expression::Binary(BinaryOp::kSub, Col(x), Col(y), DataType::kDouble);
+  ExprPtr core;
+  if (squared) {
+    core = Expression::Binary(BinaryOp::kPow, std::move(diff),
+                              Expression::Literal(Value::BigInt(2)),
+                              DataType::kDouble);
+  } else {
+    std::vector<ExprPtr> args;
+    args.push_back(std::move(diff));
+    core = Expression::Function("abs", std::move(args), DataType::kDouble);
+  }
+  if (w == 1.0) return core;
+  return Expression::Binary(BinaryOp::kMul,
+                            Expression::Literal(Value::Double(w)),
+                            std::move(core), DataType::kDouble);
+}
+
+/// Left-deep sum of the terms.
+template <typename... T>
+ExprPtr Sum(ExprPtr first, T... rest) {
+  ExprPtr sum = std::move(first);
+  ((sum = Expression::Binary(BinaryOp::kAdd, std::move(sum), std::move(rest),
+                             DataType::kDouble)),
+   ...);
+  return sum;
+}
+
+/// `body` evaluated at a = (1.25, -2), b = (4, 7.5).
+double EvalAtSamplePair(const Expression& body) {
+  DataChunk chunk;
+  for (double v : {1.25, -2.0, 4.0, 7.5}) {
+    chunk.AddColumn(Column::FromDoubles({v}));
+  }
+  Column out;
+  EXPECT_OK(EvaluateExpression(body, chunk, &out));
+  return out.GetDouble(0);
+}
+
+TEST(KMeansTest, PerDimensionFormReportsWeights) {
+  struct Case {
+    const char* what;
+    ExprPtr body;
+    bool squared;
+    std::vector<double> weights;
+  };
+  std::vector<Case> cases;
+  cases.push_back({"unit L2", Sum(Term(true, 0, 2), Term(true, 1, 3)), true,
+                   {1, 1}});
+  cases.push_back({"weighted L2",
+                   Sum(Term(true, 0, 2, 4.0), Term(true, 1, 3, 0.5)), true,
+                   {4, 0.5}});
+  cases.push_back({"weighted L1",
+                   Sum(Term(false, 0, 2, 2.0), Term(false, 1, 3, 3.0)), false,
+                   {2, 3}});
+  cases.push_back({"b - a orientation",
+                   Sum(Term(true, 2, 0), Term(true, 1, 3, 1.5)), true,
+                   {1, 1.5}});
+  cases.push_back({"reversed term order",
+                   Sum(Term(false, 3, 1, 3.0), Term(false, 0, 2)), false,
+                   {1, 3}});
+  const double a[2] = {1.25, -2};
+  const double b[2] = {4, 7.5};
+  for (const Case& c : cases) {
+    const auto form = PerDimensionForm(*c.body, 2);
+    ASSERT_TRUE(form.has_value()) << c.what;
+    EXPECT_EQ(form->squared, c.squared) << c.what;
+    EXPECT_EQ(form->weights, c.weights) << c.what;
+    // The weights reproduce the body.
+    double dist = 0;
+    for (size_t j = 0; j < 2; ++j) {
+      const double t = a[j] - b[j];
+      dist += form->squared ? form->weights[j] * t * t
+                            : form->weights[j] * std::fabs(t);
+    }
+    EXPECT_DOUBLE_EQ(EvalAtSamplePair(*c.body), dist) << c.what;
+  }
+  ExprPtr l2 = L2Body(4);
+  ASSERT_TRUE(PerDimensionForm(*l2, 4).has_value());
+  EXPECT_EQ(PerDimensionForm(*l2, 4)->weights, std::vector<double>(4, 1.0));
+  // The form is per width: a 4-wide body has no 3-wide form.
+  EXPECT_FALSE(PerDimensionForm(*l2, 3).has_value());
+}
+
+TEST(KMeansTest, PerDimensionFormDeclinesOtherShapes) {
+  std::vector<std::pair<const char*, ExprPtr>> cases;
+  cases.emplace_back("cross index", Sum(Term(true, 0, 3), Term(true, 1, 2)));
+  cases.emplace_back("missing dimension", Term(true, 0, 2));
+  cases.emplace_back("repeated dimension",
+                     Sum(Term(true, 0, 2), Term(true, 2, 0, 2.0)));
+  cases.emplace_back("one tuple only",
+                     Sum(Term(true, 0, 1), Term(true, 2, 3)));
+  cases.emplace_back("mixed families",
+                     Sum(Term(false, 0, 2), Term(true, 1, 3)));
+  for (const auto& [what, body] : cases) {
+    EXPECT_FALSE(PerDimensionForm(*body, 2).has_value()) << what;
+  }
+}
+
+TEST(KMeansTest, LambdaMeansWhatSelectMeans) {
+  // A lambda body means in KMEANS what the same expression means in a
+  // SELECT: AssignClusters equals the argmin, in center order with a
+  // strict <, of the body evaluated by SELECT against each center's
+  // coordinates as literals, where a NULL or NaN distance never wins. The
+  // points include NaN, -0.0, exact ties and values that CAST truncates.
+  Engine engine;
+  std::vector<double> x1, x2;
+  Rng rng(47);
+  for (size_t i = 0; i < 3000; ++i) {
+    x1.push_back(rng.Uniform(-6, 6));
+    x2.push_back(static_cast<double>(rng.Below(9)) * 0.5 - 2);
+  }
+  x1[7] = std::nan("");
+  x2[11] = std::nan("");
+  x1[13] = -0.0;
+  x1[17] = 1.5;  // on center 0
+  x2[17] = -0.25;
+  std::vector<int64_t> ids(x1.size());
+  for (size_t i = 0; i < ids.size(); ++i) ids[i] = static_cast<int64_t>(i);
+  auto pts = engine.catalog().CreateTable(
+      "pts", Schema({Field("id", DataType::kBigInt),
+                     Field("x1", DataType::kDouble),
+                     Field("x2", DataType::kDouble)}));
+  ASSERT_OK(pts.status());
+  ASSERT_OK((*pts)->SetColumn(0, Column::FromBigInts(ids)));
+  ASSERT_OK((*pts)->SetColumn(1, Column::FromDoubles(x1)));
+  ASSERT_OK((*pts)->SetColumn(2, Column::FromDoubles(x2)));
+  const Schema xy({Field("x1", DataType::kDouble),
+                   Field("x2", DataType::kDouble)});
+  const std::vector<std::vector<std::string>> centers = {
+      {"1.5", "-0.25"}, {"3.75", "2.5"}, {"-2.125", "0.5"}, {"0.5", "4.0"}};
+  auto ctr = engine.catalog().CreateTable("ctr", xy);
+  ASSERT_OK(ctr.status());
+  for (const auto& c : centers) {
+    ASSERT_OK((*ctr)->AppendRow(
+        {Value::Double(std::stod(c[0])), Value::Double(std::stod(c[1]))}));
+  }
+  auto points = std::make_shared<Table>("points", xy);
+  ASSERT_OK(points->SetColumn(0, Column::FromDoubles(x1)));
+  ASSERT_OK(points->SetColumn(1, Column::FromDoubles(x2)));
+
+  // Bodies over {a1}, {a2} (the point) and {b1}, {b2} (the center).
+  const std::vector<std::string> bodies = {
+      "CASE WHEN {a1} > {b1} THEN {a1} - {b1} ELSE ({b2} - {a2}) * 2 END",
+      "CASE WHEN {a2} <= {b2} AND {a1} <> {b1} THEN 1.0 ELSE 2.0 END + "
+      "abs({a1} - {b1})",
+      "CASE WHEN {a1} < {b1} THEN abs({a2} - {b2}) END",
+      "abs(({a1} - {b1}) % 2.5) + abs({a2} - {b2}) % 3",
+      "sqrt({a1} - {b1}) + abs({a2} - {b2})",
+      "CAST(({a1} - {b1}) * 3 AS BIGINT) * CAST(({a1} - {b1}) * 3 AS "
+      "BIGINT) + abs({a2} - {b2})",
+      "CAST(abs({a1} - {b1}) + abs({a2} - {b2}) AS BIGINT)",
+      "greatest(abs({a1} - {b1}), abs({a2} - {b2}))",
+      "least(abs({a1} - {b1}) + 0.5, abs({a2} - {b2}), 3.0)",
+      "({a1} - {b1}) / ({a2} - {b2})",
+  };
+  auto fill = [](std::string text, const std::string& a1,
+                 const std::string& a2, const std::string& b1,
+                 const std::string& b2) {
+    for (const auto& [from, to] : std::vector<std::pair<std::string,
+                                                        std::string>>{
+             {"{a1}", a1}, {"{a2}", a2}, {"{b1}", b1}, {"{b2}", b2}}) {
+      for (size_t at = text.find(from); at != std::string::npos;
+           at = text.find(from, at + to.size())) {
+        text.replace(at, from.size(), to);
+      }
+    }
+    return text;
+  };
+  for (const std::string& body : bodies) {
+    // The reference: one SELECT per center, folded in center order.
+    std::vector<uint32_t> expected(x1.size(), 0);
+    std::vector<double> best(x1.size(), INFINITY);
+    for (size_t c = 0; c < centers.size(); ++c) {
+      const std::string expr = "(" +
+                               fill(body, "x1", "x2", "(" + centers[c][0] +
+                                    ")", "(" + centers[c][1] + ")") +
+                               ") * 1.0";
+      QueryResult r =
+          testing::RunQuery(engine, "SELECT " + expr + " FROM pts ORDER BY id");
+      ASSERT_EQ(r.num_rows(), x1.size()) << expr;
+      for (size_t i = 0; i < x1.size(); ++i) {
+        if (!r.IsNull(i, 0) && r.GetDouble(i, 0) < best[i]) {
+          best[i] = r.GetDouble(i, 0);
+          expected[i] = static_cast<uint32_t>(c);
+        }
+      }
+    }
+    // The lambda, bound as KMEANS binds it.
+    const std::string sql =
+        "SELECT * FROM KMEANS((SELECT x1, x2 FROM pts), "
+        "(SELECT x1, x2 FROM ctr), λ(a, b) " +
+        fill(body, "a.x1", "a.x2", "b.x1", "b.x2") + ", 1)";
+    auto stmt = ParseStatement(sql);
+    ASSERT_OK(stmt.status());
+    Binder binder(&engine.catalog());
+    auto plan = binder.BindSelectStatement(*stmt->select);
+    ASSERT_OK(plan.status());
+    const PlanNode* fn = plan->get();
+    while (fn->kind != PlanKind::kTableFunction) fn = fn->children[0].get();
+    ASSERT_EQ(fn->lambdas.size(), 1u);
+    EXPECT_FALSE(PerDimensionForm(*fn->lambdas[0].body, 2).has_value());
+    auto assign = AssignClusters(*points, **ctr, fn->lambdas[0].body.get());
+    ASSERT_OK(assign.status());
+    EXPECT_EQ(*assign, expected) << body;
   }
 }
 

@@ -8,7 +8,6 @@
 #include <map>
 
 #include "analytics/pagerank.h"
-#include "expr/lambda_kernel.h"
 #include "graph/ldbc_generator.h"
 #include "tests/test_util.h"
 #include "util/parallel.h"
@@ -182,28 +181,23 @@ TEST(PageRankTest, ParallelMatchesSerial) {
 
 TEST(PageRankTest, WeightedLambdaShiftsRank) {
   // Weight lambda: prefer edges into vertex 2 (w=10 on (1,2), w=1 else).
-  // Edge schema: (src, dst); lambda over the edge tuple.
-  // w(e) = CASE WHEN e.dst = 2 THEN 10 ELSE 1 END, expressed as
-  // 1 + 9 * (dst == 2).
-  auto body = Expression::Binary(
-      BinaryOp::kAdd, Expression::Literal(Value::Double(1.0)),
-      Expression::Binary(
-          BinaryOp::kMul, Expression::Literal(Value::Double(9.0)),
-          Expression::Binary(BinaryOp::kEq,
-                             Expression::ColumnRef(1, DataType::kBigInt, "dst"),
-                             Expression::Literal(Value::BigInt(2)),
-                             DataType::kBool),
-          DataType::kDouble),
-      DataType::kDouble);
-  auto kernel = LambdaKernel::Compile(*body, 2);
-  ASSERT_OK(kernel.status());
+  // Edge schema: (src, dst); lambda over the edge tuple, whose columns the
+  // binder types DOUBLE:
+  // w(e) = CASE WHEN e.dst = 2 THEN 10.0 ELSE 1.0 END.
+  std::vector<ExprPtr> kids;
+  kids.push_back(Expression::Binary(
+      BinaryOp::kEq, Expression::ColumnRef(1, DataType::kDouble, "dst"),
+      Expression::Literal(Value::BigInt(2)), DataType::kBool));
+  kids.push_back(Expression::Literal(Value::Double(10.0)));
+  kids.push_back(Expression::Literal(Value::Double(1.0)));
+  auto body = Expression::Case(std::move(kids), DataType::kDouble);
 
   auto edges = MakeEdges({{1, 2}, {1, 3}, {2, 1}, {3, 1}, {2, 3}, {3, 2}});
   PageRankOptions uniform;
   uniform.epsilon = 0;
   uniform.max_iterations = 60;
   PageRankOptions weighted = uniform;
-  weighted.edge_weight = &*kernel;
+  weighted.edge_weight = body.get();
   auto u = RunPageRank(*edges, uniform);
   auto w = RunPageRank(*edges, weighted);
   ASSERT_OK(u.status());
@@ -217,15 +211,24 @@ TEST(PageRankTest, WeightedLambdaShiftsRank) {
 }
 
 TEST(PageRankTest, NegativeLambdaWeightRejected) {
-  auto body = Expression::Literal(Value::Double(-1.0));
-  auto kernel = LambdaKernel::Compile(*body, 2);
-  ASSERT_OK(kernel.status());
+  // A negative weight, and a NULL one the body produces (a CASE with no
+  // matching branch and no ELSE), fail the call.
+  auto negative = Expression::Literal(Value::Double(-1.0));
+  std::vector<ExprPtr> kids;
+  kids.push_back(Expression::Binary(
+      BinaryOp::kEq, Expression::ColumnRef(1, DataType::kDouble, "dst"),
+      Expression::Literal(Value::BigInt(99)), DataType::kBool));
+  kids.push_back(Expression::Literal(Value::Double(1.0)));
+  kids.push_back(Expression::Literal(Value::Null()));
+  auto null_weight = Expression::Case(std::move(kids), DataType::kDouble);
   auto edges = MakeEdges({{1, 2}});
-  PageRankOptions opt;
-  opt.edge_weight = &*kernel;
-  auto r = RunPageRank(*edges, opt);
-  ASSERT_FALSE(r.ok());
-  EXPECT_EQ(r.status().code(), StatusCode::kExecutionError);
+  for (const Expression* body : {negative.get(), null_weight.get()}) {
+    PageRankOptions opt;
+    opt.edge_weight = body;
+    auto r = RunPageRank(*edges, opt);
+    ASSERT_FALSE(r.ok());
+    EXPECT_EQ(r.status().code(), StatusCode::kExecutionError);
+  }
 }
 
 TEST(PageRankTest, StatsPopulated) {

@@ -207,6 +207,37 @@ TEST(CsrTest, MatchesOrderedReferenceOnExtremeIds) {
   EXPECT_GT(g->num_vertices(), 1024u);
 }
 
+TEST(CsrTest, UndirectedBuildEqualsDoubledEdgeList) {
+  // The undirected build over (src, dst) is byte-identical to the directed
+  // build over the edge list with every edge followed by its reverse: same
+  // dense ids, offsets and neighbour order. Self-loops, duplicate edges,
+  // extreme ids and a social graph included.
+  constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+  GeneratedGraph social = GenerateSocialGraph(500, 12, 5);
+  const std::vector<std::pair<std::vector<int64_t>, std::vector<int64_t>>>
+      inputs = {{{}, {}},
+                {{kMin, 3, 3, 9, 3}, {3, kMin, 3, 4, 9}},
+                {social.src, social.dst}};
+  for (const auto& [src, dst] : inputs) {
+    std::vector<int64_t> both_src, both_dst;
+    for (size_t i = 0; i < src.size(); ++i) {
+      both_src.insert(both_src.end(), {src[i], dst[i]});
+      both_dst.insert(both_dst.end(), {dst[i], src[i]});
+    }
+    auto doubled = CsrBuilder::Build(both_src, both_dst);
+    auto undirected = CsrBuilder::BuildUndirected(src, dst);
+    ASSERT_OK(doubled.status());
+    ASSERT_OK(undirected.status());
+    EXPECT_EQ(undirected->original_ids(), doubled->original_ids());
+    EXPECT_EQ(undirected->offsets(), doubled->offsets());
+    EXPECT_EQ(undirected->targets(), doubled->targets());
+    EXPECT_FALSE(undirected->has_weights());
+  }
+  EXPECT_FALSE(CsrBuilder::BuildUndirected(std::vector<int64_t>{1},
+                                           std::vector<int64_t>{})
+                   .ok());
+}
+
 TEST(LdbcGeneratorTest, PaperScalesMatchRatios) {
   auto scales = PaperLdbcScales();
   ASSERT_EQ(scales.size(), 3u);

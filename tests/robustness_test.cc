@@ -275,7 +275,7 @@ const FaultCase kFaultMatrix[] = {
      StatusCode::kResourceExhausted},
     {"pagerank.iteration", FaultInjector::Kind::kCancel,
      "SELECT * FROM PAGERANK((SELECT a, a FROM t))", StatusCode::kCancelled},
-    {"cc.edges", FaultInjector::Kind::kOom,
+    {"cc.csr", FaultInjector::Kind::kOom,
      "SELECT * FROM CONNECTED_COMPONENTS((SELECT a, a FROM t))",
      StatusCode::kResourceExhausted},
     {"cc.iteration", FaultInjector::Kind::kCancel,

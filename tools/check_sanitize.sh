@@ -32,8 +32,10 @@ if [[ "${sanitizers}" == "thread" ]]; then
   # the 4-worker pool. Aggregate/Iterate/ExecKernel: the hash-aggregate
   # consume loop, the probe pass-through and the cross join that every
   # ITERATE round runs, against their row-at-a-time references.
+  # KMeans/PageRank/ConnectedComponents/Csr: the analytics operators'
+  # striped kernels, lambda evaluation and the CSR builds they share.
   SODA_THREADS=4 ctest --test-dir "${build_dir}" \
-    -R 'ParallelExec|Robustness|PhysicalPlan|Durability|Server|Segment|Partition|Cache|Prepared|Property|Expr|Aggregate|Iterate|ExecKernel' \
+    -R 'ParallelExec|Robustness|PhysicalPlan|Durability|Server|Segment|Partition|Cache|Prepared|Property|Expr|Aggregate|Iterate|ExecKernel|KMeans|PageRank|ConnectedComponents|Csr' \
     -j "$(nproc)" --output-on-failure
   echo "check_sanitize: concurrency suites clean under thread (SODA_THREADS=4)"
 else
